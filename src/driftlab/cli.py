@@ -5,15 +5,23 @@ three constraints on a saved split manifest), ``tune`` (training-ratio
 grid search only), ``generate`` (synthetic dataset to CSV/JSONL),
 ``plotdata`` (reshape run artifacts into tidy plotting CSVs).
 
-Exit codes: 0 ok, 2 config error, 3 constraint violation, 4 runtime
-failure.
+Exit codes: 0 ok, 2 config error (including a split that runs past the
+data or a class too small for ``kfold_k`` folds), 3 constraint violation,
+4 runtime failure.
 
-Scenarios mirror the classic bias table: ``realistic`` (constraint-clean
-time split), ``kfold`` (time-blind stratified k-fold), ``past_testing``
-(train on the latest window, test on the earliest — detecting the past),
-``disjoint_class_windows`` (classes drawn from non-overlapping periods),
-and ``bias_grid`` (all four rows crossed with training/testing ratio
-combinations (0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9)).
+Scenarios mirror the classic bias table, whose rows live in one table,
+``BIAS_GRID_ROWS``: ``realistic`` (constraint-clean time split),
+``kfold`` (time-blind stratified k-fold), ``past_testing`` (train on the
+latest window, test on the earliest — detecting the past) and
+``disjoint_class_windows`` (classes drawn from non-overlapping periods).
+Each row yields folds of (train, test sets, fit seed) and is scored by
+the mean over folds of the pooled F1. ``bias_grid`` crosses the rows with
+the training/testing ratio cells (0.1, 0.1), (0.9, 0.1), (0.1, 0.9),
+(0.9, 0.9); ``past_testing`` and ``disjoint_class_windows`` run their row
+at the configured ratios. The standalone ``realistic`` scenario runs the
+full pipeline (tuning, audit, decay curves, delay policies) and
+standalone ``kfold`` reports :func:`kfold_eval`, which keeps each fold's
+natural class ratio where the bias row enforces (phi, delta) per fold.
 
 Every byte written is a pure function of (config, seeds): tasks fan out
 over a process pool but results are merged and written in sorted order,
@@ -34,15 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
-from .dataset import (
-    LabeledDataset,
-    Period,
-    add_period,
-    concat,
-    load_dataset,
-    write_csv,
-    write_jsonl,
-)
+from .dataset import LabeledDataset, Period, load_dataset, write_csv, write_jsonl
 from .delay import (
     ConstraintViolationError,
     DelayPolicy,
@@ -53,27 +53,31 @@ from .delay import (
 )
 from .metrics import (
     Confusion,
+    StratificationError,
     aut,
     confusion_counts,
     cumulative_estimates,
     kfold_eval,
-    point_estimates,
     prf1,
-    slot_series,
+    stratified_folds,
     write_curves_csv,
 )
 from .rng import derive_rng
 from .splits import (
+    EmptySlotError,
+    InsufficientSpanError,
     RatioSpec,
     SplitSpec,
+    disjoint_class_split,
     enforce_ratio,
+    past_testing_split,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
     time_aware_split,
 )
 from .synthgen import DriftSpec, generate
-from .tuning import TuningConfig, tune_phi, write_grid_csv
+from .tuning import TuningConfig, TuningResult, tune_phi, write_grid_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -86,7 +90,6 @@ __all__ = [
 ]
 
 SCENARIOS = ("realistic", "kfold", "past_testing", "disjoint_class_windows", "bias_grid")
-BIAS_GRID_ROWS = ("kfold", "past_testing", "disjoint_class_windows", "realistic")
 BIAS_GRID_CELLS = ((0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9))
 
 EXIT_OK = 0
@@ -269,73 +272,10 @@ def _fit_seed(seed: int, *labels) -> int:
     return int(derive_rng(seed, *labels).integers(2**31))
 
 
-def _pooled_f1(model, slots) -> float:
-    total = Confusion()
-    for s in slots:
-        total = total + confusion_counts(model, s)
-    return prf1(total)[2]
-
-
-def _past_testing_parts(d, spec: SplitSpec, ratios: RatioSpec, seed: int):
-    """Mirrored realistic split: train on the final W, test on the first S."""
-    train_start = add_period(spec.origin, spec.test_window)
-    train_end = add_period(train_start, spec.train_window)
-    train = enforce_ratio(
-        d.between(train_start, train_end),
-        ratios.phi,
-        "random",
-        seed=_fit_seed(seed, "past", "train"),
-    )
-    slots, starts = [], []
-    for k in range(spec.n_test_slots):
-        lo = add_period(spec.origin, spec.slot_width, k)
-        hi = add_period(spec.origin, spec.slot_width, k + 1)
-        slots.append(
-            enforce_ratio(
-                d.between(lo, hi), ratios.delta, "random", seed=_fit_seed(seed, "past", "slot", k)
-            )
-        )
-        starts.append(lo)
-    return train, slots, starts
-
-
-def _disjoint_parts(d, spec: SplitSpec, ratios: RatioSpec, seed: int):
-    """Classes drawn from non-overlapping halves of each period."""
-
-    def classed_window(start, end, cut):
-        early = d.between(start, cut)
-        late = d.between(cut, end)
-        pos_idx = [i for i, y in enumerate(early.labels) if y == 1]
-        neg_idx = [i for i, y in enumerate(late.labels) if y == 0]
-        if not pos_idx or not neg_idx:
-            raise ConstraintViolation("disjoint windows left a period single-class")
-        return concat([early.subset(pos_idx), late.subset(neg_idx)])
-
-    t0 = spec.test_origin
-    mid_train = add_period(spec.origin, spec.slot_width, _half_slots(spec.train_window, spec))
-    mid_test = add_period(t0, spec.slot_width, _half_slots(spec.test_window, spec))
-    train = enforce_ratio(
-        classed_window(spec.origin, t0, mid_train),
-        ratios.phi,
-        "random",
-        seed=_fit_seed(seed, "disjoint", "train"),
-    )
-    test = enforce_ratio(
-        classed_window(t0, spec.test_end, mid_test),
-        ratios.delta,
-        "random",
-        seed=_fit_seed(seed, "disjoint", "test"),
-    )
-    return train, test
-
-
-def _half_slots(window: Period, spec: SplitSpec) -> int:
-    return max(1, window.slots_of(spec.slot_width) // 2)
-
-
-# ---------------------------------------------------------------------------
-# Per-seed task bodies (top-level functions so a process pool can run them)
-# ---------------------------------------------------------------------------
+def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:
+    """tune_phi on the raw training window ``[origin, origin + W)``."""
+    train_raw = d.between(cfg.split.origin, cfg.split.test_origin)
+    return tune_phi(train_raw, cfg.classifier, cfg.tuning, cfg.split, seed)
 
 
 def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
@@ -343,8 +283,7 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
     ratios = cfg.ratios
     tuning_result = None
     if cfg.tuning is not None:
-        train_raw = d.between(cfg.split.origin, cfg.split.test_origin)
-        tuning_result = tune_phi(train_raw, cfg.classifier, cfg.tuning, cfg.split, seed)
+        tuning_result = _tune(cfg, d, seed)
         ratios = replace(ratios, phi=tuning_result.phi_star)
     split = time_aware_split(d, cfg.split, ratios, seed)
     verdicts = run_all_checks(split)
@@ -363,93 +302,72 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
         "baseline": baseline,
         "delay_runs": delay_runs,
         "tuning": tuning_result,
-        "phi_used": ratios.phi,
     }
 
 
-def _task_kfold(cfg: ExperimentConfig, seed: int) -> dict:
-    d = _dataset_for_seed(cfg, seed)
-    res = kfold_eval(d, cfg.classifier, cfg.kfold_k, seed)
-    return {"mean_f1": res.mean_f1, "std_f1": res.std_f1, "fold_f1": list(res.fold_f1)}
+# ---------------------------------------------------------------------------
+# The bias table. Each row turns (dataset, config, ratios, seed) into folds
+# of (train, test sets, fit seed); a cell scores the mean over folds of the
+# F1 pooled across the fold's test sets.
+# ---------------------------------------------------------------------------
 
 
-def _task_past_testing(cfg: ExperimentConfig, seed: int) -> dict:
-    d = _dataset_for_seed(cfg, seed)
-    train, slots, starts = _past_testing_parts(d, cfg.split, cfg.ratios, seed)
-    model = cfg.classifier.fit(train, _fit_seed(seed, "past", "fit"))
-    series = slot_series(model, slots, starts)
-    f1_curve = point_estimates(series, "f1")
-    return {"pooled_f1": _pooled_f1(model, slots), "aut_f1": aut(f1_curve), "series": series}
+def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
+    """Time-blind stratified k-fold with the ratios enforced per fold on both sides."""
+    folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
+    for i, (train_idx, test_idx) in enumerate(folds):
+        train = enforce_ratio(d.subset(train_idx), ratios.phi, seed=_fit_seed(seed, "bk", "tr", i))
+        test = enforce_ratio(d.subset(test_idx), ratios.delta, seed=_fit_seed(seed, "bk", "ts", i))
+        yield train, [test], _fit_seed(seed, "bk", "fit", i)
 
 
-def _task_disjoint(cfg: ExperimentConfig, seed: int) -> dict:
-    d = _dataset_for_seed(cfg, seed)
-    train, test = _disjoint_parts(d, cfg.split, cfg.ratios, seed)
-    model = cfg.classifier.fit(train, _fit_seed(seed, "disjoint", "fit"))
-    return {"pooled_f1": _pooled_f1(model, [test])}
+def _past_testing_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
+    train, slots = past_testing_split(d, cfg.split, ratios, seed)
+    return [(train, slots, _fit_seed(seed, "past", "fit"))]
 
 
-def _task_bias_cell(cfg: ExperimentConfig, seed: int, row: str, phi: float, delta: float) -> dict:
-    d = _dataset_for_seed(cfg, seed)
-    ratios = replace(cfg.ratios, phi=phi, delta=delta)
-    if row == "kfold":
-        f1 = _kfold_cell_f1(d, cfg, phi, delta, seed)
-    elif row == "past_testing":
-        train, slots, _ = _past_testing_parts(d, cfg.split, ratios, seed)
-        model = cfg.classifier.fit(train, _fit_seed(seed, "past", "fit"))
-        f1 = _pooled_f1(model, slots)
-    elif row == "disjoint_class_windows":
-        train, test = _disjoint_parts(d, cfg.split, ratios, seed)
-        model = cfg.classifier.fit(train, _fit_seed(seed, "disjoint", "fit"))
-        f1 = _pooled_f1(model, [test])
-    else:
-        split = time_aware_split(d, cfg.split, ratios, seed)
-        model = cfg.classifier.fit(split.train, _fit_seed(seed, "realistic", "fit"))
-        f1 = _pooled_f1(model, split.test_slots)
-    return {"f1": f1}
+def _disjoint_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
+    try:
+        train, test = disjoint_class_split(d, cfg.split, ratios, seed)
+    except EmptySlotError as exc:
+        raise ConstraintViolation(str(exc)) from None
+    return [(train, [test], _fit_seed(seed, "disjoint", "fit"))]
 
 
-def _kfold_cell_f1(d, cfg: ExperimentConfig, phi: float, delta: float, seed: int) -> float:
-    """Stratified k-fold with per-fold ratio enforcement on both sides."""
-    k = cfg.kfold_k
-    pos = np.flatnonzero(d.labels == 1)
-    neg = np.flatnonzero(d.labels == 0)
-    if len(pos) < k or len(neg) < k:
-        raise ConfigError(f"cannot stratify {len(pos)}/{len(neg)} samples into {k} folds")
-    rng = derive_rng(seed, "bias_kfold")
-    pos = pos[rng.permutation(len(pos))]
-    neg = neg[rng.permutation(len(neg))]
-    scores = []
-    for i in range(k):
-        test_idx = np.concatenate([pos[i::k], neg[i::k]])
-        mask = np.ones(len(d), dtype=bool)
-        mask[test_idx] = False
-        train = enforce_ratio(
-            d.subset(np.flatnonzero(mask)), phi, "random", seed=_fit_seed(seed, "bk", "tr", i)
-        )
-        test = enforce_ratio(
-            d.subset(np.sort(test_idx)), delta, "random", seed=_fit_seed(seed, "bk", "ts", i)
-        )
-        model = cfg.classifier.fit(train, _fit_seed(seed, "bk", "fit", i))
-        scores.append(prf1(confusion_counts(model, test))[2])
-    return float(np.mean(scores))
+def _realistic_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
+    split = time_aware_split(d, cfg.split, ratios, seed)
+    return [(split.train, split.test_slots, _fit_seed(seed, "realistic", "fit"))]
 
 
-_TASK_BODIES = {
-    "realistic": _task_realistic,
-    "kfold": _task_kfold,
-    "past_testing": _task_past_testing,
-    "disjoint_class_windows": _task_disjoint,
+BIAS_GRID_ROWS = {
+    "kfold": _kfold_row,
+    "past_testing": _past_testing_row,
+    "disjoint_class_windows": _disjoint_row,
+    "realistic": _realistic_row,
 }
 
 
+def _bias_f1(cfg: ExperimentConfig, seed: int, row: str, phi: float, delta: float) -> float:
+    d = _dataset_for_seed(cfg, seed)
+    ratios = replace(cfg.ratios, phi=phi, delta=delta)
+    scores = []
+    for train, tests, fit_seed in BIAS_GRID_ROWS[row](d, cfg, ratios, seed):
+        model = cfg.classifier.fit(train, fit_seed)
+        scores.append(prf1(sum((confusion_counts(model, t) for t in tests), Confusion()))[2])
+    return float(np.mean(scores))
+
+
 def _execute_task(payload):
+    """Run one ``(scenario, seed)`` or ``("bias_cell", seed, row, phi, delta)`` task."""
     cfg, task = payload
-    if task[0] == "bias_cell":
-        _, seed, row, phi, delta = task
-        return task, _task_bias_cell(cfg, seed, row, phi, delta)
-    kind, seed = task
-    return task, _TASK_BODIES[kind](cfg, seed)
+    kind, seed = task[:2]
+    if kind == "realistic":
+        return task, _task_realistic(cfg, seed)
+    if kind == "kfold":
+        d = _dataset_for_seed(cfg, seed)
+        return task, kfold_eval(d, cfg.classifier, cfg.kfold_k, seed).mean_f1
+    row, phi, delta = task[2:] if kind == "bias_cell" else (kind, cfg.ratios.phi, cfg.ratios.delta)
+    return task, _bias_f1(cfg, seed, row, phi, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +407,7 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
         with open(out / f"split_manifest_seed{seed}.json", "w", encoding="utf-8") as fh:
             json.dump(res["split_manifest"], fh, sort_keys=True)
         if res["tuning"] is not None:
-            write_grid_csv(str(out / f"tuning_seed{seed}.csv"), res["tuning"])
-            with open(out / f"tuning_seed{seed}.json", "w", encoding="utf-8") as fh:
-                fh.write(res["tuning"].to_json())
+            _write_tuning(out, seed, res["tuning"])
         if res["delay_runs"]:
             phi_mode = "phi_star" if cfg.tuning is not None else "sigma_hat"
             pairs = [(phi_mode, r) for r in [baseline] + res["delay_runs"]]
@@ -507,14 +423,41 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
     _write_rows(out / "aggregate.csv", ["metric", "mode", "aut_mean", "aut_std", "n_seeds"], rows)
 
 
-def _write_scalar_scenario(out: Path, name: str, per_seed: dict[int, dict], key: str) -> None:
-    rows = [[seed, _fmt(vals[key])] for seed, vals in sorted(per_seed.items())]
-    _write_rows(out / f"{name}.csv", ["seed", key], rows)
-    values = [vals[key] for _, vals in sorted(per_seed.items())]
+def _write_tuning(out: Path, seed: int, result: TuningResult) -> None:
+    write_grid_csv(str(out / f"tuning_seed{seed}.csv"), result)
+    with open(out / f"tuning_seed{seed}.json", "w", encoding="utf-8") as fh:
+        fh.write(result.to_json())
+
+
+def _write_scalar_scenario(
+    out: Path, name: str, key: str, by_seed: list[tuple[int, float]]
+) -> None:
+    _write_rows(out / f"{name}.csv", ["seed", key], [[seed, _fmt(v)] for seed, v in by_seed])
+    values = [v for _, v in by_seed]
     _write_rows(
         out / "aggregate.csv",
         ["scenario", "metric", "mean", "std", "n_seeds"],
         [[name, key, _fmt(np.mean(values)), _fmt(np.std(values)), len(values)]],
+    )
+
+
+def _write_bias_grid(out: Path, gathered: dict) -> None:
+    rows = []
+    summary: dict[tuple[str, float, float], list[float]] = {}
+    for task in sorted(gathered, key=lambda t: (t[2], t[3], t[4], t[1])):
+        _, seed, row, phi, delta = task
+        f1 = gathered[task]
+        rows.append([row, _fmt(phi), _fmt(delta), seed, _fmt(f1)])
+        summary.setdefault((row, phi, delta), []).append(f1)
+    _write_rows(out / "bias_grid.csv", ["scenario", "phi", "delta", "seed", "f1"], rows)
+    srows = [
+        [row, _fmt(phi), _fmt(delta), _fmt(np.mean(v)), _fmt(np.std(v)), len(v)]
+        for (row, phi, delta), v in sorted(summary.items())
+    ]
+    _write_rows(
+        out / "bias_grid_summary.csv",
+        ["scenario", "phi", "delta", "mean_f1", "std_f1", "n_seeds"],
+        srows,
     )
 
 
@@ -549,33 +492,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "realistic":
         _write_realistic_artifacts(cfg, out, gathered)
-    elif cfg.scenario == "kfold":
-        per_seed = {seed: gathered[("kfold", seed)] for seed in cfg.seeds}
-        _write_scalar_scenario(out, "kfold", per_seed, "mean_f1")
-    elif cfg.scenario == "past_testing":
-        per_seed = {seed: gathered[("past_testing", seed)] for seed in cfg.seeds}
-        _write_scalar_scenario(out, "past_testing", per_seed, "pooled_f1")
-    elif cfg.scenario == "disjoint_class_windows":
-        per_seed = {seed: gathered[("disjoint_class_windows", seed)] for seed in cfg.seeds}
-        _write_scalar_scenario(out, "disjoint_class_windows", per_seed, "pooled_f1")
+    elif cfg.scenario == "bias_grid":
+        _write_bias_grid(out, gathered)
     else:
-        rows = []
-        summary: dict[tuple[str, float, float], list[float]] = {}
-        for task in sorted(gathered, key=lambda t: (t[2], t[3], t[4], t[1])):
-            _, seed, row, phi, delta = task
-            f1 = gathered[task]["f1"]
-            rows.append([row, _fmt(phi), _fmt(delta), seed, _fmt(f1)])
-            summary.setdefault((row, phi, delta), []).append(f1)
-        _write_rows(out / "bias_grid.csv", ["scenario", "phi", "delta", "seed", "f1"], rows)
-        srows = [
-            [row, _fmt(phi), _fmt(delta), _fmt(np.mean(v)), _fmt(np.std(v)), len(v)]
-            for (row, phi, delta), v in sorted(summary.items())
-        ]
-        _write_rows(
-            out / "bias_grid_summary.csv",
-            ["scenario", "phi", "delta", "mean_f1", "std_f1", "n_seeds"],
-            srows,
-        )
+        key = "mean_f1" if cfg.scenario == "kfold" else "pooled_f1"
+        by_seed = sorted((seed, gathered[(cfg.scenario, seed)]) for seed in cfg.seeds)
+        _write_scalar_scenario(out, cfg.scenario, key, by_seed)
     return EXIT_OK
 
 
@@ -607,6 +529,20 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# (input glob, output file, header, row of (file stem, record) or None to skip the record)
+_PLOT_TABLES = (
+    ("decay_seed*.csv", "plot_decay_curves.csv", ["slot", "metric", "value", "series"],
+     lambda stem, r: None if r["slot"].startswith("AUT") else [
+         r["slot"], r["metric"], r["value"],
+         f"seed{stem.replace('decay_seed', '')}/{r['metric']}/{r['mode']}"]),
+    ("tuning_seed*.csv", "plot_tuning_grid.csv", ["phi", "aut", "error", "series"],
+     lambda stem, r: [r["phi"], r["aut"], r["error"], f"seed{stem.replace('tuning_seed', '')}"]),
+    ("delay_*_slots_seed*.csv", "plot_delay_curves.csv", ["slot", "metric", "value", "series"],
+     lambda stem, r: [
+         r["slot"], "f1", r["f1"], stem.replace("delay_", "").replace("_slots_seed", "/seed")]),
+)
+
+
 def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
     src = Path(run_dir)
     if not src.is_dir():
@@ -614,46 +550,16 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
     dst = Path(out_dir) if out_dir else src
     dst.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-
-    decay_files = sorted(src.glob("decay_seed*.csv"))
-    if decay_files:
+    for pattern, name, header, row_of in _PLOT_TABLES:
+        files = sorted(src.glob(pattern))
+        if not files:
+            continue
         rows = []
-        for f in decay_files:
-            seed = f.stem.replace("decay_seed", "")
+        for f in files:
             with open(f, newline="", encoding="utf-8") as fh:
-                for rec in csv.DictReader(fh):
-                    if rec["slot"].startswith("AUT"):
-                        continue
-                    series = f"seed{seed}/{rec['metric']}/{rec['mode']}"
-                    rows.append([rec["slot"], rec["metric"], rec["value"], series])
-        path = dst / "plot_decay_curves.csv"
-        _write_rows(path, ["slot", "metric", "value", "series"], rows)
-        written.append(str(path))
-
-    tuning_files = sorted(src.glob("tuning_seed*.csv"))
-    if tuning_files:
-        rows = []
-        for f in tuning_files:
-            seed = f.stem.replace("tuning_seed", "")
-            with open(f, newline="", encoding="utf-8") as fh:
-                for rec in csv.DictReader(fh):
-                    rows.append([rec["phi"], rec["aut"], rec["error"], f"seed{seed}"])
-        path = dst / "plot_tuning_grid.csv"
-        _write_rows(path, ["phi", "aut", "error", "series"], rows)
-        written.append(str(path))
-
-    slot_files = sorted(src.glob("delay_*_slots_seed*.csv"))
-    if slot_files:
-        rows = []
-        for f in slot_files:
-            series = f.stem.replace("delay_", "").replace("_slots_seed", "/seed")
-            with open(f, newline="", encoding="utf-8") as fh:
-                for rec in csv.DictReader(fh):
-                    rows.append([rec["slot"], "f1", rec["f1"], series])
-        path = dst / "plot_delay_curves.csv"
-        _write_rows(path, ["slot", "metric", "value", "series"], rows)
-        written.append(str(path))
-
+                rows += [r for r in (row_of(f.stem, rec) for rec in csv.DictReader(fh)) if r]
+        _write_rows(dst / name, header, rows)
+        written.append(str(dst / name))
     if not written:
         raise FileNotFoundError(f"no recognized run artifacts under {run_dir}")
     return written
@@ -720,12 +626,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        d = _dataset_for_seed(cfg, seed)
-        train_raw = d.between(cfg.split.origin, cfg.split.test_origin)
-        result = tune_phi(train_raw, cfg.classifier, cfg.tuning, cfg.split, seed)
-        write_grid_csv(str(out / f"tuning_seed{seed}.csv"), result)
-        with open(out / f"tuning_seed{seed}.json", "w", encoding="utf-8") as fh:
-            fh.write(result.to_json())
+        result = _tune(cfg, _dataset_for_seed(cfg, seed), seed)
+        _write_tuning(out, seed, result)
         print(f"seed {seed}: phi_star={result.phi_star} aut={result.best_aut:.4f}")
     return EXIT_OK
 
@@ -812,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientSpanError, StratificationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConstraintViolation, ConstraintViolationError) as exc:

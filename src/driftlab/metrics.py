@@ -41,6 +41,8 @@ __all__ = [
     "slot_series",
     "kfold_eval",
     "KFoldResult",
+    "StratificationError",
+    "stratified_folds",
     "write_curves_csv",
 ]
 
@@ -200,11 +202,43 @@ def slot_series(
 # ---------------------------------------------------------------------------
 
 
+class StratificationError(ValueError):
+    """A class has fewer samples than there are folds."""
+
+
 @dataclass(frozen=True)
 class KFoldResult:
     mean_f1: float
     std_f1: float
     fold_f1: tuple[float, ...] = field(repr=False)
+
+
+def stratified_folds(
+    labels: np.ndarray, k: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) index arrays of k seeded stratified folds.
+
+    Each class is shuffled by ``rng`` (positives first) and dealt
+    round-robin, so fold i tests every k-th positive and every k-th
+    negative from offset i; both index arrays come back sorted.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
+    if len(pos) < k or len(neg) < k:
+        raise StratificationError(
+            f"cannot stratify: {len(pos)} positives / {len(neg)} negatives into {k} folds"
+        )
+    pos = pos[rng.permutation(len(pos))]
+    neg = neg[rng.permutation(len(neg))]
+    folds = []
+    for i in range(k):
+        test_idx = np.concatenate([pos[i::k], neg[i::k]])
+        mask = np.ones(len(labels), dtype=bool)
+        mask[test_idx] = False
+        folds.append((np.flatnonzero(mask), np.sort(test_idx)))
+    return folds
 
 
 def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldResult:
@@ -215,27 +249,12 @@ def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldRe
     Stratification keeps the class mix even so the comparison isolates
     temporal bias from sampling noise.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    pos = np.flatnonzero(d.labels == 1)
-    neg = np.flatnonzero(d.labels == 0)
-    if len(pos) < k or len(neg) < k:
-        raise ValueError(
-            f"cannot stratify: {len(pos)} positives / {len(neg)} negatives into {k} folds"
-        )
-    rng = derive_rng(seed, "kfold")
-    pos = pos[rng.permutation(len(pos))]
-    neg = neg[rng.permutation(len(neg))]
     scores = []
-    for i in range(k):
-        test_idx = np.concatenate([pos[i::k], neg[i::k]])
-        mask = np.ones(len(d), dtype=bool)
-        mask[test_idx] = False
-        train = d.subset(np.flatnonzero(mask))
-        test = d.subset(np.sort(test_idx))
-        model = clf.fit(train, derive_rng(seed, "kfold", "fit", i).integers(2**31))
-        _, _, f1 = prf1(confusion_counts(model, test))
-        scores.append(f1)
+    for i, (train_idx, test_idx) in enumerate(
+        stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
+    ):
+        model = clf.fit(d.subset(train_idx), derive_rng(seed, "kfold", "fit", i).integers(2**31))
+        scores.append(prf1(confusion_counts(model, d.subset(test_idx)))[2])
     arr = np.array(scores)
     return KFoldResult(float(arr.mean()), float(arr.std()), tuple(scores))
 

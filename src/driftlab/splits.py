@@ -25,7 +25,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel
-from .dataset import LabeledDataset, Period, add_period
+from .dataset import LabeledDataset, Period, add_period, concat
 from .rng import derive_rng
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "EmptySlotError",
     "UpsamplingRequiredError",
     "time_aware_split",
+    "past_testing_split",
+    "disjoint_class_split",
     "enforce_ratio",
     "check_c1",
     "check_c2",
@@ -221,13 +223,7 @@ def time_aware_split(
     streams do not depend on phi, so splits differing only in phi share
     their test slots exactly.
     """
-    last = d.time_range[1]
-    if last < spec.test_slot_start(spec.n_test_slots - 1):
-        raise InsufficientSpanError(
-            f"dataset ends {last}, before the last test slot "
-            f"starting {spec.test_slot_start(spec.n_test_slots - 1)}"
-        )
-
+    _require_span(d, spec)
     train_pool = _window_or_empty(d, spec.origin, spec.test_origin)
     if train_pool is None or train_pool.n_positive == 0 or train_pool.n_negative == 0:
         raise EmptySlotError("training window lacks one class entirely")
@@ -246,8 +242,73 @@ def time_aware_split(
     return TemporalSplit(train, tuple(slots), spec, ratios)
 
 
+def past_testing_split(
+    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
+) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
+    """Mirrored split that breaks C1: train on the latest W, test on the earliest S.
+
+    Training covers ``[origin + S, origin + S + W)`` downsampled to phi;
+    test slot k covers ``[origin + k*delta, origin + (k+1)*delta)``
+    downsampled to delta, so the model is scored on detecting the past.
+    Returns ``(train, test_slots)``.
+    """
+    _require_span(d, spec)
+    train_start = add_period(spec.origin, spec.test_window)
+    train_pool = d.between(train_start, add_period(train_start, spec.train_window))
+    train = enforce_ratio(train_pool, ratios.phi, seed=_seed31(seed, "past", "train"))
+    slots = []
+    for k in range(spec.n_test_slots):
+        lo = add_period(spec.origin, spec.slot_width, k)
+        hi = add_period(spec.origin, spec.slot_width, k + 1)
+        slot_seed = _seed31(seed, "past", "slot", k)
+        slots.append(enforce_ratio(d.between(lo, hi), ratios.delta, seed=slot_seed))
+    return train, tuple(slots)
+
+
+def disjoint_class_split(
+    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Split whose classes come from non-overlapping periods (the C2 pitfall).
+
+    The train window ``[origin, origin + W)`` and the test window
+    ``[origin + W, origin + W + S)`` are each cut at their middle slot
+    boundary; each keeps only the positives before its cut and only the
+    negatives from the cut on, then is downsampled to phi (train) or
+    delta (test). Returns ``(train, test)``.
+    """
+    _require_span(d, spec)
+
+    def classed_window(start: date, window: Period) -> LabeledDataset:
+        cut = add_period(start, spec.slot_width, max(1, window.slots_of(spec.slot_width) // 2))
+        early = d.between(start, cut)
+        late = d.between(cut, add_period(start, window))
+        pos_idx = np.flatnonzero(early.labels == 1)
+        neg_idx = np.flatnonzero(late.labels == 0)
+        if not len(pos_idx) or not len(neg_idx):
+            raise EmptySlotError(f"disjoint windows left the period from {start} single-class")
+        return concat([early.subset(pos_idx), late.subset(neg_idx)])
+
+    train_pool = classed_window(spec.origin, spec.train_window)
+    train = enforce_ratio(train_pool, ratios.phi, seed=_seed31(seed, "disjoint", "train"))
+    test_pool = classed_window(spec.test_origin, spec.test_window)
+    test = enforce_ratio(test_pool, ratios.delta, seed=_seed31(seed, "disjoint", "test"))
+    return train, test
+
+
+def _require_span(d: LabeledDataset, spec: SplitSpec) -> None:
+    last, last_slot = d.time_range[1], spec.test_slot_start(spec.n_test_slots - 1)
+    if last < last_slot:
+        raise InsufficientSpanError(
+            f"dataset ends {last}, before the last test slot starting {last_slot}"
+        )
+
+
 def _child(seed: int, *labels) -> int:
     return int(derive_rng(seed, "split", *labels).integers(2**63))
+
+
+def _seed31(seed: int, *labels) -> int:
+    return int(derive_rng(seed, *labels).integers(2**31))
 
 
 def _window_or_empty(d: LabeledDataset, start: date, end: date) -> LabeledDataset | None:

@@ -29,14 +29,7 @@ from datetime import date
 
 from .classifiers import Classifier
 from .dataset import LabeledDataset, add_period
-from .metrics import (
-    Confusion,
-    aut,
-    confusion_counts,
-    error_rate,
-    point_estimates,
-    slot_series,
-)
+from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_rng
 from .splits import EmptySlotError, SplitSpec, enforce_ratio
 
@@ -202,10 +195,7 @@ def tune_phi(
         model = clf.fit(downsampled, int(derive_rng(seed, "tuning", "fit", j).integers(2**31)))
         series = slot_series(model, val_slots, starts)
         area = aut(point_estimates(series, cfg.target))
-        pooled = Confusion()
-        for slot in val_slots:
-            pooled = pooled + confusion_counts(model, slot)
-        evaluations.append((phi, area, error_rate(pooled, cfg.target)))
+        evaluations.append((phi, area, error_rate(series.pooled(), cfg.target)))
 
     # Selection: start pinned at sigma_hat, strict improvement under e_max.
     best_j = 0

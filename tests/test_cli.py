@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from driftlab.cli import (
+    SCENARIOS,
     ConfigError,
     emit_plot_data,
     main,
@@ -152,6 +154,26 @@ class TestOtherScenarios:
         summary = (out / "bias_grid_summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 16
 
+    def test_standalone_scenarios_match_their_bias_grid_row(self, tmp_path):
+        # past_testing and disjoint_class_windows are their bias-table row at
+        # the configured (phi, delta), so the numbers agree per seed.
+        def run(scenario):
+            blob = base_config(tmp_path / scenario, scenario=scenario, seeds=(0, 1))
+            blob["dataset"]["synthetic"]["samples_per_month"] = 120
+            assert run_experiment(parse_config(blob)) == 0
+            with open(tmp_path / scenario / f"{scenario}.csv", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        grid = run("bias_grid")
+        for scenario in ("past_testing", "disjoint_class_windows"):
+            standalone = {r["seed"]: r["pooled_f1"] for r in run(scenario)}
+            row = {
+                r["seed"]: r["f1"]
+                for r in grid
+                if (r["scenario"], r["phi"], r["delta"]) == (scenario, "0.1", "0.1")
+            }
+            assert standalone == row and len(row) == 2
+
     def test_bias_grid_direction_realistic_below_kfold(self, tmp_path):
         # At the realistic (0.1, 0.1) cell, the time-aware row must not beat
         # the time-blind k-fold row on drifting data, averaged over 5 seeds.
@@ -162,12 +184,10 @@ class TestOtherScenarios:
         )
         blob["classifier"] = {"kind": "knn", "k": 5}
         assert run_experiment(parse_config(blob)) == 0
-        import csv as _csv
-
         with open(out / "bias_grid_summary.csv", newline="") as fh:
             cells = {
                 (r["scenario"], r["phi"], r["delta"]): float(r["mean_f1"])
-                for r in _csv.DictReader(fh)
+                for r in csv.DictReader(fh)
             }
         assert cells[("realistic", "0.1", "0.1")] <= cells[("kfold", "0.1", "0.1")]
 
@@ -181,9 +201,10 @@ class TestDeterminism:
         d1, d2 = dir_digest(tmp_path / "a"), dir_digest(tmp_path / "b")
         assert d1 == d2
 
-    def test_worker_pool_size_invariant(self, tmp_path):
-        blob1 = base_config(tmp_path / "w1", seeds=(0, 1, 2))
-        blob2 = base_config(tmp_path / "w8", seeds=(0, 1, 2), workers=8)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_worker_pool_size_invariant(self, tmp_path, scenario):
+        blob1 = base_config(tmp_path / "w1", scenario=scenario, seeds=(0, 1, 2))
+        blob2 = base_config(tmp_path / "w8", scenario=scenario, seeds=(0, 1, 2), workers=8)
         run_experiment(parse_config(blob1))
         run_experiment(parse_config(blob2))
         assert dir_digest(tmp_path / "w1") == dir_digest(tmp_path / "w8")
@@ -227,6 +248,26 @@ class TestCliVerbs:
         blob["dataset"] = {"path": str(bad)}
         cfg_path = self.write_config(tmp_path, blob)
         assert main(["run", "--config", cfg_path]) == 4
+
+    @pytest.mark.parametrize("scenario", ["kfold", "bias_grid"])
+    def test_unstratifiable_kfold_k_exit_2(self, tmp_path, scenario):
+        blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,), kfold_k=500)
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 2
+
+    @pytest.mark.parametrize(
+        "scenario,code",
+        [
+            ("realistic", 2),
+            ("past_testing", 2),
+            ("disjoint_class_windows", 2),
+            ("bias_grid", 2),
+            ("kfold", 0),  # time-blind: the split windows do not apply
+        ],
+    )
+    def test_data_ending_before_last_test_slot(self, tmp_path, scenario, code):
+        blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,))
+        blob["dataset"]["synthetic"]["months"] = 6  # the 6m test window starts in month 7
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == code
 
     def test_bad_schema_exit_2(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {"dataset": {}})

@@ -20,6 +20,7 @@ from driftlab.metrics import (
     point_estimates,
     prf1,
     slot_series,
+    stratified_folds,
     write_curves_csv,
 )
 
@@ -205,6 +206,16 @@ class TestKFold:
         d = blob_dataset(50, 3, seed=4)
         with pytest.raises(ValueError, match="stratify"):
             kfold_eval(d, LinearSGDClassifier(), k=5, seed=0)
+
+    def test_stratified_folds_deal_each_class_evenly(self):
+        labels = np.array([1] * 7 + [0] * 23)
+        folds = stratified_folds(labels, 4, np.random.default_rng(0))
+        assert sorted(np.concatenate([test for _, test in folds])) == list(range(30))
+        for train, test in folds:
+            assert sorted(np.concatenate([train, test])) == list(range(30))
+            assert list(test) == sorted(test)
+            assert labels[test].sum() in (1, 2)  # 7 positives over 4 folds
+            assert (labels[test] == 0).sum() in (5, 6)  # 23 negatives over 4 folds
 
     def test_deterministic(self):
         d = blob_dataset(60, 30, seed=6)

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from driftlab.dataset import LabeledDataset, Period
+from driftlab.dataset import LabeledDataset, Period, add_period
 from driftlab.splits import (
     EmptySlotError,
     InsufficientSpanError,
@@ -15,7 +15,9 @@ from driftlab.splits import (
     check_c1,
     check_c2,
     check_c3,
+    disjoint_class_split,
     enforce_ratio,
+    past_testing_split,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
@@ -228,6 +230,73 @@ def two_slot_split(train_rows, slot_rows_list, origin=date(2014, 1, 1), w=2):
         Period(months=w), Period(months=len(slot_rows_list)), Period(months=1), origin
     )
     return TemporalSplit(ds(train_rows), tuple(ds(r) for r in slot_rows_list), spec, RatioSpec())
+
+
+def within_ratio_bound(d: LabeledDataset, target: float) -> bool:
+    return abs(d.positive_ratio - target) <= 1.0 / len(d)
+
+
+BIAS_CELLS = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9)]
+
+
+class TestPastTestingSplit:
+    @pytest.mark.parametrize("phi,delta", BIAS_CELLS)
+    def test_trains_on_the_future_of_every_slot(self, phi, delta):
+        d = monthly_dataset(36, 45, 15, seed=2)
+        spec = default_spec()
+        train, slots = past_testing_split(d, spec, RatioSpec(phi=phi, delta=delta), seed=4)
+        assert len(slots) == spec.n_test_slots
+        assert min(train.timestamps) > max(t for s in slots for t in s.timestamps)
+        for k, slot in enumerate(slots):
+            lo = add_period(spec.origin, spec.slot_width, k)
+            hi = add_period(spec.origin, spec.slot_width, k + 1)
+            assert all(lo <= t < hi for t in slot.timestamps)
+            assert within_ratio_bound(slot, delta)
+        assert within_ratio_bound(train, phi)
+
+    def test_deterministic(self):
+        d = monthly_dataset(36, 45, 15, seed=2)
+        a = past_testing_split(d, default_spec(), RatioSpec(), seed=9)
+        b = past_testing_split(d, default_spec(), RatioSpec(), seed=9)
+        assert a[0].ids == b[0].ids
+        assert [s.ids for s in a[1]] == [s.ids for s in b[1]]
+
+    def test_insufficient_span(self):
+        d = monthly_dataset(20, 9, 1)
+        with pytest.raises(InsufficientSpanError):
+            past_testing_split(d, default_spec(), RatioSpec(), seed=0)
+
+
+class TestDisjointClassSplit:
+    @pytest.mark.parametrize("phi,delta", BIAS_CELLS)
+    def test_every_positive_precedes_every_negative(self, phi, delta):
+        d = monthly_dataset(36, 45, 15, seed=2)
+        spec = default_spec()
+        train, test = disjoint_class_split(d, spec, RatioSpec(phi=phi, delta=delta), seed=4)
+        windows = ((train, spec.origin, spec.test_origin), (test, spec.test_origin, spec.test_end))
+        for part, lo, hi in windows:
+            pos = [t for t, y in zip(part.timestamps, part.labels) if y == 1]
+            neg = [t for t, y in zip(part.timestamps, part.labels) if y == 0]
+            assert pos and neg
+            assert max(pos) < min(neg)
+            assert lo <= min(part.timestamps) and max(part.timestamps) < hi
+        assert within_ratio_bound(train, phi)
+        assert within_ratio_bound(test, delta)
+
+    def test_insufficient_span(self):
+        d = monthly_dataset(20, 9, 1)
+        with pytest.raises(InsufficientSpanError):
+            disjoint_class_split(d, default_spec(), RatioSpec(), seed=0)
+
+    def test_single_class_half_rejected(self):
+        # No negatives from July 2014 on: the train window's late half is all positive.
+        d = monthly_dataset(36, 9, 1)
+        keep = [
+            i for i, (t, y) in enumerate(zip(d.timestamps, d.labels))
+            if y == 1 or t < date(2014, 7, 1)
+        ]
+        with pytest.raises(EmptySlotError):
+            disjoint_class_split(d.subset(keep), default_spec(), RatioSpec(), seed=0)
 
 
 class TestCheckC1:
