@@ -26,7 +26,6 @@ from .dataset import (
     DatasetSummary,
     LabeledDataset,
     Period,
-    Sample,
     concat,
     load_dataset,
     slot_index,
@@ -87,7 +86,6 @@ __all__ = [
     "DatasetSummary",
     "LabeledDataset",
     "Period",
-    "Sample",
     "concat",
     "load_dataset",
     "slot_index",

@@ -17,7 +17,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .dataset import LabeledDataset, Sample
+from .dataset import LabeledDataset
 from .rng import derive_rng
 
 __all__ = [
@@ -76,21 +76,17 @@ class Classifier(Protocol):
     def fit(self, train: LabeledDataset, seed: int) -> TrainedModel: ...
 
 
-def _features_of(sample: Sample | np.ndarray) -> np.ndarray:
-    return sample.features if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
+def score(model: TrainedModel, features: np.ndarray) -> float:
+    return model.score_one(features)
 
 
-def score(model: TrainedModel, sample: Sample | np.ndarray) -> float:
-    return model.score_one(_features_of(sample))
+def predict(model: TrainedModel, features: np.ndarray) -> int:
+    return 1 if score(model, features) >= 0.5 else 0
 
 
-def predict(model: TrainedModel, sample: Sample | np.ndarray) -> int:
-    return 1 if score(model, sample) >= 0.5 else 0
-
-
-def confidence(model: TrainedModel, sample: Sample | np.ndarray) -> float:
+def confidence(model: TrainedModel, features: np.ndarray) -> float:
     """Distance of the score from maximal uncertainty: |score - 0.5| in [0, 0.5]."""
-    return abs(score(model, sample) - 0.5)
+    return abs(score(model, features) - 0.5)
 
 
 def score_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:

@@ -6,8 +6,9 @@ grid search only), ``generate`` (synthetic dataset to CSV/JSONL),
 ``plotdata`` (reshape run artifacts into tidy plotting CSVs).
 
 Exit codes: 0 ok, 2 config error (including a split that runs past the
-data or a class too small for ``kfold_k`` folds), 3 constraint violation,
-4 runtime failure.
+data, a class too small for ``kfold_k`` folds or a training window too
+short for its validation tail), 3 constraint violation (including a time
+window that is empty or lacks a class), 4 runtime failure.
 
 Scenarios mirror the classic bias table, whose rows live in one table,
 ``BIAS_GRID_ROWS``: ``realistic`` (constraint-clean time split),
@@ -77,7 +78,7 @@ from .splits import (
     time_aware_split,
 )
 from .synthgen import DriftSpec, generate
-from .tuning import TuningConfig, TuningResult, tune_phi, write_grid_csv
+from .tuning import TuningConfig, TuningResult, ValidationWindowError, tune_phi, write_grid_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -327,10 +328,7 @@ def _past_testing_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpe
 
 
 def _disjoint_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
-    try:
-        train, test = disjoint_class_split(d, cfg.split, ratios, seed)
-    except EmptySlotError as exc:
-        raise ConstraintViolation(str(exc)) from None
+    train, test = disjoint_class_split(d, cfg.split, ratios, seed)
     return [(train, [test], _fit_seed(seed, "disjoint", "fit"))]
 
 
@@ -714,10 +712,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InsufficientSpanError, StratificationError) as exc:
+    except (ConfigError, InsufficientSpanError, StratificationError, ValidationWindowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstraintViolation, ConstraintViolationError) as exc:
+    except (ConstraintViolation, ConstraintViolationError, EmptySlotError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

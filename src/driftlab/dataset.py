@@ -2,10 +2,10 @@
 
 The positive class is label 1 throughout the library (in the malware use
 case that inspired it: malware = 1, goodware = 0). Timestamps are UTC
-calendar dates at day resolution. Time is bucketed into half-open slots
-``[origin + k*width, origin + (k+1)*width)`` where a :class:`Period` width
-is either a number of calendar months (calendar arithmetic, day-of-month
-clamped) or a number of days.
+calendar dates at day resolution, stored as one ``datetime64[D]`` column.
+Time is bucketed into half-open slots ``[origin + k*width, origin + (k+1)*width)``
+where a :class:`Period` width is either a number of calendar months
+(calendar arithmetic, day-of-month clamped) or a number of days.
 """
 
 from __future__ import annotations
@@ -16,20 +16,22 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Period",
-    "Sample",
     "LabeledDataset",
     "DatasetSummary",
     "DatasetFormatError",
+    "EmptySlotError",
     "add_months",
     "add_period",
     "slot_index",
+    "slot_edges",
     "load_dataset",
+    "iso_dates",
     "write_csv",
     "write_jsonl",
     "summarize",
@@ -39,6 +41,10 @@ __all__ = [
 
 class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
+
+
+class EmptySlotError(ValueError):
+    """A time window holds no samples, or a train or test slot lacks one class."""
 
 
 @dataclass(frozen=True)
@@ -116,40 +122,53 @@ def slot_index(t: date, origin: date, width: Period) -> int:
     return k
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One timestamped object: opaque id, UTC date, binary label, features."""
+def slot_edges(origin: date, width: Period, end: date) -> list[date]:
+    """Slot starts ``origin + k*width`` that precede ``end``, then ``end`` itself."""
+    edges: list[date] = []
+    while (start := add_period(origin, width, len(edges))) < end:
+        edges.append(start)
+    return edges + [end]
 
-    id: str
-    timestamp: date
-    label: int
-    features: np.ndarray
+
+_DAY = np.dtype("datetime64[D]")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _day_column(dates: Iterable[date]) -> np.ndarray:
+    # Through ordinals: np.array(dates, dtype="datetime64[D]") is over 10x slower.
+    ordinals = np.fromiter((t.toordinal() for t in dates), dtype=np.int64)
+    return (ordinals - _EPOCH_ORDINAL).astype(_DAY)
 
 
 class LabeledDataset:
     """Immutable collection of samples sharing one feature dimensionality.
 
     Invariants enforced at construction: non-empty, unique ids, labels in
-    {0, 1}, consistent feature width. Arrays are stored read-only so a
-    dataset can be shared freely across workers.
+    {0, 1}, consistent feature width, finite features. ``timestamps`` may
+    be ``date`` objects or a ``datetime64`` array; either way they are
+    stored as the ``datetime64[D]`` column ``times``. Arrays are stored
+    read-only so a dataset can be shared freely across workers.
     """
 
     def __init__(
         self,
         ids: Sequence[str],
-        timestamps: Sequence[date],
+        timestamps: Sequence[date] | np.ndarray,
         labels: Sequence[int] | np.ndarray,
         features: np.ndarray,
     ) -> None:
         self.ids: tuple[str, ...] = tuple(str(i) for i in ids)
-        self.timestamps: tuple[date, ...] = tuple(timestamps)
+        if isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M":
+            self.times = timestamps.astype(_DAY)
+        else:
+            self.times = _day_column(timestamps)
         self.labels = np.asarray(labels, dtype=np.int64).copy()
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D array (n_samples, n_features)")
         self.features = feats.copy()
-        self.labels.setflags(write=False)
-        self.features.setflags(write=False)
+        for column in (self.times, self.labels, self.features):
+            column.setflags(write=False)
         self._validate()
         self._id_pos = {sid: i for i, sid in enumerate(self.ids)}
 
@@ -157,7 +176,7 @@ class LabeledDataset:
         n = len(self.ids)
         if n == 0:
             raise ValueError("dataset must be non-empty")
-        if not (len(self.timestamps) == len(self.labels) == self.features.shape[0] == n):
+        if not (len(self.times) == len(self.labels) == self.features.shape[0] == n):
             raise ValueError("ids/timestamps/labels/features lengths disagree")
         if len(set(self.ids)) != n:
             seen: set[str] = set()
@@ -166,6 +185,10 @@ class LabeledDataset:
         bad = set(np.unique(self.labels)) - {0, 1}
         if bad:
             raise ValueError(f"labels must be 0 or 1, got {sorted(bad)}")
+        if np.isnat(self.times).any():
+            raise ValueError("timestamps must not be NaT")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite (no nan or inf)")
 
     # -- basic views ---------------------------------------------------
 
@@ -177,8 +200,12 @@ class LabeledDataset:
         return self.features.shape[1]
 
     @property
+    def timestamps(self) -> tuple[date, ...]:
+        return tuple(self.times.tolist())
+
+    @property
     def time_range(self) -> tuple[date, date]:
-        return (min(self.timestamps), max(self.timestamps))
+        return (self.times.min().item(), self.times.max().item())
 
     @property
     def n_positive(self) -> int:
@@ -192,12 +219,6 @@ class LabeledDataset:
     def positive_ratio(self) -> float:
         return self.n_positive / len(self)
 
-    def sample(self, i: int) -> Sample:
-        return Sample(self.ids[i], self.timestamps[i], int(self.labels[i]), self.features[i])
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self.sample(i) for i in range(len(self)))
-
     def index_of(self, sample_id: str) -> int:
         return self._id_pos[sample_id]
 
@@ -207,20 +228,34 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.intp)
         return LabeledDataset(
             [self.ids[i] for i in idx],
-            [self.timestamps[i] for i in idx],
+            self.times[idx],
             self.labels[idx],
             self.features[idx],
         )
 
     def between(self, start: date, end: date) -> "LabeledDataset":
-        """Samples with ``start <= timestamp < end`` (original order)."""
-        idx = [i for i, t in enumerate(self.timestamps) if start <= t < end]
-        if not idx:
-            raise ValueError(f"no samples in [{start}, {end})")
-        return self.subset(idx)
+        """Samples with ``start <= timestamp < end``, in their original order.
 
-    def count_between(self, start: date, end: date) -> int:
-        return sum(1 for t in self.timestamps if start <= t < end)
+        This is the one time-window cut; an empty window raises
+        :class:`EmptySlotError`.
+        """
+        inside = (self.times >= np.datetime64(start, "D")) & (self.times < np.datetime64(end, "D"))
+        if not inside.any():
+            raise EmptySlotError(f"no samples in [{start}, {end})")
+        return self.subset(np.flatnonzero(inside))
+
+    def class_counts(self, edges: Sequence[date]) -> tuple[np.ndarray, np.ndarray]:
+        """(positives, negatives) per window ``[edges[k], edges[k+1])``.
+
+        ``edges`` must increase; samples outside ``[edges[0], edges[-1])``
+        are not counted.
+        """
+        n = len(edges) - 1
+        k = np.searchsorted(np.array(edges, dtype=_DAY), self.times, side="right") - 1
+        inside = (k >= 0) & (k < n)
+        pos = np.bincount(k[inside & (self.labels == 1)], minlength=n)
+        neg = np.bincount(k[inside & (self.labels == 0)], minlength=n)
+        return pos, neg
 
 
 def concat(parts: Iterable[LabeledDataset]) -> LabeledDataset:
@@ -230,7 +265,7 @@ def concat(parts: Iterable[LabeledDataset]) -> LabeledDataset:
         raise ValueError("nothing to concatenate")
     return LabeledDataset(
         [i for p in parts for i in p.ids],
-        [t for p in parts for t in p.timestamps],
+        np.concatenate([p.times for p in parts]),
         np.concatenate([p.labels for p in parts]),
         np.vstack([p.features for p in parts]),
     )
@@ -272,7 +307,8 @@ def load_dataset(
     """Load a CSV or JSONL dataset file, validating as it goes.
 
     ``format`` is inferred from the file suffix when omitted. Malformed
-    rows raise :class:`DatasetFormatError` naming the 1-based line number.
+    rows, non-finite features included, raise :class:`DatasetFormatError`
+    naming the 1-based line number.
     ``expected_range`` (inclusive), when given, rejects rows whose
     timestamps fall outside it; timestamp sanitization is the caller's
     declaration, never guessed.
@@ -292,7 +328,11 @@ def load_dataset(
         seen[sid] = lineno
     if not rows:
         raise DatasetFormatError("dataset file contains no samples")
-    return LabeledDataset([s for _, s in ids], stamps, labels, np.array(rows, dtype=np.float64))
+    features = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        raise DatasetFormatError(f"line {ids[bad[0]][0]}: non-finite feature value")
+    return LabeledDataset([s for _, s in ids], stamps, labels, features)
 
 
 def _load_csv(path, expected_range):
@@ -373,34 +413,34 @@ def _load_jsonl(path, expected_range):
             ids.append((lineno, str(obj["id"])))
             stamps.append(t)
             labels.append(_parse_label(obj["label"], lineno))
-            rows.append([float(v) for v in feats])
+            try:
+                rows.append([float(v) for v in feats])
+            except OverflowError:  # an integer beyond float range
+                raise DatasetFormatError(f"line {lineno}: non-finite feature value") from None
     return ids, stamps, labels, rows
+
+
+def iso_dates(times: np.ndarray) -> list[str]:
+    """``YYYY-MM-DD`` strings of a ``datetime64[D]`` column."""
+    return np.datetime_as_string(times, unit="D").tolist()
+
+
+def _rows(d: LabeledDataset):
+    return zip(d.ids, iso_dates(d.times), d.labels.tolist(), d.features.tolist())
 
 
 def write_csv(d: LabeledDataset, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "timestamp", "label"] + [f"f{i}" for i in range(d.dimensionality)])
-        for s in d:
-            writer.writerow(
-                [s.id, s.timestamp.isoformat(), s.label] + [repr(float(v)) for v in s.features]
-            )
+        for sid, t, y, feats in _rows(d):
+            writer.writerow([sid, t, y] + [repr(v) for v in feats])
 
 
 def write_jsonl(d: LabeledDataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in d:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "timestamp": s.timestamp.isoformat(),
-                        "label": s.label,
-                        "features": [float(v) for v in s.features],
-                    }
-                )
-                + "\n"
-            )
+        for sid, t, y, feats in _rows(d):
+            fh.write(json.dumps({"id": sid, "timestamp": t, "label": y, "features": feats}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +481,6 @@ def summarize(d: LabeledDataset, slot_width: Period) -> DatasetSummary:
     """
     first, last = d.time_range
     origin = date(first.year, first.month, 1) if slot_width.months else first
-    n_slots = slot_index(last, origin, slot_width) + 1
-    pos = np.zeros(n_slots, dtype=np.int64)
-    neg = np.zeros(n_slots, dtype=np.int64)
-    for t, y in zip(d.timestamps, d.labels):
-        k = slot_index(t, origin, slot_width)
-        if y == 1:
-            pos[k] += 1
-        else:
-            neg[k] += 1
-    starts = tuple(add_period(origin, slot_width, k) for k in range(n_slots))
-    return DatasetSummary(starts, pos, neg, d.positive_ratio, slot_width)
+    edges = slot_edges(origin, slot_width, last + timedelta(days=1))
+    pos, neg = d.class_counts(edges)
+    return DatasetSummary(tuple(edges[:-1]), pos, neg, d.positive_ratio, slot_width)

@@ -25,13 +25,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .classifiers import Classifier, TrainedModel, score_dataset
-from .dataset import LabeledDataset, Period, concat
+from .dataset import LabeledDataset, concat
 from .metrics import (
     Confusion,
     MetricCurve,
@@ -157,17 +157,6 @@ def _al_count(budget: float, slot_size: int) -> int:
     return math.ceil(Fraction(str(budget)) * slot_size)
 
 
-def _extended_spec(spec: SplitSpec, extra_slots: int) -> SplitSpec:
-    w, d = spec.train_window, spec.slot_width
-    if w.months and d.months:
-        new_w = Period(months=w.months + extra_slots * d.months)
-    elif w.days and d.days:
-        new_w = Period(days=w.days + extra_slots * d.days)
-    else:
-        raise ValueError("retune_each_step needs train_window and slot_width in the same unit")
-    return SplitSpec(new_w, spec.test_window, spec.slot_width, spec.origin)
-
-
 def run_policy(
     split: TemporalSplit,
     clf: Classifier,
@@ -250,7 +239,10 @@ def run_policy(
         if retrains and i < n - 1:
             fit_pool = pool
             if policy.retune_each_step:
-                spec_i = _extended_spec(split.spec, i + 1)
+                # The pool now reaches i + 1 slots past the original training window.
+                width = split.spec.slot_width
+                grown = width.scaled(split.spec.train_window.slots_of(width) + i + 1)
+                spec_i = replace(split.spec, train_window=grown)
                 result = tune_phi(
                     pool, clf, cfg, spec_i, int(derive_rng(seed, "delay", "retune", i).integers(2**31))
                 )

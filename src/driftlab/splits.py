@@ -25,7 +25,15 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel
-from .dataset import LabeledDataset, Period, add_period, concat
+from .dataset import (
+    EmptySlotError,
+    LabeledDataset,
+    Period,
+    add_period,
+    concat,
+    iso_dates,
+    slot_edges,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -51,10 +59,6 @@ __all__ = [
 
 class InsufficientSpanError(ValueError):
     """Dataset does not cover origin + train_window + test_window."""
-
-
-class EmptySlotError(ValueError):
-    """A train or test slot lacks one class entirely."""
 
 
 class UpsamplingRequiredError(ValueError):
@@ -224,18 +228,13 @@ def time_aware_split(
     their test slots exactly.
     """
     _require_span(d, spec)
-    train_pool = _window_or_empty(d, spec.origin, spec.test_origin)
-    if train_pool is None or train_pool.n_positive == 0 or train_pool.n_negative == 0:
-        raise EmptySlotError("training window lacks one class entirely")
+    train_pool = _two_class_window(d, spec.origin, spec.test_origin, "training window")
     train = enforce_ratio(train_pool, ratios.phi, "random", seed=_child(seed, "train"))
 
     slots = []
     for k in range(spec.n_test_slots):
         lo = spec.test_slot_start(k)
-        hi = add_period(lo, spec.slot_width)
-        slot_pool = _window_or_empty(d, lo, hi)
-        if slot_pool is None or slot_pool.n_positive == 0 or slot_pool.n_negative == 0:
-            raise EmptySlotError(f"test slot {k} ([{lo}, {hi})) lacks one class")
+        slot_pool = _two_class_window(d, lo, add_period(lo, spec.slot_width), f"test slot {k}")
         slots.append(
             enforce_ratio(slot_pool, ratios.delta, "random", seed=_child(seed, "test", k))
         )
@@ -254,14 +253,16 @@ def past_testing_split(
     """
     _require_span(d, spec)
     train_start = add_period(spec.origin, spec.test_window)
-    train_pool = d.between(train_start, add_period(train_start, spec.train_window))
+    train_end = add_period(train_start, spec.train_window)
+    train_pool = _two_class_window(d, train_start, train_end, "training window")
     train = enforce_ratio(train_pool, ratios.phi, seed=_seed31(seed, "past", "train"))
     slots = []
     for k in range(spec.n_test_slots):
         lo = add_period(spec.origin, spec.slot_width, k)
         hi = add_period(spec.origin, spec.slot_width, k + 1)
         slot_seed = _seed31(seed, "past", "slot", k)
-        slots.append(enforce_ratio(d.between(lo, hi), ratios.delta, seed=slot_seed))
+        slot_pool = _two_class_window(d, lo, hi, f"test slot {k}")
+        slots.append(enforce_ratio(slot_pool, ratios.delta, seed=slot_seed))
     return train, tuple(slots)
 
 
@@ -303,17 +304,20 @@ def _require_span(d: LabeledDataset, spec: SplitSpec) -> None:
         )
 
 
+def _two_class_window(d: LabeledDataset, lo: date, hi: date, what: str) -> LabeledDataset:
+    """``d.between(lo, hi)``, which must hold both classes."""
+    pool = d.between(lo, hi)
+    if pool.n_positive == 0 or pool.n_negative == 0:
+        raise EmptySlotError(f"{what} ([{lo}, {hi})) lacks one class")
+    return pool
+
+
 def _child(seed: int, *labels) -> int:
     return int(derive_rng(seed, "split", *labels).integers(2**63))
 
 
 def _seed31(seed: int, *labels) -> int:
     return int(derive_rng(seed, *labels).integers(2**31))
-
-
-def _window_or_empty(d: LabeledDataset, start: date, end: date) -> LabeledDataset | None:
-    idx = [i for i, t in enumerate(d.timestamps) if start <= t < end]
-    return d.subset(idx) if idx else None
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +347,24 @@ class ConstraintVerdict:
 
 
 def check_c1(split: TemporalSplit) -> ConstraintVerdict:
-    """Training strictly precedes testing; witness is one offending pair."""
-    train = split.train
-    i_max = max(range(len(train)), key=lambda i: train.timestamps[i])
-    t_train = train.timestamps[i_max]
-    best: tuple[date, str] | None = None
-    for slot in split.test_slots:
-        j = min(range(len(slot)), key=lambda j: slot.timestamps[j])
-        if best is None or slot.timestamps[j] < best[0]:
-            best = (slot.timestamps[j], slot.ids[j])
-    assert best is not None
-    passed = t_train < best[0]
+    """Training strictly precedes testing; witness is one offending pair.
+
+    The witness pairs the first latest training sample with the first
+    earliest test sample, in slot order.
+    """
+    train, slots = split.train, split.test_slots
+    i = int(np.argmax(train.times))
+    test_times = np.concatenate([s.times for s in slots])
+    j = int(np.argmin(test_times))
+    passed = bool(train.times[i] < test_times[j])
     witnesses = ()
     if not passed:
         witnesses = (
             {
-                "train_id": train.ids[i_max],
-                "train_timestamp": t_train.isoformat(),
-                "test_id": best[1],
-                "test_timestamp": best[0].isoformat(),
+                "train_id": train.ids[i],
+                "train_timestamp": train.times[i].item().isoformat(),
+                "test_id": [sid for s in slots for sid in s.ids][j],
+                "test_timestamp": test_times[j].item().isoformat(),
             },
         )
     return ConstraintVerdict("C1", passed, witnesses=witnesses)
@@ -381,40 +384,23 @@ def check_c2(split: TemporalSplit) -> ConstraintVerdict:
     width = split.spec.slot_width
     for k, slot in enumerate(split.test_slots):
         lo = split.spec.test_slot_start(k)
-        hi = add_period(lo, width)
-        for i, t in enumerate(slot.timestamps):
-            if not (lo <= t < hi):
-                witnesses.append(
-                    {"slot": k, "id": slot.ids[i], "timestamp": t.isoformat()}
-                )
-        pos_ts = [t for t, y in zip(slot.timestamps, slot.labels) if y == 1]
-        neg_ts = [t for t, y in zip(slot.timestamps, slot.labels) if y == 0]
-        if not pos_ts or not neg_ts:
+        t = slot.times
+        outside = (t < np.datetime64(lo, "D")) | (t >= np.datetime64(add_period(lo, width), "D"))
+        for i in np.flatnonzero(outside):
+            witnesses.append({"slot": k, "id": slot.ids[i], "timestamp": t[i].item().isoformat()})
+        pos_t, neg_t = t[slot.labels == 1], t[slot.labels == 0]
+        if not len(pos_t) or not len(neg_t):
             warnings.append({"slot": k, "kind": "missing_class"})
-        elif max(pos_ts) < min(neg_ts) or max(neg_ts) < min(pos_ts):
+        elif pos_t.max() < neg_t.min() or neg_t.max() < pos_t.min():
             warnings.append({"slot": k, "kind": "disjoint_class_windows"})
-    for k, lo, hi in _train_slots(split.spec):
-        labels = [
-            y
-            for t, y in zip(split.train.timestamps, split.train.labels)
-            if lo <= t < hi
-        ]
-        if labels and (all(y == 1 for y in labels) or all(y == 0 for y in labels)):
-            warnings.append({"slot": k, "kind": "train_missing_class"})
+    # Training slots run from the origin; the last one is clipped at the test origin.
+    train_edges = slot_edges(split.spec.origin, width, split.spec.test_origin)
+    pos, neg = split.train.class_counts(train_edges)
+    for k in np.flatnonzero((pos == 0) != (neg == 0)):
+        warnings.append({"slot": int(k), "kind": "train_missing_class"})
     return ConstraintVerdict(
         "C2", not witnesses, witnesses=tuple(witnesses), warnings=tuple(warnings)
     )
-
-
-def _train_slots(spec: SplitSpec):
-    k = 0
-    while True:
-        lo = add_period(spec.origin, spec.slot_width, k)
-        if lo >= spec.test_origin:
-            return
-        hi = min(add_period(lo, spec.slot_width), spec.test_origin)
-        yield k, lo, hi
-        k += 1
 
 
 def check_c3(split: TemporalSplit) -> ConstraintVerdict:
@@ -445,7 +431,8 @@ MANIFEST_VERSION = 1
 def split_to_manifest(split: TemporalSplit) -> dict:
     def rows(d: LabeledDataset) -> list[dict]:
         return [
-            {"id": s.id, "timestamp": s.timestamp.isoformat(), "label": s.label} for s in d
+            {"id": sid, "timestamp": t, "label": y}
+            for sid, t, y in zip(d.ids, iso_dates(d.times), d.labels.tolist())
         ]
 
     return {

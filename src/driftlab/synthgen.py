@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -71,9 +71,7 @@ def generate(spec: DriftSpec, seed: int) -> LabeledDataset:
     radius = 3.0 * spec.spread
 
     ids: list[str] = []
-    stamps: list[date] = []
-    labels: list[int] = []
-    rows: list[np.ndarray] = []
+    stamps, labels, rows = [], [], []
     for m in range(spec.months):
         rng = derive_rng(seed, "synthgen", "month", m)
         month_start = add_months(spec.start, m)
@@ -100,12 +98,11 @@ def generate(spec: DriftSpec, seed: int) -> LabeledDataset:
                 family_center, spec.spread, size=(n_new, spec.dim)
             )
 
-        month_labels = [0] * n_neg + [1] * n_pos
+        month_labels = np.repeat([0, 1], [n_neg, n_pos])
         days = rng.integers(0, n_days, size=n)
         order = rng.permutation(n)
-        for rank, i in enumerate(order):
-            ids.append(f"m{m:03d}-{rank:05d}")
-            stamps.append(month_start + timedelta(days=int(days[i])))
-            labels.append(month_labels[i])
-            rows.append(feats[i])
-    return LabeledDataset(ids, stamps, labels, np.array(rows))
+        ids += [f"m{m:03d}-{rank:05d}" for rank in range(n)]
+        stamps.append(np.datetime64(month_start, "D") + days[order])
+        labels.append(month_labels[order])
+        rows.append(feats[order])
+    return LabeledDataset(ids, np.concatenate(stamps), np.concatenate(labels), np.vstack(rows))

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from datetime import date
 
 from .classifiers import Classifier
-from .dataset import LabeledDataset, add_period
+from .dataset import EmptySlotError, LabeledDataset, add_period
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_rng
-from .splits import EmptySlotError, SplitSpec, enforce_ratio
+from .splits import SplitSpec, enforce_ratio
 
 __all__ = [
     "TuningConfig",
@@ -136,20 +136,17 @@ def proper_validation_cut(
             f"gives {n_val} validation slots; need >= 2"
         )
     val_start = add_period(train_end, spec.slot_width, -n_val)
-    proper_idx = [i for i, t in enumerate(train.timestamps) if t < val_start]
-    if not proper_idx:
+    first = train.time_range[0]
+    if first >= val_start:
         raise ValidationWindowError("no samples left before the validation window")
-    proper = train.subset(proper_idx)
+    proper = train.between(first, val_start)
     if proper.n_positive == 0 or proper.n_negative == 0:
         raise EmptySlotError("proper-training window lacks one class")
     slots, starts = [], []
     for k in range(n_val):
         lo = add_period(val_start, spec.slot_width, k)
         hi = add_period(val_start, spec.slot_width, k + 1)
-        idx = [i for i, t in enumerate(train.timestamps) if lo <= t < hi]
-        if not idx:
-            raise EmptySlotError(f"validation slot {k} ([{lo}, {hi})) is empty")
-        slot = train.subset(idx)
+        slot = train.between(lo, hi)
         if slot.n_positive == 0 or slot.n_negative == 0:
             raise EmptySlotError(f"validation slot {k} ([{lo}, {hi})) lacks one class")
         slots.append(

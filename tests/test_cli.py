@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftlab.cli import (
@@ -13,6 +14,8 @@ from driftlab.cli import (
     parse_config,
     run_experiment,
 )
+from driftlab.dataset import write_csv
+from driftlab.synthgen import DriftSpec, generate
 
 
 def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
@@ -268,6 +271,48 @@ class TestCliVerbs:
         blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,))
         blob["dataset"]["synthetic"]["months"] = 6  # the 6m test window starts in month 7
         assert main(["run", "--config", self.write_config(tmp_path, blob)]) == code
+
+    @pytest.mark.parametrize(
+        "scenario,dropped,code",
+        [
+            # A test month without positives.
+            ("realistic", ("2014-08-01", "2014-09-01", 1), 3),
+            ("bias_grid", ("2014-08-01", "2014-09-01", 1), 3),
+            # No positives before the training window's middle slot.
+            ("disjoint_class_windows", ("2014-01-01", "2014-04-01", 1), 3),
+            # An empty month in past_testing's test window.
+            ("past_testing", ("2014-02-01", "2014-03-01", None), 3),
+            # 10% of an 8-month training window leaves no 2-slot validation tail.
+            ("tuning", None, 2),
+        ],
+        ids=["realistic", "bias_grid", "disjoint_class_windows", "past_testing", "tuning"],
+    )
+    def test_window_fault_exit_codes(self, tmp_path, scenario, dropped, code):
+        d = generate(DriftSpec(months=12, samples_per_month=80, drift_velocity=0.25), seed=0)
+        if dropped is not None:
+            lo, hi, label = dropped
+            t = d.times
+            hit = (t >= np.datetime64(lo)) & (t < np.datetime64(hi))
+            if label is not None:
+                hit &= d.labels == label
+            d = d.subset(np.flatnonzero(~hit))
+        write_csv(d, str(tmp_path / "data.csv"))
+        blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,))
+        blob["dataset"] = {"path": str(tmp_path / "data.csv")}
+        if scenario == "tuning":
+            blob.update(scenario="realistic", tuning={"mu": 0.1, "validation_fraction": 0.1})
+            blob["split"].update(train_window="8m", test_window="4m")
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == code
+
+    @pytest.mark.parametrize("stamp", ["2014-01", "NaT", "2014-01-05T10"])
+    def test_audit_bad_manifest_timestamp_exit_2(self, tmp_path, stamp):
+        out = tmp_path / "out"
+        main(["run", "--config", self.write_config(tmp_path, base_config(out, seeds=(0,)))])
+        blob = json.loads((out / "split_manifest_seed0.json").read_text())
+        blob["test_slots"][0][0]["timestamp"] = stamp
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["audit", "--manifest", str(bad)]) == 2
 
     def test_bad_schema_exit_2(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {"dataset": {}})

@@ -1,3 +1,4 @@
+import calendar
 import json
 from datetime import date, timedelta
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftlab.dataset import (
     DatasetFormatError,
+    EmptySlotError,
     LabeledDataset,
     Period,
     add_period,
@@ -27,6 +29,29 @@ def make_dataset(rows):
         [r[2] for r in rows],
         np.array([r[3] for r in rows], dtype=float),
     )
+
+
+# Dates in 2013-2016 with month starts and month ends drawn often, so window
+# edges land on the days where calendar arithmetic clamps.
+DAYS = st.one_of(
+    st.dates(date(2013, 1, 1), date(2016, 12, 31)),
+    st.builds(lambda y, m: date(y, m, 1), st.integers(2013, 2016), st.integers(1, 12)),
+    st.builds(
+        lambda y, m: date(y, m, calendar.monthrange(y, m)[1]),
+        st.integers(2013, 2016),
+        st.integers(1, 12),
+    ),
+)
+WIDTHS = st.one_of(
+    st.builds(lambda n: Period(months=n), st.integers(1, 4)),
+    st.builds(lambda n: Period(days=n), st.integers(1, 90)),
+)
+
+
+def dated_dataset(stamps, labels=None):
+    n = len(stamps)
+    labels = [i % 2 for i in range(n)] if labels is None else labels
+    return LabeledDataset([f"s{i}" for i in range(n)], stamps, labels, np.zeros((n, 1)))
 
 
 class TestPeriod:
@@ -101,6 +126,15 @@ class TestSlotIndex:
         # Half-open membership.
         assert add_period(origin, width, k0) <= t < add_period(origin, width, k0 + 1)
 
+    @given(origin=DAYS, offset=st.integers(min_value=0, max_value=1500), width=WIDTHS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_period_at_a_time_oracle(self, origin, offset, width):
+        t = origin + timedelta(days=offset)
+        k = 0
+        while add_period(origin, width, k + 1) <= t:
+            k += 1
+        assert slot_index(t, origin, width) == k
+
 
 class TestLabeledDataset:
     def test_invariants(self):
@@ -154,6 +188,25 @@ class TestLabeledDataset:
         w = d.between(date(2014, 1, 1), date(2014, 2, 1))
         assert w.ids == ("a",)
 
+    @given(stamps=st.lists(DAYS, min_size=1, max_size=40), start=DAYS, end=DAYS)
+    @settings(max_examples=300, deadline=None)
+    def test_between_matches_comprehension_oracle(self, stamps, start, end):
+        d = dated_dataset(stamps)
+        expected = [i for i, t in enumerate(stamps) if start <= t < end]
+        if not expected:
+            with pytest.raises(EmptySlotError):
+                d.between(start, end)
+            return
+        w = d.between(start, end)
+        assert w.ids == tuple(f"s{i}" for i in expected)
+        assert w.timestamps == tuple(stamps[i] for i in expected)
+        assert w.labels.tolist() == [i % 2 for i in expected]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_dataset([("a", "2014-01-01", 0, [1.0]), ("b", "2014-01-02", 1, [bad])])
+
 
 class TestLoading:
     def test_csv_three_rows(self, tmp_path):
@@ -189,6 +242,36 @@ class TestLoading:
         p = tmp_path / "d.csv"
         p.write_text("id,timestamp,label,f0\na,2014-01-01,0,1.0\na,2014-01-02,1,2.0\n")
         with pytest.raises(DatasetFormatError, match="line 3.*duplicate"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("d.csv", "id,timestamp,label,f0\na,2014-01-01,0,1.0\nb,2014-01-02,1,nan\n"),
+            ("d.csv", "id,timestamp,label,f0\na,2014-01-01,0,1.0\nb,2014-01-02,1,-inf\n"),
+            (
+                "d.jsonl",
+                '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1.0]}\n'
+                '{"id": "b", "timestamp": "2014-01-02", "label": 1, "features": [NaN]}\n',
+            ),
+            (
+                "d.jsonl",
+                '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1.0]}\n'
+                '{"id": "b", "timestamp": "2014-01-02", "label": 1, "features": [Infinity]}\n',
+            ),
+            (
+                "d.jsonl",
+                '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1.0]}\n'
+                '{"id": "b", "timestamp": "2014-01-02", "label": 1, "features": [1%s]}\n'
+                % ("0" * 400),
+            ),
+        ],
+    )
+    def test_non_finite_feature_names_line(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        lineno = 3 if name.endswith(".csv") else 2
+        with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
             load_dataset(str(p))
 
     def test_jsonl_matches_csv(self, tmp_path):
@@ -302,3 +385,18 @@ class TestSummarize:
         )
         s = summarize(d, Period(months=1))
         assert s.slots_missing_class == [0]
+
+    @given(rows=st.lists(st.tuples(DAYS, st.integers(0, 1)), min_size=1, max_size=60), width=WIDTHS)
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_per_row_slot_index_oracle(self, rows, width):
+        stamps, labels = [t for t, _ in rows], [y for _, y in rows]
+        s = summarize(dated_dataset(stamps, labels), width)
+        first = min(stamps)
+        origin = date(first.year, first.month, 1) if width.months else first
+        n_slots = slot_index(max(stamps), origin, width) + 1
+        pos, neg = [0] * n_slots, [0] * n_slots
+        for t, y in rows:
+            (pos if y else neg)[slot_index(t, origin, width)] += 1
+        assert s.pos_counts.tolist() == pos
+        assert s.neg_counts.tolist() == neg
+        assert s.slot_starts == tuple(add_period(origin, width, k) for k in range(n_slots))

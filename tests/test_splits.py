@@ -151,8 +151,8 @@ class TestTimeAwareSplit:
         d = monthly_dataset(36, 90, 10, seed=2)
         split = time_aware_split(d, default_spec(), RatioSpec(), seed=0)
         # 10% everywhere already: nothing removed.
-        assert len(split.train) == d.count_between(date(2014, 1, 1), date(2015, 1, 1))
-        assert split.n_test_samples == d.count_between(date(2015, 1, 1), date(2017, 1, 1))
+        assert len(split.train) == len(d.between(date(2014, 1, 1), date(2015, 1, 1)))
+        assert split.n_test_samples == len(d.between(date(2015, 1, 1), date(2017, 1, 1)))
 
     def test_slot_downsampling_oracle(self):
         # Each month 1000 neg + 200 pos; delta = 0.10 keeps 1000 + 111 per slot.
