@@ -13,6 +13,7 @@ from .classifiers import (
     Classifier,
     KNNClassifier,
     LinearSGDClassifier,
+    ModelOutputError,
     TrainedModel,
     confidence,
     load_model,
@@ -75,6 +76,7 @@ __all__ = [
     "Classifier",
     "KNNClassifier",
     "LinearSGDClassifier",
+    "ModelOutputError",
     "TrainedModel",
     "confidence",
     "load_model",

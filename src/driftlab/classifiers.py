@@ -29,9 +29,11 @@ __all__ = [
     "LinearModel",
     "KNNModel",
     "SingleClassTrainingError",
+    "ModelOutputError",
     "score",
     "predict",
     "confidence",
+    "score_rows",
     "score_dataset",
     "predict_dataset",
     "logistic_loss_and_grad",
@@ -44,6 +46,10 @@ MODEL_FORMAT_VERSION = 1
 
 class SingleClassTrainingError(ValueError):
     """Training set contains only one class."""
+
+
+class ModelOutputError(ValueError):
+    """A model returned something other than one finite score in [0, 1] per row."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,29 @@ def confidence(model: TrainedModel, features: np.ndarray) -> float:
     return abs(score(model, features) - 0.5)
 
 
+def score_rows(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """``model.scores(features)``, checked to hold one finite score in [0, 1] per row.
+
+    Every score the framework thresholds passes through here, so a faulty
+    third-party model fails loudly instead of turning into a quiet metric.
+    """
+    s = np.asarray(model.scores(features))
+    name = type(model).__name__
+    if s.shape != (len(features),):
+        raise ModelOutputError(
+            f"{name}.scores returned shape {s.shape} for {len(features)} rows"
+        )
+    bad = np.flatnonzero(~((s >= 0.0) & (s <= 1.0)))
+    if len(bad):
+        raise ModelOutputError(
+            f"{name}.scores returned {s[bad[0]]} at row {bad[0]}; "
+            "scores must be finite and in [0, 1]"
+        )
+    return s
+
+
 def score_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:
-    return model.scores(d.features)
+    return score_rows(model, d.features)
 
 
 def predict_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:
@@ -196,6 +223,11 @@ class LinearSGDClassifier:
 # ---------------------------------------------------------------------------
 
 
+# Rows per query block: each block holds at most this many expanded distances
+# (128 KB of float64), whatever the training size.
+_KNN_BLOCK_DISTANCES = 2**14
+
+
 class KNNModel(TrainedModel):
     def __init__(
         self,
@@ -212,26 +244,60 @@ class KNNModel(TrainedModel):
         order = sorted(range(len(ids)), key=lambda i: ids[i])
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[order] = np.arange(len(ids))
+        self._sq_norms = np.einsum("ij,ij->i", self._X, self._X)
+        self._max_norm = float(np.sqrt(self._sq_norms.max(initial=0.0)))
         self.k = k
         self.meta = meta
 
-    def _neighbours(self, x: np.ndarray) -> np.ndarray:
-        diff = self._X - x
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        k = self.k
-        if k >= len(d2):
-            return np.arange(len(d2))
-        part = np.argpartition(d2, k - 1)[:k]
-        kth = d2[part].max()
-        cand = np.flatnonzero(d2 <= kth)
-        if len(cand) > k:
-            order = np.lexsort((self._id_rank[cand], d2[cand]))
-            cand = cand[order[:k]]
-        return cand
-
     def scores(self, features: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        return np.array([self._y[self._neighbours(x)].mean() for x in X])
+        """Positive fraction among each row's k nearest training points.
+
+        Neighbours are the k smallest exact squared distances
+        ``(t - q)·(t - q)``, ties broken by ascending id. A block of query
+        rows first gets all its distances from one matrix product; that
+        estimate only picks candidates, and the exact form ranks them, so a
+        row's score does not depend on the block it was scored in.
+        """
+        Q = np.atleast_2d(np.asarray(features, dtype=float))
+        rows = max(1, _KNN_BLOCK_DISTANCES // len(self._X))
+        out = np.empty(len(Q))
+        for start in range(0, len(Q), rows):
+            out[start : start + rows] = self._block_scores(Q[start : start + rows])
+        return out
+
+    def _block_scores(self, Q: np.ndarray) -> np.ndarray:
+        n_train, dim = self._X.shape
+        k = min(self.k, n_train)
+        q_sq = np.einsum("ij,ij->i", Q, Q)
+        approx = q_sq[:, None] - 2.0 * (Q @ self._X.T) + self._sq_norms[None, :]
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # Candidate margin. With u = eps/2 and gamma_n = n*u / (1 - n*u),
+        # S = (|q| + max|t|)^2 bounds |q|^2 + 2|q.t| + |t|^2. The squared
+        # norms and the dot product each carry at most gamma_d relative
+        # error (|q.t| <= |q||t|), and the two additions add gamma_2, so
+        # the expansion is within gamma_(d+2) * S of the true distance. The
+        # exact form rounds each difference and square once and adds d
+        # terms, so it is within gamma_(d+2) * S of it too. Every estimate
+        # is thus within delta = 2 * gamma_(d+2) * S of the exact value it
+        # stands for. A true neighbour's exact value is <= the exact k-th
+        # value, which is <= kth + delta, so its estimate is <= kth + 2 *
+        # delta, about 2 * (d+2) * eps * S. The margin takes four times
+        # that, covering the rounding of S, of the norms and of kth +
+        # margin, plus an absolute term for gradual underflow. Under
+        # overflow the bound is inf or nan, and "not above the bound"
+        # keeps every training row.
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        margin = 8.0 * (dim + 4) * (eps * (np.sqrt(q_sq) + self._max_norm) ** 2 + tiny)
+        row, col = np.nonzero(~(approx > (kth + margin)[:, None]))
+        diff = self._X[col] - Q[row]
+        exact = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((self._id_rank[col], exact, row))
+        row, col = row[order], col[order]
+        # Keep the first k candidates of each row (rows are contiguous now).
+        first = np.searchsorted(row, row, side="left")
+        keep = np.arange(len(row)) - first < k
+        votes = np.bincount(row[keep], weights=self._y[col[keep]], minlength=len(Q))
+        return votes / k
 
     def to_dict(self) -> dict:
         return {
@@ -252,8 +318,8 @@ class KNNClassifier:
     k: int = 5
 
     def fit(self, train: LabeledDataset, seed: int) -> KNNModel:
-        if self.k % 2 == 0:
-            raise ValueError(f"k must be odd, got {self.k}")
+        if self.k < 1 or self.k % 2 == 0:
+            raise ValueError(f"k must be a positive odd integer, got {self.k}")
         if self.k > len(train):
             raise ValueError(f"k={self.k} exceeds training size {len(train)}")
         meta = ModelMeta(train.positive_ratio, len(train), seed)

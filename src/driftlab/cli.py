@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
+from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier, ModelOutputError
 from .dataset import LabeledDataset, Period, load_dataset, write_csv, write_jsonl
 from .delay import (
     ConstraintViolationError,
@@ -401,9 +401,9 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
         for curve in curves:
             agg.setdefault((curve.metric, curve.mode), []).append(aut(curve))
         with open(out / f"audit_seed{seed}.json", "w", encoding="utf-8") as fh:
-            json.dump(res["audit"], fh, sort_keys=True, indent=2)
+            fh.write(json.dumps(res["audit"], sort_keys=True, indent=2))
         with open(out / f"split_manifest_seed{seed}.json", "w", encoding="utf-8") as fh:
-            json.dump(res["split_manifest"], fh, sort_keys=True)
+            fh.write(json.dumps(res["split_manifest"], sort_keys=True))
         if res["tuning"] is not None:
             _write_tuning(out, seed, res["tuning"])
         if res["delay_runs"]:
@@ -718,6 +718,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConstraintViolation, ConstraintViolationError, EmptySlotError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    except ModelOutputError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -143,7 +143,10 @@ def _predicted_class_probs(model: TrainedModel, d: LabeledDataset) -> tuple[np.n
 def rejection_threshold(model: TrainedModel, validation: LabeledDataset) -> float:
     """Q3 (linear interpolation) of predicted-class probabilities of mistakes."""
     probs, pred = _predicted_class_probs(model, validation)
-    wrong = probs[pred != validation.labels]
+    return _mistake_q3(probs[pred != validation.labels])
+
+
+def _mistake_q3(wrong: np.ndarray) -> float:
     if len(wrong) == 0:
         raise NoMisclassificationError(
             "no misclassified validation sample; rejection threshold undefined"
@@ -190,10 +193,11 @@ def run_policy(
             proper, int(derive_rng(seed, "delay", "reject_fit").integers(2**31))
         )
         val_pool = concat(val_slots)
+        val_probs, val_pred = _predicted_class_probs(thresh_model, val_pool)
+        val_wrong = val_probs[val_pred != val_pool.labels]
         try:
-            threshold = rejection_threshold(thresh_model, val_pool)
-            val_probs, val_pred = _predicted_class_probs(thresh_model, val_pool)
-            wrong_probs_pool = [float(v) for v in val_probs[val_pred != val_pool.labels]]
+            threshold = _mistake_q3(val_wrong)
+            wrong_probs_pool = [float(v) for v in val_wrong]
         except NoMisclassificationError:
             run_warnings.append("no validation misclassifications; rejection disabled")
             threshold = None

@@ -24,7 +24,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .classifiers import TrainedModel
 from .dataset import (
     EmptySlotError,
     LabeledDataset,
@@ -160,7 +159,7 @@ def enforce_ratio(
     pool: LabeledDataset,
     target: float,
     mode: Literal["random", "uncertainty_prioritized"] = "random",
-    scorer: TrainedModel | None = None,
+    confidence: np.ndarray | None = None,
     seed: int = 0,
 ) -> LabeledDataset:
     """Downsample the over-represented class until the ratio is closest to target.
@@ -168,17 +167,20 @@ def enforce_ratio(
     The under-represented class is kept whole; the retained count of the
     other class is the half-to-even rounding of the exact solution, so
     |realized - target| <= 1/len(result). In uncertainty mode the retained
-    samples are those the scorer is least sure about (smallest
-    |score - 0.5|, ties by ascending id), which keeps the points that
-    define the decision boundary; in random mode retention is a seeded
-    uniform draw. Output preserves the pool's original order.
+    samples are those a scorer is least sure about: ``confidence`` holds
+    each pool row's |score - 0.5|, and the smallest values are kept (ties
+    by ascending id), which keeps the points that define the decision
+    boundary; in random mode retention is a seeded uniform draw. Output
+    preserves the pool's original order.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target ratio must lie in (0, 1), got {target}")
     if mode not in ("random", "uncertainty_prioritized"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "uncertainty_prioritized" and scorer is None:
-        raise ValueError("uncertainty_prioritized mode requires a scorer")
+    if mode == "uncertainty_prioritized" and (
+        confidence is None or np.shape(confidence) != (len(pool),)
+    ):
+        raise ValueError("uncertainty_prioritized mode requires one scorer confidence per row")
 
     n_pos, n_neg = pool.n_positive, pool.n_negative
     # Over-represented class relative to target, by cross-multiplication
@@ -202,7 +204,7 @@ def enforce_ratio(
         rng = derive_rng(seed, "enforce_ratio")
         kept = rng.choice(cut_idx, size=keep_count, replace=False)
     else:
-        conf = np.abs(scorer.scores(pool.features[cut_idx]) - 0.5)
+        conf = confidence[cut_idx]
         order = sorted(range(len(cut_idx)), key=lambda j: (conf[j], pool.ids[cut_idx[j]]))
         kept = cut_idx[order[:keep_count]]
     keep_mask = pool.labels != cut_label

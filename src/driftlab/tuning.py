@@ -27,7 +27,9 @@ import json
 from dataclasses import dataclass
 from datetime import date
 
-from .classifiers import Classifier
+import numpy as np
+
+from .classifiers import Classifier, score_rows
 from .dataset import EmptySlotError, LabeledDataset, add_period
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_rng
@@ -177,6 +179,12 @@ def tune_phi(
     """
     proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed)
     scorer = clf.fit(proper, int(derive_rng(seed, "tuning", "scorer").integers(2**31)))
+    # Each class is scored once, as the same row block enforce_ratio would
+    # cut from it, and the confidences serve every grid point.
+    confidence = np.empty(len(proper))
+    for label in (0, 1):
+        rows = proper.labels == label
+        confidence[rows] = np.abs(score_rows(scorer, proper.features[rows]) - 0.5)
 
     evaluations: list[tuple[float, float, float]] = []
     for j, phi in enumerate(cfg.grid()):
@@ -184,7 +192,7 @@ def tune_phi(
             proper,
             phi,
             "uncertainty_prioritized",
-            scorer=scorer,
+            confidence=confidence,
             seed=int(derive_rng(seed, "tuning", "downsample", j).integers(2**63)),
         )
         if downsampled.n_positive == 0 or downsampled.n_negative == 0:

@@ -202,13 +202,17 @@ def test_a6_tuning_contract(capsys):
     # same derived seeds, plus an independent selection scan.
     proper, val_slots, starts = proper_validation_cut(train, sp, cfg, seed=17)
     scorer = clf.fit(proper, int(derive_rng(17, "tuning", "scorer").integers(2**31)))
+    conf = np.empty(len(proper))
+    for c in (0, 1):
+        rows_c = proper.labels == c
+        conf[rows_c] = np.abs(scorer.scores(proper.features[rows_c]) - 0.5)
     rows = []
     for j, phi in enumerate(cfg.grid()):
         down = enforce_ratio(
             proper,
             phi,
             "uncertainty_prioritized",
-            scorer=scorer,
+            confidence=conf,
             seed=int(derive_rng(17, "tuning", "downsample", j).integers(2**63)),
         )
         model = clf.fit(down, int(derive_rng(17, "tuning", "fit", j).integers(2**31)))

@@ -2,11 +2,18 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.classifiers import (
+    _KNN_BLOCK_DISTANCES,
     KNNClassifier,
+    KNNModel,
     LinearSGDClassifier,
+    ModelMeta,
+    ModelOutputError,
     SingleClassTrainingError,
+    TrainedModel,
     confidence,
     load_model,
     logistic_loss_and_grad,
@@ -112,7 +119,7 @@ class TestKNN:
             dist = np.array([float(((f - q) ** 2).sum()) for f in d.features])
             order = sorted(range(50), key=lambda i: (dist[i], d.ids[i]))
             expected = float(np.mean([d.labels[i] for i in order[:3]]))
-            assert score(model, q) == pytest.approx(expected)
+            assert score(model, q) == expected
 
     def test_training_order_permutation_invariant(self):
         rng = np.random.default_rng(3)
@@ -130,8 +137,105 @@ class TestKNN:
         d = tiny_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
         with pytest.raises(ValueError, match="odd"):
             KNNClassifier(k=2).fit(d, seed=0)
+        with pytest.raises(ValueError, match="odd"):
+            KNNClassifier(k=-1).fit(d, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
             KNNClassifier(k=5).fit(d, seed=0)
+
+
+def knn_oracle(X, y, ids, k, q):
+    """Per-row reference: the k smallest exact squared distances, ties by id."""
+    diff = X - q
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = sorted(range(len(X)), key=lambda i: (d2[i], ids[i]))
+    return float(np.mean(y[order[:k]]))
+
+
+@st.composite
+def knn_cases(draw):
+    """Training set, queries and k, built to stress the candidate margin.
+
+    ``grid`` features are small integers (many exact distance ties);
+    ``offset`` shifts them, or tiny Gaussian steps, by 1e4, where the
+    expanded distance |q|^2 - 2 q.t + |t|^2 cancels almost every digit.
+    Training rows are duplicated, and query counts are 1 or span blocks.
+    """
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["grid", "offset_grid", "offset_normal", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(m):
+        if kind == "normal":
+            return rng.normal(size=(m, dim))
+        if kind == "offset_normal":
+            return 1e4 + 1e-3 * rng.normal(size=(m, dim))
+        grid = rng.integers(-2, 3, size=(m, dim)).astype(float)
+        return grid + 1e4 if kind == "offset_grid" else grid
+
+    base = rows(draw(st.integers(1, 25)))
+    n_dup = draw(st.sampled_from([0, 5, 1500]))
+    X = np.concatenate([base, base[rng.integers(0, len(base), size=n_dup)]])
+    n = len(X)
+    y = rng.integers(0, 2, size=n)
+    ids = tuple(f"s{v}" for v in rng.permutation(n))
+    k = min(draw(st.sampled_from([1, 3, 5, n])), n)
+    block_rows = max(1, _KNN_BLOCK_DISTANCES // n)
+    m = 1 if draw(st.booleans()) else block_rows + draw(st.integers(1, 2 * block_rows))
+    Q = rows(m)
+    # Queries that sit exactly on training rows: zero distances and ties.
+    on_train = rng.integers(0, m, size=m // 3)
+    Q[on_train] = X[rng.integers(0, n, size=len(on_train))]
+    return X, y, ids, k, Q
+
+
+class TestKNNExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(knn_cases())
+    def test_equals_per_row_oracle(self, case):
+        X, y, ids, k, Q = case
+        model = KNNModel(X, y, ids, k, ModelMeta(0.5, len(X), 0))
+        got = model.scores(Q)
+        expected = [knn_oracle(X, y, ids, k, q) for q in Q]
+        assert got.tolist() == expected
+        # A row's score does not depend on the rows scored with it.
+        for i in range(0, len(Q), max(1, len(Q) // 7)):
+            assert model.scores(Q[i : i + 1])[0] == got[i]
+
+
+class StubModel(TrainedModel):
+    def __init__(self, out):
+        self.out = out
+
+    def scores(self, features):
+        return self.out
+
+    def to_dict(self):
+        return {}
+
+
+class TestScoreGuard:
+    d = tiny_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "out,message",
+        [
+            (np.array([0.2, np.nan, 0.4]), "nan at row 1"),
+            (np.array([0.2, 1.5, 0.4]), "1.5 at row 1"),
+            (np.array([-0.1, 0.5, 0.4]), "-0.1 at row 0"),
+            (np.array([0.2, 0.4]), r"shape \(2,\) for 3 rows"),
+            (np.array([[0.2, 0.4, 0.5]]), r"shape \(1, 3\) for 3 rows"),
+        ],
+        ids=["nan", "above_one", "negative", "short", "two_dim"],
+    )
+    def test_bad_output_raises(self, out, message):
+        with pytest.raises(ModelOutputError, match=message):
+            score_dataset(StubModel(out), self.d)
+        with pytest.raises(ModelOutputError):
+            predict_dataset(StubModel(out), self.d)
+
+    def test_valid_output_passes_through(self):
+        out = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(score_dataset(StubModel(out), self.d), out)
 
 
 class TestConfidence:

@@ -252,6 +252,23 @@ class TestCliVerbs:
         cfg_path = self.write_config(tmp_path, blob)
         assert main(["run", "--config", cfg_path]) == 4
 
+    @pytest.mark.parametrize(
+        "bad_scores",
+        [
+            lambda X: np.full(len(X), np.nan),
+            lambda X: np.full(len(X), 1.5),
+            lambda X: np.full(len(X) + 1, 0.5),
+        ],
+        ids=["nan", "above_one", "wrong_length"],
+    )
+    def test_bad_model_output_exit_4(self, tmp_path, capsys, monkeypatch, bad_scores):
+        from driftlab.classifiers import LinearModel
+
+        monkeypatch.setattr(LinearModel, "scores", lambda self, X: bad_scores(X))
+        blob = base_config(tmp_path / "out", seeds=(0,))
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 4
+        assert "model error: LinearModel.scores returned" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario", ["kfold", "bias_grid"])
     def test_unstratifiable_kfold_k_exit_2(self, tmp_path, scenario):
         blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,), kfold_k=500)

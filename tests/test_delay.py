@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from datetime import date
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from driftlab.delay import (
 from driftlab.metrics import aut
 from driftlab.splits import RatioSpec, SplitSpec, TemporalSplit, time_aware_split
 from driftlab.synthgen import DriftSpec, generate
-from driftlab.tuning import TuningConfig
+from driftlab.tuning import TuningConfig, proper_validation_cut
 
 
 def make_split(seed=0, months=20, w=8, n=120, velocity=0.0, churn=0.0, phi=0.10):
@@ -243,6 +244,32 @@ class TestRunPolicyRejection:
         for k, slot in enumerate(split.test_slots):
             assert rej.series.confusions[k].total == len(slot) - rej.per_slot_rejected[k]
             assert none.series.confusions[k].total == len(slot)
+
+    def test_scores_validation_pool_once(self):
+        # The threshold and the refresh pool come from one scoring of the
+        # validation tail.
+        split = make_split(seed=8, velocity=0.3)
+        scored: list[bytes] = []
+        inner = LinearSGDClassifier(epochs=10)
+
+        class Recording:
+            def fit(self, pool, seed):
+                model = inner.fit(pool, seed)
+                unwrapped = model.scores
+
+                def scores(X):
+                    scored.extend(row.tobytes() for row in X)
+                    return unwrapped(X)
+
+                model.scores = scores
+                return model
+
+        rej = run_policy(split, Recording(), DelayPolicy("rejection"), seed=8)
+        assert rej.threshold is not None
+        cfg = TuningConfig(sigma_hat=split.ratios.sigma_hat)
+        _, val_slots, _ = proper_validation_cut(split.train, split.spec, cfg, 8)
+        counts = Counter(scored)
+        assert all(counts[r.tobytes()] == 1 for s in val_slots for r in s.features)
 
     def test_rejected_counts_match_threshold_rule(self):
         split = make_split(seed=9, velocity=0.3)

@@ -83,7 +83,8 @@ class TestEnforceRatio:
         feats = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 5, [0, 0, 0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.9, 1.0: 0.6, 2.0: 0.2, 3.0: 0.3, 4.0: 0.95})
-        out = enforce_ratio(d, 0.25, "uncertainty_prioritized", scorer=scorer, seed=0)
+        conf = np.abs(scorer.scores(feats) - 0.5)
+        out = enforce_ratio(d, 0.25, "uncertainty_prioritized", confidence=conf, seed=0)
         assert set(out.ids) == {"b", "c", "d", "p"}
 
     def test_uncertainty_tie_broken_by_id(self):
@@ -91,7 +92,8 @@ class TestEnforceRatio:
         feats = np.array([[0.0], [1.0], [2.0]])
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 3, [0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.6, 1.0: 0.4, 2.0: 0.9})  # equal confidence 0.1
-        out = enforce_ratio(d, 0.5, "uncertainty_prioritized", scorer=scorer, seed=0)
+        conf = np.abs(scorer.scores(feats) - 0.5)
+        out = enforce_ratio(d, 0.5, "uncertainty_prioritized", confidence=conf, seed=0)
         assert set(out.ids) == {"a", "p"}
 
     def test_uncertainty_requires_scorer(self):

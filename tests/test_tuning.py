@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -107,13 +108,17 @@ class TestTunePhi:
         # same derived seeds, then re-implement the selection scan.
         proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed=7)
         scorer = clf.fit(proper, int(derive_rng(7, "tuning", "scorer").integers(2**31)))
+        conf = np.empty(len(proper))
+        for c in (0, 1):
+            rows_c = proper.labels == c
+            conf[rows_c] = np.abs(scorer.scores(proper.features[rows_c]) - 0.5)
         rows = []
         for j, phi in enumerate(cfg.grid()):
             down = enforce_ratio(
                 proper,
                 phi,
                 "uncertainty_prioritized",
-                scorer=scorer,
+                confidence=conf,
                 seed=int(derive_rng(7, "tuning", "downsample", j).integers(2**63)),
             )
             model = clf.fit(down, int(derive_rng(7, "tuning", "fit", j).integers(2**31)))
@@ -131,6 +136,32 @@ class TestTunePhi:
         assert result.best_aut == rows[best][1]
         for got, exp in zip(result.grid, rows):
             assert (got.phi, got.aut, got.error) == exp
+
+    def test_scores_each_proper_row_at_most_once(self):
+        # Every grid point downsamples proper-training uncertainty-first;
+        # the confidences come from one scoring of its rows, not one per phi.
+        train = drifting_train(3)
+        cfg = TuningConfig(mu=0.1)
+        scored: list[bytes] = []
+        inner = LinearSGDClassifier(epochs=10)
+
+        class Recording:
+            def fit(self, pool, seed):
+                model = inner.fit(pool, seed)
+                unwrapped = model.scores
+
+                def scores(X):
+                    scored.extend(row.tobytes() for row in X)
+                    return unwrapped(X)
+
+                model.scores = scores
+                return model
+
+        tune_phi(train, Recording(), cfg, spec_for(), seed=1)
+        proper, _, _ = proper_validation_cut(train, spec_for(), cfg, seed=1)
+        counts = Counter(scored)
+        assert len(cfg.grid()) == 5
+        assert max(counts[r.tobytes()] for r in proper.features) == 1
 
     def test_impossible_ceiling_falls_back_to_sigma_hat(self):
         train = drifting_train(3)
