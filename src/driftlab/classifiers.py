@@ -137,12 +137,14 @@ def _require_both_classes(train: LabeledDataset) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function with one ``exp`` per element and no overflow.
+
+    With e = exp(-|z|), this is 1 / (1 + exp(-z)) for z >= 0 and
+    exp(z) / (1 + exp(z)) for z < 0, the same operations on the same
+    operands as the two-branch form, so the bits are the same.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss_and_grad(
@@ -191,6 +193,14 @@ class LinearSGDClassifier:
     The seed drives only the per-epoch shuffle; weights start at zero, so
     fit is a pure function of (train, seed). batch_size is an internal
     vectorization knob, not a modelling choice.
+
+    Bit-identity contract: ``w`` and ``b`` equal, bit for bit, those of the
+    plain loop that gathers ``X[batch]`` and ``y[batch]`` for every
+    mini-batch, uses the two-branch logistic function and takes the bias
+    step from ``np.mean(resid)``. The loop here changes only where the
+    operands live (one permuted copy per epoch, batches as views) and how
+    many numpy calls compute the same values; every update keeps its
+    operations and their order. Tests compare it with that loop by ``==``.
     """
 
     learning_rate: float = 0.1
@@ -208,12 +218,16 @@ class LinearSGDClassifier:
         rng = derive_rng(seed, "linear_sgd")
         for _ in range(self.epochs):
             order = rng.permutation(n)
+            # One contiguous copy per epoch; each batch is then a view.
+            Xp, yp = X[order], y[order]
             for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                z = X[batch] @ w + b
-                resid = _sigmoid(z) - y[batch]
-                w -= self.learning_rate * (X[batch].T @ resid / len(batch) + self.l2 * w)
-                b -= self.learning_rate * float(np.mean(resid))
+                Xb = Xp[start : start + self.batch_size]
+                m = len(Xb)
+                z = Xb @ w + b
+                resid = _sigmoid(z) - yp[start : start + m]
+                w -= self.learning_rate * (Xb.T @ resid / m + self.l2 * w)
+                # np.mean is this same reduction followed by the same division.
+                b -= self.learning_rate * (float(np.add.reduce(resid)) / m)
         meta = ModelMeta(train.positive_ratio, n, seed)
         return LinearModel(w, b, meta)
 

@@ -18,7 +18,8 @@ latest window, test on the earliest — detecting the past) and
 Each row yields folds of (train, test sets, fit seed) and is scored by
 the mean over folds of the pooled F1. ``bias_grid`` crosses the rows with
 the training/testing ratio cells (0.1, 0.1), (0.9, 0.1), (0.1, 0.9),
-(0.9, 0.9); ``past_testing`` and ``disjoint_class_windows`` run their row
+(0.9, 0.9) in one task per (row, phi, seed), which fits each fold once for
+both deltas; ``past_testing`` and ``disjoint_class_windows`` run their row
 at the configured ratios. The standalone ``realistic`` scenario runs the
 full pipeline (tuning, audit, decay curves, delay policies) and
 standalone ``kfold`` reports :func:`kfold_eval`, which keeps each fold's
@@ -48,6 +49,7 @@ from .delay import (
     ConstraintViolationError,
     DelayPolicy,
     DelayRunResult,
+    initial_model,
     run_policy,
     write_delay_slots_csv,
     write_delay_summary_csv,
@@ -91,7 +93,8 @@ __all__ = [
 ]
 
 SCENARIOS = ("realistic", "kfold", "past_testing", "disjoint_class_windows", "bias_grid")
-BIAS_GRID_CELLS = ((0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9))
+# bias_grid crosses every training ratio phi with every testing ratio delta.
+BIAS_GRID_RATIOS = (0.1, 0.9)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,9 +295,10 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
     if failed:
         raise ConstraintViolation(f"seed {seed}: realistic split violates {failed}")
 
-    baseline = run_policy(split, cfg.classifier, DelayPolicy("none"), cfg.tuning, seed)
+    model0 = initial_model(split, cfg.classifier, seed)
+    baseline = run_policy(split, cfg.classifier, DelayPolicy("none"), cfg.tuning, seed, model0)
     delay_runs = [
-        run_policy(split, cfg.classifier, policy, cfg.tuning, seed)
+        run_policy(split, cfg.classifier, policy, cfg.tuning, seed, model0)
         for policy in cfg.delay_policies
     ]
     return {
@@ -345,18 +349,32 @@ BIAS_GRID_ROWS = {
 }
 
 
-def _bias_f1(cfg: ExperimentConfig, seed: int, row: str, phi: float, delta: float) -> float:
+def _bias_f1s(
+    cfg: ExperimentConfig, seed: int, row: str, phi: float, deltas: tuple[float, ...]
+) -> tuple[float, ...]:
+    """The row's mean-over-folds pooled F1 at each delta.
+
+    Models are kept by (training ids, fit seed). No row's training sets or
+    fit seeds depend on delta, so each fold is fit once for all deltas.
+    """
     d = _dataset_for_seed(cfg, seed)
-    ratios = replace(cfg.ratios, phi=phi, delta=delta)
-    scores = []
-    for train, tests, fit_seed in BIAS_GRID_ROWS[row](d, cfg, ratios, seed):
-        model = cfg.classifier.fit(train, fit_seed)
-        scores.append(prf1(sum((confusion_counts(model, t) for t in tests), Confusion()))[2])
-    return float(np.mean(scores))
+    models: dict = {}
+    f1s = []
+    for delta in deltas:
+        ratios = replace(cfg.ratios, phi=phi, delta=delta)
+        scores = []
+        for train, tests, fit_seed in BIAS_GRID_ROWS[row](d, cfg, ratios, seed):
+            key = (train.ids, fit_seed)
+            if key not in models:
+                models[key] = cfg.classifier.fit(train, fit_seed)
+            pooled = sum((confusion_counts(models[key], t) for t in tests), Confusion())
+            scores.append(prf1(pooled)[2])
+        f1s.append(float(np.mean(scores)))
+    return tuple(f1s)
 
 
 def _execute_task(payload):
-    """Run one ``(scenario, seed)`` or ``("bias_cell", seed, row, phi, delta)`` task."""
+    """Run one ``(scenario, seed)`` or ``("bias_row", seed, row, phi)`` task."""
     cfg, task = payload
     kind, seed = task[:2]
     if kind == "realistic":
@@ -364,8 +382,10 @@ def _execute_task(payload):
     if kind == "kfold":
         d = _dataset_for_seed(cfg, seed)
         return task, kfold_eval(d, cfg.classifier, cfg.kfold_k, seed).mean_f1
-    row, phi, delta = task[2:] if kind == "bias_cell" else (kind, cfg.ratios.phi, cfg.ratios.delta)
-    return task, _bias_f1(cfg, seed, row, phi, delta)
+    if kind == "bias_row":
+        row, phi = task[2:]
+        return task, _bias_f1s(cfg, seed, row, phi, BIAS_GRID_RATIOS)
+    return task, _bias_f1s(cfg, seed, kind, cfg.ratios.phi, (cfg.ratios.delta,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +460,14 @@ def _write_scalar_scenario(
 
 
 def _write_bias_grid(out: Path, gathered: dict) -> None:
+    cells = {
+        (row, phi, delta, seed): f1
+        for (_, seed, row, phi), f1s in gathered.items()
+        for delta, f1 in zip(BIAS_GRID_RATIOS, f1s)
+    }
     rows = []
     summary: dict[tuple[str, float, float], list[float]] = {}
-    for task in sorted(gathered, key=lambda t: (t[2], t[3], t[4], t[1])):
-        _, seed, row, phi, delta = task
-        f1 = gathered[task]
+    for (row, phi, delta, seed), f1 in sorted(cells.items()):
         rows.append([row, _fmt(phi), _fmt(delta), seed, _fmt(f1)])
         summary.setdefault((row, phi, delta), []).append(f1)
     _write_rows(out / "bias_grid.csv", ["scenario", "phi", "delta", "seed", "f1"], rows)
@@ -470,9 +493,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "bias_grid":
         tasks = [
-            ("bias_cell", seed, row, phi, delta)
+            ("bias_row", seed, row, phi)
             for row in BIAS_GRID_ROWS
-            for (phi, delta) in BIAS_GRID_CELLS
+            for phi in BIAS_GRID_RATIOS
             for seed in cfg.seeds
         ]
     else:

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -157,7 +158,7 @@ class LabeledDataset:
         labels: Sequence[int] | np.ndarray,
         features: np.ndarray,
     ) -> None:
-        self.ids: tuple[str, ...] = tuple(str(i) for i in ids)
+        self.ids: tuple[str, ...] = tuple(map(str, ids))
         if isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M":
             self.times = timestamps.astype(_DAY)
         else:
@@ -170,7 +171,6 @@ class LabeledDataset:
         for column in (self.times, self.labels, self.features):
             column.setflags(write=False)
         self._validate()
-        self._id_pos = {sid: i for i, sid in enumerate(self.ids)}
 
     def _validate(self) -> None:
         n = len(self.ids)
@@ -218,6 +218,11 @@ class LabeledDataset:
     @property
     def positive_ratio(self) -> float:
         return self.n_positive / len(self)
+
+    @cached_property
+    def _id_pos(self) -> dict[str, int]:
+        # Built on the first lookup: most datasets are never searched by id.
+        return {sid: i for i, sid in enumerate(self.ids)}
 
     def index_of(self, sample_id: str) -> int:
         return self._id_pos[sample_id]

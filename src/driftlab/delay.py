@@ -49,6 +49,7 @@ __all__ = [
     "DelayRunResult",
     "NoMisclassificationError",
     "ConstraintViolationError",
+    "initial_model",
     "run_policy",
     "select_uncertain",
     "rejection_threshold",
@@ -160,19 +161,28 @@ def _al_count(budget: float, slot_size: int) -> int:
     return math.ceil(Fraction(str(budget)) * slot_size)
 
 
+def initial_model(split: TemporalSplit, clf: Classifier, seed: int) -> TrainedModel:
+    """The model that scores slot 0 under every policy for this seed."""
+    return clf.fit(split.train, int(derive_rng(seed, "delay", "fit", 0).integers(2**31)))
+
+
 def run_policy(
     split: TemporalSplit,
     clf: Classifier,
     policy: DelayPolicy,
     cfg: TuningConfig | None = None,
     seed: int = 0,
+    model: TrainedModel | None = None,
 ) -> DelayRunResult:
     """Simulate a delay strategy over the split's test slots, in time order.
 
     The model that scores slot 0 is identical across policies for the same
     seed, so rejection's kept-set metrics are directly comparable with the
-    ``none`` baseline. With ``retune_each_step``, the training ratio is
-    re-derived on the grown pool before every retraining.
+    ``none`` baseline. A caller running several policies can fit it once
+    with :func:`initial_model` and pass it as ``model``; it must be that
+    function's result for the same (split, clf, seed). With
+    ``retune_each_step``, the training ratio is re-derived on the grown pool
+    before every retraining.
     """
     verdicts = run_all_checks(split)
     failed = [k for k, v in verdicts.items() if not v.passed]
@@ -203,7 +213,8 @@ def run_policy(
             threshold = None
 
     pool = split.train
-    model = clf.fit(pool, int(derive_rng(seed, "delay", "fit", 0).integers(2**31)))
+    if model is None:
+        model = initial_model(split, clf, seed)
 
     confusions: list[Confusion] = []
     per_slot_labeled = [0] * n

@@ -14,6 +14,7 @@ from driftlab.classifiers import (
     ModelOutputError,
     SingleClassTrainingError,
     TrainedModel,
+    _sigmoid,
     confidence,
     load_model,
     logistic_loss_and_grad,
@@ -23,6 +24,7 @@ from driftlab.classifiers import (
     score_dataset,
 )
 from driftlab.dataset import LabeledDataset
+from driftlab.rng import derive_rng
 
 from conftest import blob_dataset
 
@@ -95,6 +97,91 @@ class TestLinearSGD:
         assert model.meta.n_samples == 100
         assert model.meta.seed == 9
         assert model.meta.train_ratio == pytest.approx(0.2)
+
+
+def two_branch_sigmoid(z):
+    """The logistic function as two masked branches, one exp each."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def per_batch_sgd(clf, X, y, seed):
+    """Reference SGD loop: gathers every mini-batch, two-branch sigmoid, np.mean."""
+    n, dim = X.shape
+    w = np.zeros(dim)
+    b = 0.0
+    rng = derive_rng(seed, "linear_sgd")
+    for _ in range(clf.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, clf.batch_size):
+            batch = order[start : start + clf.batch_size]
+            z = X[batch] @ w + b
+            resid = two_branch_sigmoid(z) - y[batch]
+            w -= clf.learning_rate * (X[batch].T @ resid / len(batch) + clf.l2 * w)
+            b -= clf.learning_rate * float(np.mean(resid))
+    return w, b
+
+
+@st.composite
+def sgd_cases(draw):
+    """Training set and classifier for the bit-identity property.
+
+    n sits below, at, on a multiple of, or off a multiple of batch_size;
+    each feature column has its own scale in [1e-3, 1e4]; positives are
+    either the minority or the majority class.
+    """
+    batch_size = draw(st.sampled_from([3, 16, 64]))
+    shape = draw(st.sampled_from(["below", "at", "multiple", "ragged"]))
+    if shape == "below":
+        n = draw(st.integers(2, batch_size - 1))
+    elif shape == "at":
+        n = batch_size
+    else:
+        n = batch_size * draw(st.integers(2, 8))
+        n += draw(st.integers(1, batch_size - 1)) if shape == "ragged" else 0
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-3.0, 4.0, size=dim)
+    X = rng.normal(size=(n, dim)) * scales + draw(st.sampled_from([0.0, 1.0]))
+    positive_share = draw(st.sampled_from([0.1, 0.9]))
+    y = (rng.random(n) < positive_share).astype(int)
+    y[:2] = (0, 1) if positive_share < 0.5 else (1, 0)
+    clf = LinearSGDClassifier(
+        learning_rate=draw(st.sampled_from([0.01, 0.1, 1.0])),
+        epochs=draw(st.integers(1, 6)),
+        l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+        batch_size=batch_size,
+    )
+    return tiny_dataset(X, y), clf, draw(st.integers(0, 2**31 - 1))
+
+
+class TestSGDBitIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(sgd_cases())
+    def test_fit_equals_per_batch_loop(self, case):
+        d, clf, seed = case
+        model = clf.fit(d, seed)
+        w, b = per_batch_sgd(clf, d.features, d.labels.astype(float), seed)
+        assert model.w.tolist() == w.tolist()
+        assert model.b == b
+
+    def test_default_settings_equal_per_batch_loop(self):
+        d = blob_dataset(150, 50, seed=3)
+        clf = LinearSGDClassifier()
+        model = clf.fit(d, 5)
+        w, b = per_batch_sgd(clf, d.features, d.labels.astype(float), 5)
+        assert model.w.tolist() == w.tolist()
+        assert model.b == b
+
+    def test_sigmoid_matches_two_branch_bit_for_bit(self):
+        mags = [0.0, 1e-300, 40.0, 745.0, 1e308]
+        z = np.array([m for v in mags for m in (v, -v)])
+        got, expected = _sigmoid(z), two_branch_sigmoid(z)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestKNN:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from driftlab.cli import (
     parse_config,
     run_experiment,
 )
+from driftlab.classifiers import LinearSGDClassifier
 from driftlab.dataset import write_csv
+from driftlab.rng import derive_rng
 from driftlab.synthgen import DriftSpec, generate
 
 
@@ -193,6 +196,46 @@ class TestOtherScenarios:
                 for r in csv.DictReader(fh)
             }
         assert cells[("realistic", "0.1", "0.1")] <= cells[("kfold", "0.1", "0.1")]
+
+
+class CountingClassifier:
+    """LinearSGDClassifier that records the (training ids, seed) of every fit."""
+
+    def __init__(self):
+        self.inner = LinearSGDClassifier(epochs=5)
+        self.fits = []
+
+    def fit(self, train, seed):
+        self.fits.append((train.ids, seed))
+        return self.inner.fit(train, seed)
+
+
+class TestFitCounts:
+    def test_realistic_fits_model_zero_once(self, tmp_path):
+        out = tmp_path / "out"
+        blob = base_config(
+            out,
+            seeds=(0,),
+            tuning={"mu": 0.1, "target": "f1", "validation_fraction": 0.34},
+            delay={"kind": "active_learning", "al_budget": [0.05, 0.25]},
+        )
+        blob["split"]["train_window"] = "8m"
+        blob["dataset"]["synthetic"]["months"] = 14
+        counter = CountingClassifier()
+        assert run_experiment(replace(parse_config(blob), classifier=counter)) == 0
+        manifest = json.loads((out / "split_manifest_seed0.json").read_text())
+        train_ids = tuple(r["id"] for r in manifest["train"])
+        model0_seed = int(derive_rng(0, "delay", "fit", 0).integers(2**31))
+        assert [ids for ids, seed in counter.fits if seed == model0_seed] == [train_ids]
+
+    def test_bias_grid_fits_each_training_set_once(self, tmp_path):
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        blob["dataset"]["synthetic"]["samples_per_month"] = 120
+        counter = CountingClassifier()
+        assert run_experiment(replace(parse_config(blob), classifier=counter)) == 0
+        # (row, phi, seed, fold): 2 phis x 2 seeds x (4 k-fold folds + 3 one-fold rows).
+        assert len(counter.fits) == 2 * 2 * (4 + 3)
+        assert len(set(counter.fits)) == len(counter.fits)
 
 
 class TestDeterminism:
