@@ -17,7 +17,7 @@ from driftlab import (
     SplitSpec,
     aut,
     cumulative_estimates,
-    derive_rng,
+    derive_seed,
     generate,
     kfold_eval,
     point_estimates,
@@ -39,7 +39,7 @@ def main():
     )
     clf = KNNClassifier(k=5)
     split = time_aware_split(d, spec, RatioSpec(), seed=0)
-    model = clf.fit(split.train, int(derive_rng(0, "demo", "fit").integers(2**31)))
+    model = clf.fit(split.train, derive_seed(0, "demo", "fit"))
     series = slot_series(model, split.test_slots, split.slot_starts)
 
     pnt = point_estimates(series, "f1")

@@ -15,12 +15,7 @@ from .classifiers import (
     LinearSGDClassifier,
     ModelOutputError,
     TrainedModel,
-    confidence,
-    load_model,
-    predict,
     predict_dataset,
-    save_model,
-    score,
     score_dataset,
 )
 from .dataset import (
@@ -38,7 +33,6 @@ from .delay import (
     CostLedger,
     DelayPolicy,
     DelayRunResult,
-    rejection_threshold,
     run_policy,
     select_uncertain,
 )
@@ -55,7 +49,7 @@ from .metrics import (
     prf1,
     slot_series,
 )
-from .rng import derive_rng, derive_seed_sequence
+from .rng import derive_rng, derive_seed, derive_seed_sequence
 from .splits import (
     RatioSpec,
     SplitSpec,
@@ -78,12 +72,7 @@ __all__ = [
     "LinearSGDClassifier",
     "ModelOutputError",
     "TrainedModel",
-    "confidence",
-    "load_model",
-    "predict",
     "predict_dataset",
-    "save_model",
-    "score",
     "score_dataset",
     "DatasetSummary",
     "LabeledDataset",
@@ -97,7 +86,6 @@ __all__ = [
     "CostLedger",
     "DelayPolicy",
     "DelayRunResult",
-    "rejection_threshold",
     "run_policy",
     "select_uncertain",
     "Confusion",
@@ -112,6 +100,7 @@ __all__ = [
     "prf1",
     "slot_series",
     "derive_rng",
+    "derive_seed",
     "derive_seed_sequence",
     "RatioSpec",
     "SplitSpec",

@@ -11,7 +11,8 @@ k-nearest-neighbour voter with deterministic id tie-breaking.
 from __future__ import annotations
 
 import abc
-import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -21,7 +22,6 @@ from .dataset import LabeledDataset
 from .rng import derive_rng
 
 __all__ = [
-    "ModelMeta",
     "TrainedModel",
     "Classifier",
     "LinearSGDClassifier",
@@ -30,18 +30,11 @@ __all__ = [
     "KNNModel",
     "SingleClassTrainingError",
     "ModelOutputError",
-    "score",
-    "predict",
-    "confidence",
     "score_rows",
     "score_dataset",
     "predict_dataset",
     "logistic_loss_and_grad",
-    "save_model",
-    "load_model",
 ]
-
-MODEL_FORMAT_VERSION = 1
 
 
 class SingleClassTrainingError(ValueError):
@@ -52,47 +45,17 @@ class ModelOutputError(ValueError):
     """A model returned something other than one finite score in [0, 1] per row."""
 
 
-@dataclass(frozen=True)
-class ModelMeta:
-    """Provenance recorded at fit time."""
-
-    train_ratio: float
-    n_samples: int
-    seed: int
-
-
 class TrainedModel(abc.ABC):
     """Immutable fitted model; scoring is reentrant and thread-safe."""
-
-    meta: ModelMeta
 
     @abc.abstractmethod
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Posterior probability of the positive class per row, in [0, 1]."""
 
-    @abc.abstractmethod
-    def to_dict(self) -> dict: ...
-
-    def score_one(self, features: np.ndarray) -> float:
-        return float(self.scores(np.asarray(features, dtype=float)[None, :])[0])
-
 
 @runtime_checkable
 class Classifier(Protocol):
     def fit(self, train: LabeledDataset, seed: int) -> TrainedModel: ...
-
-
-def score(model: TrainedModel, features: np.ndarray) -> float:
-    return model.score_one(features)
-
-
-def predict(model: TrainedModel, features: np.ndarray) -> int:
-    return 1 if score(model, features) >= 0.5 else 0
-
-
-def confidence(model: TrainedModel, features: np.ndarray) -> float:
-    """Distance of the score from maximal uncertainty: |score - 0.5| in [0, 0.5]."""
-    return abs(score(model, features) - 0.5)
 
 
 def score_rows(model: TrainedModel, features: np.ndarray) -> np.ndarray:
@@ -131,6 +94,20 @@ def _require_both_classes(train: LabeledDataset) -> None:
         )
 
 
+def _is_number(value: object, integral: bool) -> bool:
+    """A finite real (an int if ``integral``); bools and strings are not numbers."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_param(name: str, value: object, integral: bool = False, zero_ok: bool = False) -> None:
+    """Reject a hyperparameter that is not a number above zero (or at zero, if allowed)."""
+    if not _is_number(value, integral) or not (value >= 0 if zero_ok else value > 0):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {sign} {'integer' if integral else 'number'}, "
+                         f"got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Logistic-loss linear model
 # ---------------------------------------------------------------------------
@@ -166,24 +143,14 @@ def logistic_loss_and_grad(
 
 
 class LinearModel(TrainedModel):
-    def __init__(self, w: np.ndarray, b: float, meta: ModelMeta) -> None:
+    def __init__(self, w: np.ndarray, b: float) -> None:
         self.w = np.asarray(w, dtype=float).copy()
         self.w.setflags(write=False)
         self.b = float(b)
-        self.meta = meta
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         s = _sigmoid(np.asarray(features, dtype=float) @ self.w + self.b)
         return np.clip(s, 0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "linear_sgd",
-            "w": self.w.tolist(),
-            "b": self.b,
-            "meta": vars(self.meta),
-        }
 
 
 @dataclass(frozen=True)
@@ -208,6 +175,12 @@ class LinearSGDClassifier:
     l2: float = 1e-4
     batch_size: int = 64
 
+    def __post_init__(self) -> None:
+        _check_param("learning_rate", self.learning_rate)
+        _check_param("epochs", self.epochs, integral=True)
+        _check_param("l2", self.l2, zero_ok=True)
+        _check_param("batch_size", self.batch_size, integral=True)
+
     def fit(self, train: LabeledDataset, seed: int) -> LinearModel:
         _require_both_classes(train)
         X = train.features
@@ -228,8 +201,7 @@ class LinearSGDClassifier:
                 w -= self.learning_rate * (Xb.T @ resid / m + self.l2 * w)
                 # np.mean is this same reduction followed by the same division.
                 b -= self.learning_rate * (float(np.add.reduce(resid)) / m)
-        meta = ModelMeta(train.positive_ratio, n, seed)
-        return LinearModel(w, b, meta)
+        return LinearModel(w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +221,9 @@ class KNNModel(TrainedModel):
         labels: np.ndarray,
         ids: tuple[str, ...],
         k: int,
-        meta: ModelMeta,
     ) -> None:
         self._X = np.asarray(features, dtype=float)
         self._y = np.asarray(labels, dtype=np.int64)
-        self._ids = ids
         # Lexicographic rank of each training id; breaks distance ties.
         order = sorted(range(len(ids)), key=lambda i: ids[i])
         self._id_rank = np.empty(len(ids), dtype=np.int64)
@@ -261,7 +231,6 @@ class KNNModel(TrainedModel):
         self._sq_norms = np.einsum("ij,ij->i", self._X, self._X)
         self._max_norm = float(np.sqrt(self._sq_norms.max(initial=0.0)))
         self.k = k
-        self.meta = meta
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Positive fraction among each row's k nearest training points.
@@ -313,17 +282,6 @@ class KNNModel(TrainedModel):
         votes = np.bincount(row[keep], weights=self._y[col[keep]], minlength=len(Q))
         return votes / k
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "knn",
-            "k": self.k,
-            "ids": list(self._ids),
-            "labels": self._y.tolist(),
-            "features": self._X.tolist(),
-            "meta": vars(self.meta),
-        }
-
 
 @dataclass(frozen=True)
 class KNNClassifier:
@@ -331,40 +289,12 @@ class KNNClassifier:
 
     k: int = 5
 
+    def __post_init__(self) -> None:
+        if not _is_number(self.k, integral=True) or self.k < 1 or self.k % 2 == 0:
+            raise ValueError(f"k must be a positive odd integer, got {self.k!r}")
+
     def fit(self, train: LabeledDataset, seed: int) -> KNNModel:
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"k must be a positive odd integer, got {self.k}")
         if self.k > len(train):
             raise ValueError(f"k={self.k} exceeds training size {len(train)}")
-        meta = ModelMeta(train.positive_ratio, len(train), seed)
-        return KNNModel(train.features, train.labels, train.ids, self.k, meta)
+        return KNNModel(train.features, train.labels, train.ids, self.k)
 
-
-# ---------------------------------------------------------------------------
-# Serialization (JSON, versioned; not bit-exact across format versions)
-# ---------------------------------------------------------------------------
-
-
-def save_model(model: TrainedModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh)
-
-
-def load_model(path: str) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    version = blob.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    meta = ModelMeta(**blob["meta"])
-    if blob["kind"] == "linear_sgd":
-        return LinearModel(np.array(blob["w"]), blob["b"], meta)
-    if blob["kind"] == "knn":
-        return KNNModel(
-            np.array(blob["features"]),
-            np.array(blob["labels"]),
-            tuple(blob["ids"]),
-            blob["k"],
-            meta,
-        )
-    raise ValueError(f"unknown model kind {blob['kind']!r}")

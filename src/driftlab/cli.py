@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier, ModelOutputError
-from .dataset import LabeledDataset, Period, load_dataset, write_csv, write_jsonl
+from .dataset import LabeledDataset, load_dataset, write_csv, write_jsonl
 from .delay import (
     ConstraintViolationError,
     DelayPolicy,
@@ -65,7 +65,7 @@ from .metrics import (
     stratified_folds,
     write_curves_csv,
 )
-from .rng import derive_rng
+from .rng import derive_rng, derive_seed
 from .splits import (
     EmptySlotError,
     InsufficientSpanError,
@@ -133,6 +133,26 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _section(name: str, build):
+    """``build()``, with a malformed config section reported as ``bad <name>``."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from None
+
+
+def _drift_spec(**fields) -> DriftSpec:
+    if "start" in fields:
+        fields["start"] = date.fromisoformat(fields["start"])
+    return DriftSpec(**fields)
+
+
+def _delay_policies(al_budget=None, **fields) -> tuple[DelayPolicy, ...]:
+    """One policy per budget when ``al_budget`` is a list."""
+    budgets = al_budget if isinstance(al_budget, list) else [al_budget]
+    return tuple(DelayPolicy(al_budget=b, **fields) for b in budgets)
+
+
 def parse_config(blob: dict) -> ExperimentConfig:
     """Validate and materialize a config dict (see README for the schema)."""
     _require(isinstance(blob, dict), "config root must be an object")
@@ -157,69 +177,30 @@ def parse_config(blob: dict) -> ExperimentConfig:
     _require(has_path != has_synth, "dataset needs exactly one of 'path' or 'synthetic'")
     synthetic = None
     if has_synth:
-        try:
-            synth = dict(ds["synthetic"])
-            if "start" in synth:
-                synth["start"] = date.fromisoformat(synth["start"])
-            synthetic = DriftSpec(**synth)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad dataset.synthetic: {exc}") from None
+        synthetic = _section("dataset.synthetic", lambda: _drift_spec(**ds["synthetic"]))
 
     sp = blob.get("split")
     _require(isinstance(sp, dict), "config needs a 'split' object")
-    try:
-        split = SplitSpec(
-            train_window=Period.parse(sp["train_window"]),
-            test_window=Period.parse(sp["test_window"]),
-            slot_width=Period.parse(sp["slot_width"]),
-            origin=date.fromisoformat(sp["origin"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad split: {exc}") from None
-
-    try:
-        ratios = RatioSpec(**blob.get("ratios", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ratios: {exc}") from None
+    split = _section("split", lambda: SplitSpec.from_dict(sp))
+    ratios = _section("ratios", lambda: RatioSpec(**blob.get("ratios", {})))
 
     clf_blob = blob.get("classifier", {"kind": "linear_sgd"})
     _require(isinstance(clf_blob, dict) and "kind" in clf_blob, "classifier needs a 'kind'")
     kind = clf_blob["kind"]
+    _require(kind in ("linear_sgd", "knn"), f"unknown classifier kind {kind!r}")
+    make = LinearSGDClassifier if kind == "linear_sgd" else KNNClassifier
     params = {k: v for k, v in clf_blob.items() if k != "kind"}
-    try:
-        if kind == "linear_sgd":
-            classifier: Classifier = LinearSGDClassifier(**params)
-        elif kind == "knn":
-            classifier = KNNClassifier(**params)
-        else:
-            raise ConfigError(f"unknown classifier kind {kind!r}")
-    except TypeError as exc:
-        raise ConfigError(f"bad classifier params: {exc}") from None
+    classifier: Classifier = _section("classifier", lambda: make(**params))
 
     scenario = blob.get("scenario", "realistic")
     _require(scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}")
 
     tuning = None
     if "tuning" in blob:
-        try:
-            tuning = TuningConfig(**blob["tuning"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tuning: {exc}") from None
-
-    policies: list[DelayPolicy] = []
+        tuning = _section("tuning", lambda: TuningConfig(**blob["tuning"]))
+    policies: tuple[DelayPolicy, ...] = ()
     if "delay" in blob:
-        d = dict(blob["delay"])
-        budgets = d.pop("al_budget", None)
-        try:
-            if isinstance(budgets, list):
-                for b in budgets:
-                    policies.append(DelayPolicy(al_budget=b, **d))
-            elif budgets is not None:
-                policies.append(DelayPolicy(al_budget=budgets, **d))
-            else:
-                policies.append(DelayPolicy(**d))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad delay: {exc}") from None
+        policies = _section("delay", lambda: _delay_policies(**blob["delay"]))
     _require(
         not (scenario == "bias_grid" and policies),
         "bias_grid does not combine with a delay policy",
@@ -250,7 +231,7 @@ def parse_config(blob: dict) -> ExperimentConfig:
         classifier_echo=dict(clf_blob),
         scenario=scenario,
         tuning=tuning,
-        delay_policies=tuple(policies),
+        delay_policies=policies,
         seeds=tuple(seeds),
         output_dir=out,
         kfold_k=kfold_k,
@@ -265,15 +246,11 @@ def parse_config(blob: dict) -> ExperimentConfig:
 
 def _dataset_for_seed(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     if cfg.synthetic is not None:
-        return generate(cfg.synthetic, seed=int(derive_rng(seed, "dataset").integers(2**31)))
+        return generate(cfg.synthetic, seed=derive_seed(seed, "dataset"))
     try:
         return load_dataset(cfg.dataset_path, cfg.dataset_format)
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {cfg.dataset_path}") from None
-
-
-def _fit_seed(seed: int, *labels) -> int:
-    return int(derive_rng(seed, *labels).integers(2**31))
 
 
 def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:
@@ -321,24 +298,25 @@ def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed
     """Time-blind stratified k-fold with the ratios enforced per fold on both sides."""
     folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
     for i, (train_idx, test_idx) in enumerate(folds):
-        train = enforce_ratio(d.subset(train_idx), ratios.phi, seed=_fit_seed(seed, "bk", "tr", i))
-        test = enforce_ratio(d.subset(test_idx), ratios.delta, seed=_fit_seed(seed, "bk", "ts", i))
-        yield train, [test], _fit_seed(seed, "bk", "fit", i)
+        train_seed, test_seed = derive_seed(seed, "bk", "tr", i), derive_seed(seed, "bk", "ts", i)
+        train = enforce_ratio(d.subset(train_idx), ratios.phi, seed=train_seed)
+        test = enforce_ratio(d.subset(test_idx), ratios.delta, seed=test_seed)
+        yield train, [test], derive_seed(seed, "bk", "fit", i)
 
 
 def _past_testing_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
     train, slots = past_testing_split(d, cfg.split, ratios, seed)
-    return [(train, slots, _fit_seed(seed, "past", "fit"))]
+    return [(train, slots, derive_seed(seed, "past", "fit"))]
 
 
 def _disjoint_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
     train, test = disjoint_class_split(d, cfg.split, ratios, seed)
-    return [(train, [test], _fit_seed(seed, "disjoint", "fit"))]
+    return [(train, [test], derive_seed(seed, "disjoint", "fit"))]
 
 
 def _realistic_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
     split = time_aware_split(d, cfg.split, ratios, seed)
-    return [(split.train, split.test_slots, _fit_seed(seed, "realistic", "fit"))]
+    return [(split.train, split.test_slots, derive_seed(seed, "realistic", "fit"))]
 
 
 BIAS_GRID_ROWS = {
@@ -529,12 +507,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             if cfg.synthetic is None
             else {"synthetic": {**{k: str(v) if isinstance(v, date) else v for k, v in vars(cfg.synthetic).items()}}}
         ),
-        "split": {
-            "origin": cfg.split.origin.isoformat(),
-            "train_window": str(cfg.split.train_window),
-            "test_window": str(cfg.split.test_window),
-            "slot_width": str(cfg.split.slot_width),
-        },
+        "split": cfg.split.as_dict(),
         "ratios": vars(cfg.ratios),
         "classifier": cfg.classifier_echo,
         "scenario": cfg.scenario,
@@ -621,11 +594,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     try:
         with open(args.manifest, encoding="utf-8") as fh:
-            split = split_from_manifest(json.load(fh))
+            split = _section("manifest", lambda: split_from_manifest(json.load(fh)))
     except FileNotFoundError:
         raise ConfigError(f"manifest not found: {args.manifest}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad manifest: {exc}") from None
     verdicts = run_all_checks(split)
     report = {k: v.as_dict() for k, v in verdicts.items()}
     text = json.dumps(report, sort_keys=True, indent=2)

@@ -39,8 +39,8 @@ from .metrics import (
     aut,
     point_estimates,
 )
-from .rng import derive_rng
-from .splits import SplitSpec, TemporalSplit, enforce_ratio, run_all_checks
+from .rng import derive_seed
+from .splits import TemporalSplit, enforce_ratio, run_all_checks
 from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "initial_model",
     "run_policy",
     "select_uncertain",
-    "rejection_threshold",
     "write_delay_summary_csv",
     "write_delay_slots_csv",
 ]
@@ -141,13 +140,8 @@ def _predicted_class_probs(model: TrainedModel, d: LabeledDataset) -> tuple[np.n
     return np.maximum(s, 1.0 - s), pred
 
 
-def rejection_threshold(model: TrainedModel, validation: LabeledDataset) -> float:
-    """Q3 (linear interpolation) of predicted-class probabilities of mistakes."""
-    probs, pred = _predicted_class_probs(model, validation)
-    return _mistake_q3(probs[pred != validation.labels])
-
-
 def _mistake_q3(wrong: np.ndarray) -> float:
+    """Q3 (linear interpolation) of the mistakes' predicted-class probabilities."""
     if len(wrong) == 0:
         raise NoMisclassificationError(
             "no misclassified validation sample; rejection threshold undefined"
@@ -163,7 +157,7 @@ def _al_count(budget: float, slot_size: int) -> int:
 
 def initial_model(split: TemporalSplit, clf: Classifier, seed: int) -> TrainedModel:
     """The model that scores slot 0 under every policy for this seed."""
-    return clf.fit(split.train, int(derive_rng(seed, "delay", "fit", 0).integers(2**31)))
+    return clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
 
 
 def run_policy(
@@ -199,9 +193,7 @@ def run_policy(
     wrong_probs_pool: list[float] = []
     if policy.kind == "rejection":
         proper, val_slots, _ = proper_validation_cut(split.train, split.spec, cfg, seed)
-        thresh_model = clf.fit(
-            proper, int(derive_rng(seed, "delay", "reject_fit").integers(2**31))
-        )
+        thresh_model = clf.fit(proper, derive_seed(seed, "delay", "reject_fit"))
         val_pool = concat(val_slots)
         val_probs, val_pred = _predicted_class_probs(thresh_model, val_pool)
         val_wrong = val_probs[val_pred != val_pool.labels]
@@ -258,19 +250,15 @@ def run_policy(
                 width = split.spec.slot_width
                 grown = width.scaled(split.spec.train_window.slots_of(width) + i + 1)
                 spec_i = replace(split.spec, train_window=grown)
-                result = tune_phi(
-                    pool, clf, cfg, spec_i, int(derive_rng(seed, "delay", "retune", i).integers(2**31))
-                )
+                result = tune_phi(pool, clf, cfg, spec_i, derive_seed(seed, "delay", "retune", i))
                 tuned_phis.append(result.phi_star)
                 fit_pool = enforce_ratio(
                     pool,
                     result.phi_star,
                     "random",
-                    seed=int(derive_rng(seed, "delay", "retune_ratio", i).integers(2**63)),
+                    seed=derive_seed(seed, "delay", "retune_ratio", i, bound=2**63),
                 )
-            model = clf.fit(
-                fit_pool, int(derive_rng(seed, "delay", "fit", i + 1).integers(2**31))
-            )
+            model = clf.fit(fit_pool, derive_seed(seed, "delay", "fit", i + 1))
 
     if policy.kind == "active_learning" and all(c == 0 for c in per_slot_labeled):
         _warnings.warn("active-learning budget rounded to zero for every slot")

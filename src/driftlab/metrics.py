@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import Classifier, TrainedModel, predict_dataset
 from .dataset import LabeledDataset
-from .rng import derive_rng
+from .rng import derive_rng, derive_seed
 
 __all__ = [
     "Confusion",
@@ -253,7 +253,7 @@ def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldRe
     for i, (train_idx, test_idx) in enumerate(
         stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
     ):
-        model = clf.fit(d.subset(train_idx), derive_rng(seed, "kfold", "fit", i).integers(2**31))
+        model = clf.fit(d.subset(train_idx), derive_seed(seed, "kfold", "fit", i))
         scores.append(prf1(confusion_counts(model, d.subset(test_idx)))[2])
     arr = np.array(scores)
     return KFoldResult(float(arr.mean()), float(arr.std()), tuple(scores))

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed_sequence", "derive_rng"]
+__all__ = ["derive_seed_sequence", "derive_rng", "derive_seed"]
 
 
 def _fold(label: object) -> int:
@@ -29,3 +29,8 @@ def derive_seed_sequence(seed: int, *labels: object) -> np.random.SeedSequence:
 def derive_rng(seed: int, *labels: object) -> np.random.Generator:
     """PCG64 generator for the stream named by ``labels`` under ``seed``."""
     return np.random.default_rng(derive_seed_sequence(seed, *labels))
+
+
+def derive_seed(seed: int, *labels: object, bound: int = 2**31) -> int:
+    """Integer seed in ``[0, bound)`` drawn from the stream named by ``labels``."""
+    return int(derive_rng(seed, *labels).integers(bound))

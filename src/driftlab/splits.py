@@ -18,7 +18,7 @@ nothing is ever synthesized. All randomness is seeded through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Literal, Sequence
 
@@ -33,7 +33,7 @@ from .dataset import (
     iso_dates,
     slot_edges,
 )
-from .rng import derive_rng
+from .rng import derive_rng, derive_seed
 
 __all__ = [
     "SplitSpec",
@@ -94,6 +94,25 @@ class SplitSpec:
 
     def test_slot_starts(self) -> tuple[date, ...]:
         return tuple(self.test_slot_start(k) for k in range(self.n_test_slots))
+
+    def as_dict(self) -> dict:
+        """The JSON form shared by configs, their echo and split manifests."""
+        return {
+            "origin": self.origin.isoformat(),
+            "train_window": str(self.train_window),
+            "test_window": str(self.test_window),
+            "slot_width": str(self.slot_width),
+        }
+
+    @classmethod
+    def from_dict(cls, blob: dict) -> "SplitSpec":
+        """Inverse of :meth:`as_dict`; every key is required."""
+        return cls(
+            train_window=Period.parse(blob["train_window"]),
+            test_window=Period.parse(blob["test_window"]),
+            slot_width=Period.parse(blob["slot_width"]),
+            origin=date.fromisoformat(blob["origin"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -231,15 +250,15 @@ def time_aware_split(
     """
     _require_span(d, spec)
     train_pool = _two_class_window(d, spec.origin, spec.test_origin, "training window")
-    train = enforce_ratio(train_pool, ratios.phi, "random", seed=_child(seed, "train"))
+    train_seed = derive_seed(seed, "split", "train", bound=2**63)
+    train = enforce_ratio(train_pool, ratios.phi, "random", seed=train_seed)
 
     slots = []
     for k in range(spec.n_test_slots):
         lo = spec.test_slot_start(k)
         slot_pool = _two_class_window(d, lo, add_period(lo, spec.slot_width), f"test slot {k}")
-        slots.append(
-            enforce_ratio(slot_pool, ratios.delta, "random", seed=_child(seed, "test", k))
-        )
+        slot_seed = derive_seed(seed, "split", "test", k, bound=2**63)
+        slots.append(enforce_ratio(slot_pool, ratios.delta, "random", seed=slot_seed))
     return TemporalSplit(train, tuple(slots), spec, ratios)
 
 
@@ -257,12 +276,12 @@ def past_testing_split(
     train_start = add_period(spec.origin, spec.test_window)
     train_end = add_period(train_start, spec.train_window)
     train_pool = _two_class_window(d, train_start, train_end, "training window")
-    train = enforce_ratio(train_pool, ratios.phi, seed=_seed31(seed, "past", "train"))
+    train = enforce_ratio(train_pool, ratios.phi, seed=derive_seed(seed, "past", "train"))
     slots = []
     for k in range(spec.n_test_slots):
         lo = add_period(spec.origin, spec.slot_width, k)
         hi = add_period(spec.origin, spec.slot_width, k + 1)
-        slot_seed = _seed31(seed, "past", "slot", k)
+        slot_seed = derive_seed(seed, "past", "slot", k)
         slot_pool = _two_class_window(d, lo, hi, f"test slot {k}")
         slots.append(enforce_ratio(slot_pool, ratios.delta, seed=slot_seed))
     return train, tuple(slots)
@@ -292,9 +311,9 @@ def disjoint_class_split(
         return concat([early.subset(pos_idx), late.subset(neg_idx)])
 
     train_pool = classed_window(spec.origin, spec.train_window)
-    train = enforce_ratio(train_pool, ratios.phi, seed=_seed31(seed, "disjoint", "train"))
+    train = enforce_ratio(train_pool, ratios.phi, seed=derive_seed(seed, "disjoint", "train"))
     test_pool = classed_window(spec.test_origin, spec.test_window)
-    test = enforce_ratio(test_pool, ratios.delta, seed=_seed31(seed, "disjoint", "test"))
+    test = enforce_ratio(test_pool, ratios.delta, seed=derive_seed(seed, "disjoint", "test"))
     return train, test
 
 
@@ -312,14 +331,6 @@ def _two_class_window(d: LabeledDataset, lo: date, hi: date, what: str) -> Label
     if pool.n_positive == 0 or pool.n_negative == 0:
         raise EmptySlotError(f"{what} ([{lo}, {hi})) lacks one class")
     return pool
-
-
-def _child(seed: int, *labels) -> int:
-    return int(derive_rng(seed, "split", *labels).integers(2**63))
-
-
-def _seed31(seed: int, *labels) -> int:
-    return int(derive_rng(seed, *labels).integers(2**31))
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +450,16 @@ def split_to_manifest(split: TemporalSplit) -> dict:
 
     return {
         "manifest_version": MANIFEST_VERSION,
-        "spec": {
-            "origin": split.spec.origin.isoformat(),
-            "train_window": str(split.spec.train_window),
-            "test_window": str(split.spec.test_window),
-            "slot_width": str(split.spec.slot_width),
-        },
-        "ratios": {
-            "sigma_hat": split.ratios.sigma_hat,
-            "phi": split.ratios.phi,
-            "delta": split.ratios.delta,
-            "per_slot_tolerance": split.ratios.per_slot_tolerance,
-        },
+        "spec": split.spec.as_dict(),
+        "ratios": dict(vars(split.ratios)),
         "train": rows(split.train),
         "test_slots": [rows(s) for s in split.test_slots],
     }
 
 
 def split_from_manifest(blob: dict) -> TemporalSplit:
+    if not isinstance(blob, dict):
+        raise ValueError("manifest must be a JSON object")
     if blob.get("manifest_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {blob.get('manifest_version')!r}")
 
@@ -468,21 +471,10 @@ def split_from_manifest(blob: dict) -> TemporalSplit:
             np.zeros((len(rows), 0)),
         )
 
-    spec = SplitSpec(
-        train_window=Period.parse(blob["spec"]["train_window"]),
-        test_window=Period.parse(blob["spec"]["test_window"]),
-        slot_width=Period.parse(blob["spec"]["slot_width"]),
-        origin=date.fromisoformat(blob["spec"]["origin"]),
-    )
-    ratios = RatioSpec(
-        sigma_hat=blob["ratios"]["sigma_hat"],
-        phi=blob["ratios"]["phi"],
-        delta=blob["ratios"]["delta"],
-        per_slot_tolerance=blob["ratios"]["per_slot_tolerance"],
-    )
+    ratios = RatioSpec(**{f.name: blob["ratios"][f.name] for f in fields(RatioSpec)})
     return TemporalSplit(
         dataset(blob["train"]),
         tuple(dataset(rows) for rows in blob["test_slots"]),
-        spec,
+        SplitSpec.from_dict(blob["spec"]),
         ratios,
     )

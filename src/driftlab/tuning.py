@@ -32,7 +32,7 @@ import numpy as np
 from .classifiers import Classifier, score_rows
 from .dataset import EmptySlotError, LabeledDataset, add_period
 from .metrics import aut, error_rate, point_estimates, slot_series
-from .rng import derive_rng
+from .rng import derive_seed
 from .splits import SplitSpec, enforce_ratio
 
 __all__ = [
@@ -151,14 +151,8 @@ def proper_validation_cut(
         slot = train.between(lo, hi)
         if slot.n_positive == 0 or slot.n_negative == 0:
             raise EmptySlotError(f"validation slot {k} ([{lo}, {hi})) lacks one class")
-        slots.append(
-            enforce_ratio(
-                slot,
-                cfg.sigma_hat,
-                "random",
-                seed=int(derive_rng(seed, "tuning", "val", k).integers(2**63)),
-            )
-        )
+        val_seed = derive_seed(seed, "tuning", "val", k, bound=2**63)
+        slots.append(enforce_ratio(slot, cfg.sigma_hat, "random", seed=val_seed))
         starts.append(lo)
     return proper, tuple(slots), tuple(starts)
 
@@ -178,7 +172,7 @@ def tune_phi(
     the ceiling.
     """
     proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed)
-    scorer = clf.fit(proper, int(derive_rng(seed, "tuning", "scorer").integers(2**31)))
+    scorer = clf.fit(proper, derive_seed(seed, "tuning", "scorer"))
     # Each class is scored once, as the same row block enforce_ratio would
     # cut from it, and the confidences serve every grid point.
     confidence = np.empty(len(proper))
@@ -193,11 +187,11 @@ def tune_phi(
             phi,
             "uncertainty_prioritized",
             confidence=confidence,
-            seed=int(derive_rng(seed, "tuning", "downsample", j).integers(2**63)),
+            seed=derive_seed(seed, "tuning", "downsample", j, bound=2**63),
         )
         if downsampled.n_positive == 0 or downsampled.n_negative == 0:
             raise EmptySlotError(f"proper-training pool single-class at phi={phi}")
-        model = clf.fit(downsampled, int(derive_rng(seed, "tuning", "fit", j).integers(2**31)))
+        model = clf.fit(downsampled, derive_seed(seed, "tuning", "fit", j))
         series = slot_series(model, val_slots, starts)
         area = aut(point_estimates(series, cfg.target))
         evaluations.append((phi, area, error_rate(series.pooled(), cfg.target)))

@@ -10,17 +10,12 @@ from driftlab.classifiers import (
     KNNClassifier,
     KNNModel,
     LinearSGDClassifier,
-    ModelMeta,
     ModelOutputError,
     SingleClassTrainingError,
     TrainedModel,
     _sigmoid,
-    confidence,
-    load_model,
     logistic_loss_and_grad,
     predict_dataset,
-    save_model,
-    score,
     score_dataset,
 )
 from driftlab.dataset import LabeledDataset
@@ -91,12 +86,29 @@ class TestLinearSGD:
         s = model.scores(np.array([[1e6, 1e6], [-1e6, -1e6]]))
         assert np.all((s >= 0.0) & (s <= 1.0))
 
-    def test_meta_recorded(self):
-        d = blob_dataset(80, 20, seed=4)
-        model = LinearSGDClassifier().fit(d, seed=9)
-        assert model.meta.n_samples == 100
-        assert model.meta.seed == 9
-        assert model.meta.train_ratio == pytest.approx(0.2)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"epochs": "5"},
+            {"epochs": 0},
+            {"epochs": 2.0},
+            {"batch_size": True},
+            {"batch_size": 0},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": "0.1"},
+            {"l2": -1e-4},
+            {"l2": float("inf")},
+        ],
+        ids=repr,
+    )
+    def test_bad_params_rejected_at_construction(self, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            LinearSGDClassifier(**params)
+
+    def test_zero_l2_and_integer_rate_accepted(self):
+        clf = LinearSGDClassifier(learning_rate=1, l2=0)
+        assert (clf.learning_rate, clf.l2) == (1, 0)
 
 
 def two_branch_sigmoid(z):
@@ -188,25 +200,24 @@ class TestKNN:
     def test_query_on_training_point(self):
         d = tiny_dataset([[0.0, 0.0], [5.0, 5.0]], [0, 1])
         model = KNNClassifier(k=1).fit(d, seed=0)
-        assert score(model, np.array([5.0, 5.0])) == 1.0
-        assert score(model, np.array([0.0, 0.0])) == 0.0
+        assert model.scores(np.array([[5.0, 5.0], [0.0, 0.0]])).tolist() == [1.0, 0.0]
 
     def test_equidistant_tie_broken_by_smaller_id(self):
         d = tiny_dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0], ids=["b", "a"])
         model = KNNClassifier(k=1).fit(d, seed=0)
         # Query at the origin: both neighbours at distance 1; "a" wins.
-        assert score(model, np.array([0.0, 0.0])) == 0.0
+        assert model.scores(np.array([[0.0, 0.0]])).tolist() == [0.0]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)
         d = tiny_dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, size=50).tolist())
         model = KNNClassifier(k=3).fit(d, seed=0)
         queries = rng.normal(size=(20, 3))
-        for q in queries:
+        for q, got in zip(queries, model.scores(queries)):
             dist = np.array([float(((f - q) ** 2).sum()) for f in d.features])
             order = sorted(range(50), key=lambda i: (dist[i], d.ids[i]))
             expected = float(np.mean([d.labels[i] for i in order[:3]]))
-            assert score(model, q) == expected
+            assert got == expected
 
     def test_training_order_permutation_invariant(self):
         rng = np.random.default_rng(3)
@@ -219,6 +230,11 @@ class TestKNN:
         m2 = KNNClassifier(k=3).fit(d_shuffled, seed=0)
         q = rng.normal(size=(10, 2))
         np.testing.assert_array_equal(m1.scores(q), m2.scores(q))
+
+    @pytest.mark.parametrize("k", [2, -1, 0, "3", 3.0, True])
+    def test_bad_k_rejected_at_construction(self, k):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            KNNClassifier(k=k)
 
     def test_k_validation(self):
         d = tiny_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
@@ -280,7 +296,7 @@ class TestKNNExactness:
     @given(knn_cases())
     def test_equals_per_row_oracle(self, case):
         X, y, ids, k, Q = case
-        model = KNNModel(X, y, ids, k, ModelMeta(0.5, len(X), 0))
+        model = KNNModel(X, y, ids, k)
         got = model.scores(Q)
         expected = [knn_oracle(X, y, ids, k, q) for q in Q]
         assert got.tolist() == expected
@@ -295,9 +311,6 @@ class StubModel(TrainedModel):
 
     def scores(self, features):
         return self.out
-
-    def to_dict(self):
-        return {}
 
 
 class TestScoreGuard:
@@ -324,33 +337,3 @@ class TestScoreGuard:
         out = np.array([0.0, 0.5, 1.0])
         np.testing.assert_array_equal(score_dataset(StubModel(out), self.d), out)
 
-
-class TestConfidence:
-    @pytest.mark.parametrize("s,expected", [(0.5, 0.0), (0.9, 0.4), (0.15, 0.35)])
-    def test_values(self, s, expected):
-        class Fixed:
-            def score_one(self, features):
-                return s
-
-        assert confidence(Fixed(), np.array([0.0])) == pytest.approx(expected)
-
-
-class TestSerialization:
-    def test_linear_round_trip(self, tmp_path):
-        d = blob_dataset(40, 40, seed=8)
-        model = LinearSGDClassifier().fit(d, seed=1)
-        p = tmp_path / "m.json"
-        save_model(model, str(p))
-        back = load_model(str(p))
-        np.testing.assert_array_equal(back.w, model.w)
-        assert back.b == model.b
-        assert back.meta == model.meta
-
-    def test_knn_round_trip(self, tmp_path):
-        d = blob_dataset(20, 10, seed=8)
-        model = KNNClassifier(k=3).fit(d, seed=1)
-        p = tmp_path / "m.json"
-        save_model(model, str(p))
-        back = load_model(str(p))
-        q = np.array([[0.5, 0.5], [3.0, 3.0]])
-        np.testing.assert_array_equal(back.scores(q), model.scores(q))

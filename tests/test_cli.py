@@ -374,6 +374,32 @@ class TestCliVerbs:
         bad.write_text(json.dumps(blob))
         assert main(["audit", "--manifest", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "verb,corrupt",
+        [
+            ("audit", lambda manifest: []),
+            ("audit", lambda manifest: {**manifest, "train": 5}),
+            ("run", lambda cfg: {**cfg, "delay": "x"}),
+            ("run", lambda cfg: {**cfg, "split": {**cfg["split"], "origin": 5}}),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": "5"}}),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "knn", "k": "3"}}),
+        ],
+        ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
+             "sgd_epochs_str", "knn_k_str"],
+    )
+    def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt):
+        blob = base_config(tmp_path / "out", seeds=(0,))
+        if verb == "audit":
+            assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 0
+            manifest = json.loads((tmp_path / "out" / "split_manifest_seed0.json").read_text())
+            bad = tmp_path / "bad_manifest.json"
+            bad.write_text(json.dumps(corrupt(manifest)))
+            argv = ["audit", "--manifest", str(bad)]
+        else:
+            argv = ["run", "--config", self.write_config(tmp_path, corrupt(blob))]
+        assert main(argv) == 2
+        assert "config error: bad" in capsys.readouterr().err
+
     def test_bad_schema_exit_2(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {"dataset": {}})
         assert main(["run", "--config", cfg_path]) == 2

@@ -12,7 +12,8 @@ from driftlab.delay import (
     ConstraintViolationError,
     DelayPolicy,
     NoMisclassificationError,
-    rejection_threshold,
+    _mistake_q3,
+    _predicted_class_probs,
     run_policy,
     select_uncertain,
     write_delay_slots_csv,
@@ -53,9 +54,6 @@ class FixedScoreModel:
     def scores(self, features):
         return np.array([self.table[float(f[0])] for f in features])
 
-    def score_one(self, features):
-        return self.table[float(features[0])]
-
 
 def slot_of(score_table, labels=None):
     ids = sorted(score_table)
@@ -87,6 +85,12 @@ class TestSelectUncertain:
     def test_ranked_most_uncertain_first(self):
         d, model = slot_of({"a": 0.5, "b": 0.9, "c": 0.1, "d": 0.45})
         assert select_uncertain(model, d, 4) == ["a", "d", "b", "c"]
+
+
+def rejection_threshold(model, validation):
+    """Q3 of the mistakes' predicted-class probabilities, as run_policy computes it."""
+    probs, pred = _predicted_class_probs(model, validation)
+    return _mistake_q3(probs[pred != validation.labels])
 
 
 class TestRejectionThreshold:

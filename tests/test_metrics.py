@@ -156,6 +156,14 @@ class TestAut:
         hi = [max(a, b) for a, b in pairs]
         assert aut(curve(hi)) >= aut(curve(lo))
 
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_shift_adds_constant(self, data):
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+        c = data.draw(st.floats(-min(values), 1.0 - max(values)))
+        shifted = [min(max(v + c, 0.0), 1.0) for v in values]
+        assert aut(curve(shifted)) == pytest.approx(aut(curve(values)) + c, abs=1e-12)
+
     def test_cml_label(self):
         assert curve([0.5, 0.5], mode="cumulative").area_label == "AUT_cml"
         assert curve([0.5, 0.5]).area_label == "AUT"

@@ -3,6 +3,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.dataset import LabeledDataset, Period, add_period
 from driftlab.splits import (
@@ -124,6 +126,20 @@ class TestEnforceRatio:
             # Subset property and the rounding bound.
             assert set(out.ids) <= set(d.ids)
             assert abs(out.positive_ratio - t) <= 1.0 / len(out) + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.floats(0.01, 0.99),
+        st.sampled_from(["random", "uncertainty_prioritized"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_ratio_bound_property(self, n_neg, n_pos, target, mode, seed):
+        d = flat_dataset(n_neg, n_pos)
+        conf = np.random.default_rng(seed).uniform(0.0, 0.5, size=len(d))
+        out = enforce_ratio(d, target, mode, confidence=conf, seed=seed)
+        assert within_ratio_bound(out, target)
 
     def test_deterministic_given_seed(self):
         d = flat_dataset(150, 30)
@@ -459,3 +475,25 @@ class TestManifest:
             assert a.timestamps == b.timestamps
         for k, v in run_all_checks(back).items():
             assert v.passed, k
+
+    def test_split_spec_codec(self):
+        spec = SplitSpec(Period(days=90), Period(days=60), Period(days=30), date(2014, 1, 31))
+        blob = spec.as_dict()
+        assert blob == {
+            "origin": "2014-01-31",
+            "train_window": "90d",
+            "test_window": "60d",
+            "slot_width": "30d",
+        }
+        assert SplitSpec.from_dict(blob) == spec
+        del blob["slot_width"]
+        with pytest.raises(KeyError, match="slot_width"):
+            SplitSpec.from_dict(blob)
+
+    def test_manifest_missing_ratio_key_rejected(self):
+        d = monthly_dataset(10, 60, 12, seed=12)
+        spec = SplitSpec(Period(months=4), Period(months=6), Period(months=1), date(2014, 1, 1))
+        blob = json.loads(json.dumps(split_to_manifest(time_aware_split(d, spec, RatioSpec(), 0))))
+        del blob["ratios"]["phi"]
+        with pytest.raises(KeyError, match="phi"):
+            split_from_manifest(blob)
