@@ -15,12 +15,14 @@ Scenarios mirror the classic bias table, whose rows live in one table,
 ``kfold`` (time-blind stratified k-fold), ``past_testing`` (train on the
 latest window, test on the earliest — detecting the past) and
 ``disjoint_class_windows`` (classes drawn from non-overlapping periods).
-Each row yields folds of (train, test sets, fit seed) and is scored by
-the mean over folds of the pooled F1. ``bias_grid`` crosses the rows with
-the training/testing ratio cells (0.1, 0.1), (0.9, 0.1), (0.1, 0.9),
-(0.9, 0.9) in one task per (row, phi, seed), which fits each fold once for
-both deltas; ``past_testing`` and ``disjoint_class_windows`` run their row
-at the configured ratios. The standalone ``realistic`` scenario runs the
+Each row yields folds of raw sides (a window and its downsampling seed)
+and is scored by the mean over folds of the pooled F1. ``bias_grid``
+crosses the rows with the training/testing ratio cells (0.1, 0.1),
+(0.9, 0.1), (0.1, 0.9), (0.9, 0.9) in one task per (seed, row), which cuts
+each window once, downsamples the training side once per phi and each
+test side once per delta, and fits each fold once per phi;
+``past_testing`` and ``disjoint_class_windows`` are the same task with the
+single configured cell. The standalone ``realistic`` scenario runs the
 full pipeline (tuning, audit, decay curves, delay policies) and
 standalone ``kfold`` reports :func:`kfold_eval`, which keeps each fold's
 natural class ratio where the bias row enforces (phi, delta) per fold.
@@ -71,12 +73,13 @@ from .splits import (
     InsufficientSpanError,
     RatioSpec,
     SplitSpec,
-    disjoint_class_split,
+    disjoint_class_pools,
     enforce_ratio,
-    past_testing_split,
+    past_testing_pools,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
+    time_aware_pools,
     time_aware_split,
 )
 from .synthgen import DriftSpec, generate
@@ -206,9 +209,10 @@ def parse_config(blob: dict) -> ExperimentConfig:
         "bias_grid does not combine with a delay policy",
     )
 
+    # ``type(x) is int`` rather than isinstance: a JSON bool is an int subclass.
     seeds = blob.get("seeds", [0])
     _require(
-        isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
+        isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds),
         "seeds must be a non-empty list of integers",
     )
     _require(len(set(seeds)) == len(seeds), "seeds must be unique")
@@ -217,9 +221,9 @@ def parse_config(blob: dict) -> ExperimentConfig:
     _require(isinstance(out, str) and out, "config needs an 'output_dir' string")
 
     kfold_k = blob.get("kfold_k", 10)
-    _require(isinstance(kfold_k, int) and kfold_k >= 2, "kfold_k must be an int >= 2")
+    _require(type(kfold_k) is int and kfold_k >= 2, "kfold_k must be an int >= 2")
     workers = blob.get("workers", 1)
-    _require(isinstance(workers, int) and workers >= 1, "workers must be an int >= 1")
+    _require(type(workers) is int and workers >= 1, "workers must be an int >= 1")
 
     return ExperimentConfig(
         dataset_path=ds.get("path"),
@@ -288,71 +292,64 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The bias table. Each row turns (dataset, config, ratios, seed) into folds
-# of (train, test sets, fit seed); a cell scores the mean over folds of the
-# F1 pooled across the fold's test sets.
+# The bias table. Each row turns (dataset, config, seed) into folds of
+# (train side, test sides, fit seed), where a side is a window before ratio
+# enforcement and its downsampling seed; a cell scores the mean over folds
+# of the F1 pooled across the fold's test sets.
 # ---------------------------------------------------------------------------
 
 
-def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
-    """Time-blind stratified k-fold with the ratios enforced per fold on both sides."""
+def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, seed: int):
+    """Time-blind stratified k-fold, one fold's sides cut at a time."""
     folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
     for i, (train_idx, test_idx) in enumerate(folds):
-        train_seed, test_seed = derive_seed(seed, "bk", "tr", i), derive_seed(seed, "bk", "ts", i)
-        train = enforce_ratio(d.subset(train_idx), ratios.phi, seed=train_seed)
-        test = enforce_ratio(d.subset(test_idx), ratios.delta, seed=test_seed)
+        train = (d.subset(train_idx), derive_seed(seed, "bk", "tr", i))
+        test = (d.subset(test_idx), derive_seed(seed, "bk", "ts", i))
         yield train, [test], derive_seed(seed, "bk", "fit", i)
 
 
-def _past_testing_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
-    train, slots = past_testing_split(d, cfg.split, ratios, seed)
-    return [(train, slots, derive_seed(seed, "past", "fit"))]
-
-
-def _disjoint_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
-    train, test = disjoint_class_split(d, cfg.split, ratios, seed)
-    return [(train, [test], derive_seed(seed, "disjoint", "fit"))]
-
-
-def _realistic_row(d: LabeledDataset, cfg: ExperimentConfig, ratios: RatioSpec, seed: int):
-    split = time_aware_split(d, cfg.split, ratios, seed)
-    return [(split.train, split.test_slots, derive_seed(seed, "realistic", "fit"))]
+def _windowed_row(pools, label: str):
+    """The one-fold row of a :mod:`driftlab.splits` pool builder."""
+    return lambda d, cfg, seed: [(*pools(d, cfg.split, seed), derive_seed(seed, label, "fit"))]
 
 
 BIAS_GRID_ROWS = {
     "kfold": _kfold_row,
-    "past_testing": _past_testing_row,
-    "disjoint_class_windows": _disjoint_row,
-    "realistic": _realistic_row,
+    "past_testing": _windowed_row(past_testing_pools, "past"),
+    "disjoint_class_windows": _windowed_row(disjoint_class_pools, "disjoint"),
+    "realistic": _windowed_row(time_aware_pools, "realistic"),
 }
 
 
-def _bias_f1s(
-    cfg: ExperimentConfig, seed: int, row: str, phi: float, deltas: tuple[float, ...]
-) -> tuple[float, ...]:
-    """The row's mean-over-folds pooled F1 at each delta.
+def _bias_f1s(cfg: ExperimentConfig, seed: int, row: str) -> dict[tuple[float, float], float]:
+    """The row's mean-over-folds pooled F1 at each (phi, delta) cell.
 
-    Models are kept by (training ids, fit seed). No row's training sets or
-    fit seeds depend on delta, so each fold is fit once for all deltas.
+    The cells are the full grid for ``bias_grid``, else the configured one.
+    Per fold, each test side is downsampled once per delta and the
+    training side once per phi; each phi's model is fit once and scored
+    on every delta.
     """
-    d = _dataset_for_seed(cfg, seed)
-    models: dict = {}
-    f1s = []
-    for delta in deltas:
-        ratios = replace(cfg.ratios, phi=phi, delta=delta)
-        scores = []
-        for train, tests, fit_seed in BIAS_GRID_ROWS[row](d, cfg, ratios, seed):
-            key = (train.ids, fit_seed)
-            if key not in models:
-                models[key] = cfg.classifier.fit(train, fit_seed)
-            pooled = sum((confusion_counts(models[key], t) for t in tests), Confusion())
-            scores.append(prf1(pooled)[2])
-        f1s.append(float(np.mean(scores)))
-    return tuple(f1s)
+    phis = deltas = BIAS_GRID_RATIOS
+    if cfg.scenario != "bias_grid":
+        phis, deltas = (cfg.ratios.phi,), (cfg.ratios.delta,)
+    scores: dict[tuple[float, float], list[float]] = {(p, q): [] for p in phis for q in deltas}
+    folds = BIAS_GRID_ROWS[row](_dataset_for_seed(cfg, seed), cfg, seed)
+    for (train, train_seed), tests, fit_seed in folds:
+        test_sets = {q: [enforce_ratio(t, q, seed=s) for t, s in tests] for q in deltas}
+        for phi in phis:
+            model = cfg.classifier.fit(enforce_ratio(train, phi, seed=train_seed), fit_seed)
+            for delta in deltas:
+                pooled = sum((confusion_counts(model, t) for t in test_sets[delta]), Confusion())
+                scores[phi, delta].append(prf1(pooled)[2])
+    return {cell: float(np.mean(f1s)) for cell, f1s in scores.items()}
 
 
 def _execute_task(payload):
-    """Run one ``(scenario, seed)`` or ``("bias_row", seed, row, phi)`` task."""
+    """Run one ``(scenario, seed)`` task or one ``("bias_row", seed, row)`` task.
+
+    A bias row's task scores every (phi, delta) cell of the scenario (the
+    four-cell grid for ``bias_grid``, the configured cell otherwise).
+    """
     cfg, task = payload
     kind, seed = task[:2]
     if kind == "realistic":
@@ -360,10 +357,7 @@ def _execute_task(payload):
     if kind == "kfold":
         d = _dataset_for_seed(cfg, seed)
         return task, kfold_eval(d, cfg.classifier, cfg.kfold_k, seed).mean_f1
-    if kind == "bias_row":
-        row, phi = task[2:]
-        return task, _bias_f1s(cfg, seed, row, phi, BIAS_GRID_RATIOS)
-    return task, _bias_f1s(cfg, seed, kind, cfg.ratios.phi, (cfg.ratios.delta,))[0]
+    return task, _bias_f1s(cfg, seed, task[2])
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +434,8 @@ def _write_scalar_scenario(
 def _write_bias_grid(out: Path, gathered: dict) -> None:
     cells = {
         (row, phi, delta, seed): f1
-        for (_, seed, row, phi), f1s in gathered.items()
-        for delta, f1 in zip(BIAS_GRID_RATIOS, f1s)
+        for (_, seed, row), f1s in gathered.items()
+        for (phi, delta), f1 in f1s.items()
     }
     rows = []
     summary: dict[tuple[str, float, float], list[float]] = {}
@@ -469,15 +463,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.scenario == "bias_grid":
-        tasks = [
-            ("bias_row", seed, row, phi)
-            for row in BIAS_GRID_ROWS
-            for phi in BIAS_GRID_RATIOS
-            for seed in cfg.seeds
-        ]
-    else:
+    if cfg.scenario in ("realistic", "kfold"):
         tasks = [(cfg.scenario, seed) for seed in cfg.seeds]
+    else:
+        # Row-outer, so the big k-fold tasks start on different workers.
+        rows = BIAS_GRID_ROWS if cfg.scenario == "bias_grid" else (cfg.scenario,)
+        tasks = [("bias_row", seed, row) for row in rows for seed in cfg.seeds]
 
     payloads = [(cfg, t) for t in tasks]
     if cfg.workers > 1:
@@ -494,8 +485,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     elif cfg.scenario == "bias_grid":
         _write_bias_grid(out, gathered)
     else:
-        key = "mean_f1" if cfg.scenario == "kfold" else "pooled_f1"
-        by_seed = sorted((seed, gathered[(cfg.scenario, seed)]) for seed in cfg.seeds)
+        kfold = cfg.scenario == "kfold"
+        key, cell = ("mean_f1" if kfold else "pooled_f1"), (cfg.ratios.phi, cfg.ratios.delta)
+        by_seed = sorted((t[1], v if kfold else v[cell]) for t, v in gathered.items())
         _write_scalar_scenario(out, cfg.scenario, key, by_seed)
     return EXIT_OK
 

@@ -43,6 +43,11 @@ __all__ = [
     "InsufficientSpanError",
     "EmptySlotError",
     "UpsamplingRequiredError",
+    "Side",
+    "Pools",
+    "time_aware_pools",
+    "past_testing_pools",
+    "disjoint_class_pools",
     "time_aware_split",
     "past_testing_split",
     "disjoint_class_split",
@@ -236,67 +241,54 @@ def enforce_ratio(
 # ---------------------------------------------------------------------------
 
 
-def time_aware_split(
-    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
-) -> TemporalSplit:
-    """Carve the dataset into a C1/C2/C3-respecting train/test partition.
+# A window before ratio enforcement, with the seed that downsamples it; a
+# split's pools are its training side and its test sides.
+Side = tuple[LabeledDataset, int]
+Pools = tuple[Side, tuple[Side, ...]]
 
-    Training covers ``[origin, origin + W)`` downsampled to ratio phi; each
-    of the N = S/delta test slots is downsampled to ratio delta. Samples
-    outside the declared windows are dropped. The same (d, spec, ratios,
-    seed) always produces the identical split; the test side's random
-    streams do not depend on phi, so splits differing only in phi share
-    their test slots exactly.
+
+def time_aware_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
+    """The windows of :func:`time_aware_split`: training, then each test slot.
+
+    Training covers ``[origin, origin + W)``; test slot k covers
+    ``[start_k, start_k + delta)``. Each window must hold both classes.
     """
     _require_span(d, spec)
-    train_pool = _two_class_window(d, spec.origin, spec.test_origin, "training window")
-    train_seed = derive_seed(seed, "split", "train", bound=2**63)
-    train = enforce_ratio(train_pool, ratios.phi, "random", seed=train_seed)
-
+    train = _two_class_window(d, spec.origin, spec.test_origin, "training window")
     slots = []
     for k in range(spec.n_test_slots):
         lo = spec.test_slot_start(k)
-        slot_pool = _two_class_window(d, lo, add_period(lo, spec.slot_width), f"test slot {k}")
-        slot_seed = derive_seed(seed, "split", "test", k, bound=2**63)
-        slots.append(enforce_ratio(slot_pool, ratios.delta, "random", seed=slot_seed))
-    return TemporalSplit(train, tuple(slots), spec, ratios)
+        pool = _two_class_window(d, lo, add_period(lo, spec.slot_width), f"test slot {k}")
+        slots.append((pool, derive_seed(seed, "split", "test", k, bound=2**63)))
+    return (train, derive_seed(seed, "split", "train", bound=2**63)), tuple(slots)
 
 
-def past_testing_split(
-    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
-) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
-    """Mirrored split that breaks C1: train on the latest W, test on the earliest S.
+def past_testing_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
+    """The windows of :func:`past_testing_split`, mirrored in time.
 
-    Training covers ``[origin + S, origin + S + W)`` downsampled to phi;
-    test slot k covers ``[origin + k*delta, origin + (k+1)*delta)``
-    downsampled to delta, so the model is scored on detecting the past.
-    Returns ``(train, test_slots)``.
+    Training covers ``[origin + S, origin + S + W)``; test slot k covers
+    ``[origin + k*delta, origin + (k+1)*delta)``. Each must hold both classes.
     """
     _require_span(d, spec)
     train_start = add_period(spec.origin, spec.test_window)
     train_end = add_period(train_start, spec.train_window)
-    train_pool = _two_class_window(d, train_start, train_end, "training window")
-    train = enforce_ratio(train_pool, ratios.phi, seed=derive_seed(seed, "past", "train"))
+    train = _two_class_window(d, train_start, train_end, "training window")
     slots = []
     for k in range(spec.n_test_slots):
         lo = add_period(spec.origin, spec.slot_width, k)
         hi = add_period(spec.origin, spec.slot_width, k + 1)
-        slot_seed = derive_seed(seed, "past", "slot", k)
-        slot_pool = _two_class_window(d, lo, hi, f"test slot {k}")
-        slots.append(enforce_ratio(slot_pool, ratios.delta, seed=slot_seed))
-    return train, tuple(slots)
+        pool = _two_class_window(d, lo, hi, f"test slot {k}")
+        slots.append((pool, derive_seed(seed, "past", "slot", k)))
+    return (train, derive_seed(seed, "past", "train")), tuple(slots)
 
 
-def disjoint_class_split(
-    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split whose classes come from non-overlapping periods (the C2 pitfall).
+def disjoint_class_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
+    """The windows of :func:`disjoint_class_split`: training and one test window.
 
     The train window ``[origin, origin + W)`` and the test window
     ``[origin + W, origin + W + S)`` are each cut at their middle slot
     boundary; each keeps only the positives before its cut and only the
-    negatives from the cut on, then is downsampled to phi (train) or
-    delta (test). Returns ``(train, test)``.
+    negatives from the cut on.
     """
     _require_span(d, spec)
 
@@ -310,10 +302,61 @@ def disjoint_class_split(
             raise EmptySlotError(f"disjoint windows left the period from {start} single-class")
         return concat([early.subset(pos_idx), late.subset(neg_idx)])
 
-    train_pool = classed_window(spec.origin, spec.train_window)
-    train = enforce_ratio(train_pool, ratios.phi, seed=derive_seed(seed, "disjoint", "train"))
-    test_pool = classed_window(spec.test_origin, spec.test_window)
-    test = enforce_ratio(test_pool, ratios.delta, seed=derive_seed(seed, "disjoint", "test"))
+    train = classed_window(spec.origin, spec.train_window)
+    test = classed_window(spec.test_origin, spec.test_window)
+    return (train, derive_seed(seed, "disjoint", "train")), (
+        (test, derive_seed(seed, "disjoint", "test")),
+    )
+
+
+def _downsampled(
+    pools: Pools, ratios: RatioSpec
+) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
+    """The training pool downsampled to phi and each test pool to delta."""
+    (train, train_seed), tests = pools
+    return (
+        enforce_ratio(train, ratios.phi, seed=train_seed),
+        tuple(enforce_ratio(pool, ratios.delta, seed=s) for pool, s in tests),
+    )
+
+
+def time_aware_split(
+    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
+) -> TemporalSplit:
+    """Carve the dataset into a C1/C2/C3-respecting train/test partition.
+
+    Training covers ``[origin, origin + W)`` downsampled to ratio phi; each
+    of the N = S/delta test slots is downsampled to ratio delta. Samples
+    outside the declared windows are dropped. The same (d, spec, ratios,
+    seed) always produces the identical split; the test side's random
+    streams do not depend on phi, so splits differing only in phi share
+    their test slots exactly.
+    """
+    train, slots = _downsampled(time_aware_pools(d, spec, seed), ratios)
+    return TemporalSplit(train, slots, spec, ratios)
+
+
+def past_testing_split(
+    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
+) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
+    """Mirrored split that breaks C1: train on the latest W, test on the earliest S.
+
+    The windows of :func:`past_testing_pools`, training downsampled to phi
+    and each test slot to delta, so the model is scored on detecting the
+    past. Returns ``(train, test_slots)``.
+    """
+    return _downsampled(past_testing_pools(d, spec, seed), ratios)
+
+
+def disjoint_class_split(
+    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Split whose classes come from non-overlapping periods (the C2 pitfall).
+
+    The windows of :func:`disjoint_class_pools`, downsampled to phi (train)
+    or delta (test). Returns ``(train, test)``.
+    """
+    train, (test,) = _downsampled(disjoint_class_pools(d, spec, seed), ratios)
     return train, test
 
 

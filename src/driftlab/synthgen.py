@@ -24,6 +24,7 @@ from datetime import date
 
 import numpy as np
 
+from .classifiers import _is_number
 from .dataset import LabeledDataset, add_months
 from .rng import derive_rng
 
@@ -43,6 +44,13 @@ class DriftSpec:
     start: date = date(2014, 1, 1)
 
     def __post_init__(self) -> None:
+        ints = ("months", "samples_per_month", "dim")
+        reals = ("positive_ratio", "ratio_jitter", "drift_velocity", "spread", "family_churn")
+        for name in ints + reals:
+            value = getattr(self, name)
+            if not _is_number(value, integral=name in ints):
+                kind = "an integer" if name in ints else "a finite number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.months < 1 or self.samples_per_month < 2:
             raise ValueError("need >= 1 month and >= 2 samples per month")
         if self.dim < 1:

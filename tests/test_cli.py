@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftlab import cli, splits
 from driftlab.cli import (
+    BIAS_GRID_ROWS,
     SCENARIOS,
     ConfigError,
     emit_plot_data,
@@ -17,7 +19,14 @@ from driftlab.cli import (
 )
 from driftlab.classifiers import LinearSGDClassifier
 from driftlab.dataset import write_csv
-from driftlab.rng import derive_rng
+from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
+from driftlab.rng import derive_rng, derive_seed
+from driftlab.splits import (
+    disjoint_class_split,
+    enforce_ratio,
+    past_testing_split,
+    time_aware_split,
+)
 from driftlab.synthgen import DriftSpec, generate
 
 
@@ -48,6 +57,11 @@ def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def with_synthetic(cfg: dict, **fields) -> dict:
+    synthetic = {**cfg["dataset"]["synthetic"], **fields}
+    return {**cfg, "dataset": {"synthetic": synthetic}}
 
 
 def dir_digest(path: Path) -> dict[str, str]:
@@ -237,6 +251,94 @@ class TestFitCounts:
         assert len(counter.fits) == 2 * 2 * (4 + 3)
         assert len(set(counter.fits)) == len(counter.fits)
 
+    def test_bias_grid_generates_each_stream_once_per_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_generate(spec, seed):
+            calls.append(seed)
+            return generate(spec, seed)
+
+        monkeypatch.setattr(cli, "generate", counting_generate)
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        assert run_experiment(parse_config(blob)) == 0
+        assert len(calls) == len(BIAS_GRID_ROWS) * 2
+
+    def test_bias_grid_downsamples_each_side_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_enforce_ratio(pool, target, *args, **kwargs):
+            calls.append((pool.ids, target, kwargs["seed"]))
+            return enforce_ratio(pool, target, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "enforce_ratio", counting_enforce_ratio)
+        monkeypatch.setattr(splits, "enforce_ratio", counting_enforce_ratio)
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        assert run_experiment(parse_config(blob)) == 0
+        # Per seed, 2 phis + 2 deltas per side: k-fold 4 x (1 + 1), past_testing
+        # and realistic 1 + 6 slots, disjoint_class_windows 1 + 1.
+        assert len(calls) == 2 * 2 * (4 * 2 + 7 + 7 + 2)
+        assert len(set(calls)) == len(calls)
+
+
+def oracle_bias_grid(cfg) -> dict[tuple[str, str, str, str], str]:
+    """Every bias_grid cell computed on its own from the public split functions."""
+    cells = {}
+    for seed in cfg.seeds:
+        d = generate(cfg.synthetic, seed=derive_seed(seed, "dataset"))
+        for phi in (0.1, 0.9):
+            for delta in (0.1, 0.9):
+                ratios = replace(cfg.ratios, phi=phi, delta=delta)
+                kfold = []
+                folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
+                for i, (train_idx, test_idx) in enumerate(folds):
+                    train_seed, test_seed = (derive_seed(seed, "bk", s, i) for s in ("tr", "ts"))
+                    train = enforce_ratio(d.subset(train_idx), phi, seed=train_seed)
+                    test = enforce_ratio(d.subset(test_idx), delta, seed=test_seed)
+                    kfold.append((train, [test], derive_seed(seed, "bk", "fit", i)))
+                train, slots = past_testing_split(d, cfg.split, ratios, seed)
+                disjoint_train, disjoint_test = disjoint_class_split(d, cfg.split, ratios, seed)
+                split = time_aware_split(d, cfg.split, ratios, seed)
+                rows = {
+                    "kfold": kfold,
+                    "past_testing": [(train, slots, derive_seed(seed, "past", "fit"))],
+                    "disjoint_class_windows": [
+                        (disjoint_train, [disjoint_test], derive_seed(seed, "disjoint", "fit"))
+                    ],
+                    "realistic": [
+                        (split.train, split.test_slots, derive_seed(seed, "realistic", "fit"))
+                    ],
+                }
+                for row, row_folds in rows.items():
+                    f1s = []
+                    for fold_train, tests, fit_seed in row_folds:
+                        model = cfg.classifier.fit(fold_train, fit_seed)
+                        pooled = sum((confusion_counts(model, t) for t in tests), Confusion())
+                        f1s.append(prf1(pooled)[2])
+                    cells[row, repr(phi), repr(delta), str(seed)] = repr(float(np.mean(f1s)))
+    return cells
+
+
+class TestBiasGridOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "classifier",
+        [{"kind": "linear_sgd", "epochs": 15}, {"kind": "knn", "k": 3}],
+        ids=["sgd", "knn3"],
+    )
+    def test_cells_equal_per_cell_splits(self, tmp_path, classifier, workers):
+        out = tmp_path / "out"
+        blob = base_config(
+            out, scenario="bias_grid", seeds=(3, 0), classifier=classifier, workers=workers
+        )
+        cfg = parse_config(blob)
+        assert run_experiment(cfg) == 0
+        with open(out / "bias_grid.csv", newline="") as fh:
+            got = {
+                (r["scenario"], r["phi"], r["delta"], r["seed"]): r["f1"]
+                for r in csv.DictReader(fh)
+            }
+        assert got == oracle_bias_grid(cfg)
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
@@ -383,9 +485,15 @@ class TestCliVerbs:
             ("run", lambda cfg: {**cfg, "split": {**cfg["split"], "origin": 5}}),
             ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": "5"}}),
             ("run", lambda cfg: {**cfg, "classifier": {"kind": "knn", "k": "3"}}),
+            ("run", lambda cfg: with_synthetic(cfg, months=12.0)),
+            ("run", lambda cfg: with_synthetic(cfg, samples_per_month=80.5)),
+            ("run", lambda cfg: with_synthetic(cfg, dim=2.5)),
+            ("run", lambda cfg: with_synthetic(cfg, months=True)),
+            ("run", lambda cfg: with_synthetic(cfg, drift_velocity=float("inf"))),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
-             "sgd_epochs_str", "knn_k_str"],
+             "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
+             "dim_float", "months_bool", "drift_velocity_inf"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt):
         blob = base_config(tmp_path / "out", seeds=(0,))
@@ -399,6 +507,15 @@ class TestCliVerbs:
             argv = ["run", "--config", self.write_config(tmp_path, corrupt(blob))]
         assert main(argv) == 2
         assert "config error: bad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("seeds", [True]), ("workers", True), ("kfold_k", True)]
+    )
+    def test_bool_as_integer_exit_2(self, tmp_path, capsys, key, value):
+        blob = {**base_config(tmp_path / "out", scenario="past_testing", seeds=(0,)), key: value}
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_schema_exit_2(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {"dataset": {}})
