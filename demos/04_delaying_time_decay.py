@@ -22,6 +22,7 @@ from driftlab import (
     run_policy,
     time_aware_split,
 )
+from driftlab.delay import initial_scores
 
 
 def main():
@@ -45,9 +46,11 @@ def main():
         DelayPolicy("active_learning", al_budget=0.25),
         DelayPolicy("incremental"),
     ]
+    # Every policy starts from the same model 0; score the slots with it once.
+    scores0 = initial_scores(split, clf, seed=0)
     print(f"{'policy':28s} {'L':>6s} {'Q':>6s}   AUT(F1)")
     for policy in policies:
-        res = run_policy(split, clf, policy, seed=0)
+        res = run_policy(split, clf, policy, seed=0, scores0=scores0)
         print(
             f"{policy.label:28s} {res.ledger.labeled:6d} "
             f"{res.ledger.quarantined:6d}   {res.ledger.aut_f1:.3f}"

@@ -95,9 +95,14 @@ def _require_both_classes(train: LabeledDataset) -> None:
 
 
 def _is_number(value: object, integral: bool) -> bool:
-    """A finite real (an int if ``integral``); bools and strings are not numbers."""
+    """A finite real (an int if ``integral``) within float range; bools and strings are not."""
     kind = numbers.Integral if integral else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _check_param(name: str, value: object, integral: bool = False, zero_ok: bool = False) -> None:
@@ -252,7 +257,12 @@ class KNNModel(TrainedModel):
         n_train, dim = self._X.shape
         k = min(self.k, n_train)
         q_sq = np.einsum("ij,ij->i", Q, Q)
-        approx = q_sq[:, None] - 2.0 * (Q @ self._X.T) + self._sq_norms[None, :]
+        # q_sq - 2g + sq_norms, built in the product's buffer: a + (-2g)
+        # rounds exactly as a - 2g, and the additions keep their order.
+        approx = Q @ self._X.T
+        approx *= -2.0
+        approx += q_sq[:, None]
+        approx += self._sq_norms
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # Candidate margin. With u = eps/2 and gamma_n = n*u / (1 - n*u),
         # S = (|q| + max|t|)^2 bounds |q|^2 + 2|q.t| + |t|^2. The squared
@@ -271,7 +281,8 @@ class KNNModel(TrainedModel):
         # keeps every training row.
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         margin = 8.0 * (dim + 4) * (eps * (np.sqrt(q_sq) + self._max_norm) ** 2 + tiny)
-        row, col = np.nonzero(~(approx > (kth + margin)[:, None]))
+        far = np.greater(approx, (kth + margin)[:, None])
+        row, col = np.nonzero(np.logical_not(far, out=far))
         diff = self._X[col] - Q[row]
         exact = np.einsum("ij,ij->i", diff, diff)
         order = np.lexsort((self._id_rank[col], exact, row))

@@ -51,7 +51,7 @@ from .delay import (
     ConstraintViolationError,
     DelayPolicy,
     DelayRunResult,
-    initial_model,
+    initial_scores,
     run_policy,
     write_delay_slots_csv,
     write_delay_summary_csv,
@@ -276,10 +276,10 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
     if failed:
         raise ConstraintViolation(f"seed {seed}: realistic split violates {failed}")
 
-    model0 = initial_model(split, cfg.classifier, seed)
-    baseline = run_policy(split, cfg.classifier, DelayPolicy("none"), cfg.tuning, seed, model0)
+    scores0 = initial_scores(split, cfg.classifier, seed)
+    baseline = run_policy(split, cfg.classifier, DelayPolicy("none"), cfg.tuning, seed, scores0)
     delay_runs = [
-        run_policy(split, cfg.classifier, policy, cfg.tuning, seed, model0)
+        run_policy(split, cfg.classifier, policy, cfg.tuning, seed, scores0)
         for policy in cfg.delay_policies
     ]
     return {

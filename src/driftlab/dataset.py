@@ -331,20 +331,26 @@ def load_dataset(
                 f"line {lineno}: duplicate id {sid!r} (first seen line {seen[sid]})"
             )
         seen[sid] = lineno
-    if not rows:
+    if not ids:
         raise DatasetFormatError("dataset file contains no samples")
-    features = np.array(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise DatasetFormatError(f"line {ids[bad[0]][0]}: non-finite feature value")
     return LabeledDataset([s for _, s in ids], stamps, labels, features)
 
 
+# CSV feature cells are converted this many rows at a time, so the strings
+# held at once stay few however long the file is.
+_CSV_CHUNK_ROWS = 1024
+
+
 def _load_csv(path, expected_range):
     ids: list[tuple[int, str]] = []
     stamps: list[date] = []
     labels: list[int] = []
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
+    cells: list[list[str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -361,25 +367,54 @@ def _load_csv(path, expected_range):
         expected_feats = [f"f{i}" for i in range(dim)]
         if header[3:] != expected_feats:
             raise DatasetFormatError(f"line 1: feature columns must be f0..f{dim - 1}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: feature dimensionality mismatch: expected "
-                    f"{dim} features, got {len(row) - 3}"
-                )
-            t = _parse_date(row[1], lineno)
-            _check_range(t, expected_range, lineno)
-            try:
-                feats = [float(v) for v in row[3:]]
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: non-numeric feature value") from None
-            ids.append((lineno, row[0]))
-            stamps.append(t)
-            labels.append(_parse_label(row[2], lineno))
-            rows.append(feats)
-    return ids, stamps, labels, rows
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3 + dim:
+                    raise DatasetFormatError(
+                        f"line {lineno}: feature dimensionality mismatch: expected "
+                        f"{dim} features, got {len(row) - 3}"
+                    )
+                t = _parse_date(row[1], lineno)
+                _check_range(t, expected_range, lineno)
+                ids.append((lineno, row[0]))
+                cells.append(row[3:])
+                stamps.append(t)
+                labels.append(_parse_label(row[2], lineno))
+                if len(cells) == _CSV_CHUNK_ROWS:
+                    blocks.append(_float_cells(ids, cells))
+                    cells = []
+        except (ValueError, csv.Error):
+            # A line's features are checked before its label and before any
+            # later line, so a non-numeric cell already read is reported first.
+            _per_cell_floats(ids, cells)
+            raise
+    blocks.append(_float_cells(ids, cells).reshape(-1, dim))
+    return ids, stamps, labels, np.concatenate(blocks)
+
+
+def _float_cells(ids: list[tuple[int, str]], cells: list[list[str]]) -> np.ndarray:
+    """The feature cells as float64, each parsed as ``float()`` parses it.
+
+    ``cells`` holds the features of the last ``len(cells)`` rows of ``ids``.
+    One numpy conversion does the work; only when it fails does the
+    per-cell loop run, to name the first non-numeric line.
+    """
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        return np.array(_per_cell_floats(ids, cells), dtype=np.float64)
+
+
+def _per_cell_floats(ids: list[tuple[int, str]], cells: list[list[str]]) -> list[list[float]]:
+    rows = []
+    for (lineno, _), row in zip(ids[len(ids) - len(cells) :], cells):
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: non-numeric feature value") from None
+    return rows
 
 
 def _load_jsonl(path, expected_range):

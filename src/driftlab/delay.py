@@ -49,7 +49,7 @@ __all__ = [
     "DelayRunResult",
     "NoMisclassificationError",
     "ConstraintViolationError",
-    "initial_model",
+    "initial_scores",
     "run_policy",
     "select_uncertain",
     "write_delay_summary_csv",
@@ -118,24 +118,29 @@ class DelayRunResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def select_uncertain(
-    model: TrainedModel, slot: LabeledDataset, budget_count: int
-) -> list[str]:
-    """Ids of the budget_count most-uncertain slot members.
+def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int) -> list[str]:
+    """Ids of the budget_count rows whose ``scores`` lie nearest 0.5.
 
     Uncertainty is 1 minus the predicted-class probability, i.e. largest
     first means smallest |score - 0.5| first; exact ties fall back to
     ascending id. Returned most-uncertain first.
     """
-    if budget_count > len(slot):
-        raise ValueError(f"budget {budget_count} exceeds slot size {len(slot)}")
-    conf = np.abs(score_dataset(model, slot) - 0.5)
-    order = sorted(range(len(slot)), key=lambda i: (conf[i], slot.ids[i]))
-    return [slot.ids[i] for i in order[:budget_count]]
+    if budget_count > len(ids):
+        raise ValueError(f"budget {budget_count} exceeds slot size {len(ids)}")
+    conf = np.abs(scores - 0.5)
+    order = sorted(range(len(ids)), key=lambda i: (conf[i], ids[i]))
+    return [ids[i] for i in order[:budget_count]]
 
 
-def _predicted_class_probs(model: TrainedModel, d: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    s = score_dataset(model, d)
+def select_uncertain(
+    model: TrainedModel, slot: LabeledDataset, budget_count: int
+) -> list[str]:
+    """Ids of the budget_count slot members ``model`` is least sure of, most uncertain first."""
+    return _most_uncertain(score_dataset(model, slot), slot.ids, budget_count)
+
+
+def _predicted_class_probs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted-class probability and predicted label of each score."""
     pred = (s >= 0.5).astype(np.int64)
     return np.maximum(s, 1.0 - s), pred
 
@@ -155,9 +160,14 @@ def _al_count(budget: float, slot_size: int) -> int:
     return math.ceil(Fraction(str(budget)) * slot_size)
 
 
-def initial_model(split: TemporalSplit, clf: Classifier, seed: int) -> TrainedModel:
-    """The model that scores slot 0 under every policy for this seed."""
-    return clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
+def initial_scores(split: TemporalSplit, clf: Classifier, seed: int) -> tuple[np.ndarray, ...]:
+    """Model 0's scores of every test slot, in slot order.
+
+    Model 0 scores slot 0 under every policy for this seed, and every slot
+    under ``none`` and ``rejection``; it is fit once here.
+    """
+    model0 = clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
+    return tuple(score_dataset(model0, slot) for slot in split.test_slots)
 
 
 def run_policy(
@@ -166,15 +176,17 @@ def run_policy(
     policy: DelayPolicy,
     cfg: TuningConfig | None = None,
     seed: int = 0,
-    model: TrainedModel | None = None,
+    scores0: tuple[np.ndarray, ...] | None = None,
 ) -> DelayRunResult:
     """Simulate a delay strategy over the split's test slots, in time order.
 
     The model that scores slot 0 is identical across policies for the same
     seed, so rejection's kept-set metrics are directly comparable with the
-    ``none`` baseline. A caller running several policies can fit it once
-    with :func:`initial_model` and pass it as ``model``; it must be that
-    function's result for the same (split, clf, seed). With
+    ``none`` baseline. Its slot scores are ``scores0``, the result of
+    :func:`initial_scores` for the same (split, clf, seed); a caller running
+    several policies computes them once and passes them to each run, and
+    they are computed here when omitted. Until a policy retrains, slot i
+    reads ``scores0[i]``; each retrained model scores its one slot once. With
     ``retune_each_step``, the training ratio is re-derived on the grown pool
     before every retraining.
     """
@@ -195,7 +207,7 @@ def run_policy(
         proper, val_slots, _ = proper_validation_cut(split.train, split.spec, cfg, seed)
         thresh_model = clf.fit(proper, derive_seed(seed, "delay", "reject_fit"))
         val_pool = concat(val_slots)
-        val_probs, val_pred = _predicted_class_probs(thresh_model, val_pool)
+        val_probs, val_pred = _predicted_class_probs(score_dataset(thresh_model, val_pool))
         val_wrong = val_probs[val_pred != val_pool.labels]
         try:
             threshold = _mistake_q3(val_wrong)
@@ -205,8 +217,9 @@ def run_policy(
             threshold = None
 
     pool = split.train
-    if model is None:
-        model = initial_model(split, clf, seed)
+    if scores0 is None:
+        scores0 = initial_scores(split, clf, seed)
+    model: TrainedModel | None = None
 
     confusions: list[Confusion] = []
     per_slot_labeled = [0] * n
@@ -214,7 +227,8 @@ def run_policy(
     tuned_phis: list[float] = []
 
     for i, slot in enumerate(slots):
-        probs, pred = _predicted_class_probs(model, slot)
+        scores = scores0[i] if model is None else score_dataset(model, slot)
+        probs, pred = _predicted_class_probs(scores)
         if policy.kind == "rejection" and threshold is not None:
             kept = probs > threshold
             per_slot_rejected[i] = int((~kept).sum())
@@ -239,7 +253,7 @@ def run_policy(
             count = _al_count(policy.al_budget, len(slot))
             per_slot_labeled[i] = count
             if count:
-                chosen = select_uncertain(model, slot, count)
+                chosen = _most_uncertain(scores, slot.ids, count)
                 pool = concat([pool, slot.subset([slot.index_of(c) for c in chosen])])
 
         retrains = policy.kind in ("incremental", "active_learning")

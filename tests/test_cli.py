@@ -224,7 +224,57 @@ class CountingClassifier:
         return self.inner.fit(train, seed)
 
 
+class ScoreCountingClassifier(CountingClassifier):
+    """CountingClassifier whose models log (fit number, fit seed, rows) per ``scores`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.scored = []
+
+    def fit(self, train, seed):
+        model = super().fit(train, seed)
+        number, log = len(self.fits), self.scored
+
+        class Logged:
+            def scores(self, features):
+                log.append((number, seed, features.tobytes()))
+                return model.scores(features)
+
+        return Logged()
+
+
 class TestFitCounts:
+    @pytest.mark.parametrize(
+        "delay",
+        [{"kind": "rejection"}, {"kind": "active_learning", "al_budget": [0.05, 0.25]}],
+        ids=["rejection", "active_learning"],
+    )
+    def test_each_model_scores_each_slot_once(self, tmp_path, delay):
+        out = tmp_path / "out"
+        blob = base_config(out, seeds=(0, 1), delay=delay)
+        cfg = parse_config(blob)
+        counter = ScoreCountingClassifier()
+        assert run_experiment(replace(cfg, classifier=counter)) == 0
+        for seed in (0, 1):
+            d = generate(cfg.synthetic, seed=derive_seed(seed, "dataset"))
+            manifest = json.loads((out / f"split_manifest_seed{seed}.json").read_text())
+            slots = [
+                d.subset([d.index_of(r["id"]) for r in slot]).features.tobytes()
+                for slot in manifest["test_slots"]
+            ]
+            fit_seeds = [derive_seed(seed, "delay", "fit", i) for i in range(len(slots))]
+            # Model 0 scores every slot once, for the baseline and every policy.
+            assert [rows for _, s, rows in counter.scored if s == fit_seeds[0]] == slots
+            # Each model retrained after slot i - 1 makes one call, on slot i.
+            retrained = {}  # fit number -> (slot index, rows of each scores call)
+            for number, s, rows in counter.scored:
+                if s in fit_seeds[1:]:
+                    retrained.setdefault(number, (fit_seeds.index(s), []))[1].append(rows)
+            fits = sum(1 for _, s in counter.fits if s in fit_seeds[1:])
+            expected = len(cfg.delay_policies) * (len(slots) - 1)
+            assert len(retrained) == fits == (expected if delay["kind"] == "active_learning" else 0)
+            assert all(calls == [slots[i]] for i, calls in retrained.values())
+
     def test_realistic_fits_model_zero_once(self, tmp_path):
         out = tmp_path / "out"
         blob = base_config(
@@ -490,10 +540,13 @@ class TestCliVerbs:
             ("run", lambda cfg: with_synthetic(cfg, dim=2.5)),
             ("run", lambda cfg: with_synthetic(cfg, months=True)),
             ("run", lambda cfg: with_synthetic(cfg, drift_velocity=float("inf"))),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": 10**400}}),
+            ("run", lambda cfg: with_synthetic(cfg, months=10**400)),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
-             "dim_float", "months_bool", "drift_velocity_inf"],
+             "dim_float", "months_bool", "drift_velocity_inf", "sgd_epochs_huge",
+             "months_huge"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt):
         blob = base_config(tmp_path / "out", seeds=(0,))

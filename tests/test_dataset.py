@@ -1,12 +1,15 @@
 import calendar
+import csv
 import json
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import dataset
 from driftlab.dataset import (
     DatasetFormatError,
     EmptySlotError,
@@ -272,6 +275,68 @@ class TestLoading:
         p.write_text(text)
         lineno = 3 if name.endswith(".csv") else 2
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
+            load_dataset(str(p))
+
+    @staticmethod
+    def per_cell_floats(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return np.array([[float(v) for v in row[3:]] for row in list(csv.reader(fh))[1:]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from([1, 2, 3, dataset._CSV_CHUNK_ROWS]),
+    )
+    def test_csv_features_equal_per_cell_float(self, tmp_path_factory, rows, chunk_rows):
+        # repr writes both decimal ("0.1") and exponent ("1e-07") numerals.
+        d = make_dataset([(f"r{i}", "2014-01-01", 0, f) for i, f in enumerate(rows)])
+        p = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_csv(d, str(p))
+        with mock.patch.object(dataset, "_CSV_CHUNK_ROWS", chunk_rows):
+            loaded = load_dataset(str(p)).features
+        assert loaded.view(np.int64).tolist() == self.per_cell_floats(p).view(np.int64).tolist()
+        assert loaded.view(np.int64).tolist() == d.features.view(np.int64).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.from_regex(r"[-+]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})([eE][-+]?[0-9]{1,2})?",
+                          fullmatch=True),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_csv_numerals_equal_per_cell_float(self, tmp_path_factory, numerals):
+        p = tmp_path_factory.mktemp("csv") / "d.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "timestamp", "label", "f0"])
+            writer.writerows([f"r{i}", "2014-01-01", 0, v] for i, v in enumerate(numerals))
+        loaded = load_dataset(str(p)).features
+        assert loaded.view(np.int64).tolist() == self.per_cell_floats(p).view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "lines,lineno",
+        [
+            (["a,2014-01-01,0,x"], 2),
+            (["a,2014-01-01,0,1.0", "b,2014-01-02,1,0x10"], 3),
+            (["a,2014-01-01,0,1.0", "b,2014-01-02,1,2.0", "c,2014-01-03,0,1e"], 4),
+            (["a,2014-01-01,0,1.0", "b,2014-01-02,1,", "c,2014-01-03,0,2.0"], 3),
+            # A line's features are checked before its label and later lines.
+            (["a,2014-01-01,0,1.0", "b,2014-01-02,7,one"], 3),
+            (["a,2014-01-01,0,one", "b,2014-13-02,1,2.0"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("chunk_rows", [1, 2, dataset._CSV_CHUNK_ROWS])
+    def test_csv_non_numeric_names_line(self, tmp_path, monkeypatch, lines, lineno, chunk_rows):
+        monkeypatch.setattr(dataset, "_CSV_CHUNK_ROWS", chunk_rows)
+        p = tmp_path / "d.csv"
+        p.write_text("id,timestamp,label,f0\n" + "".join(line + "\n" for line in lines))
+        with pytest.raises(DatasetFormatError, match=f"^line {lineno}: non-numeric feature value$"):
             load_dataset(str(p))
 
     def test_jsonl_matches_csv(self, tmp_path):

@@ -13,6 +13,7 @@ from driftlab.delay import (
     DelayPolicy,
     NoMisclassificationError,
     _mistake_q3,
+    _most_uncertain,
     _predicted_class_probs,
     run_policy,
     select_uncertain,
@@ -86,10 +87,17 @@ class TestSelectUncertain:
         d, model = slot_of({"a": 0.5, "b": 0.9, "c": 0.1, "d": 0.45})
         assert select_uncertain(model, d, 4) == ["a", "d", "b", "c"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_score_ranking_equals_select_uncertain_on_ties(self, n):
+        # |s - 0.5| ties at 0.1 ({b, d, e}) and at 0.4 ({a, c}).
+        d, model = slot_of({"e": 0.4, "b": 0.6, "d": 0.4, "c": 0.9, "a": 0.1})
+        ranked = _most_uncertain(score_dataset(model, d), d.ids, n)
+        assert ranked == select_uncertain(model, d, n) == ["b", "d", "e", "a", "c"][:n]
+
 
 def rejection_threshold(model, validation):
     """Q3 of the mistakes' predicted-class probabilities, as run_policy computes it."""
-    probs, pred = _predicted_class_probs(model, validation)
+    probs, pred = _predicted_class_probs(score_dataset(model, validation))
     return _mistake_q3(probs[pred != validation.labels])
 
 
