@@ -39,7 +39,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -618,17 +618,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        spec = DriftSpec(
-            months=args.months,
-            samples_per_month=args.samples_per_month,
-            dim=args.dim,
-            positive_ratio=args.positive_ratio,
-            ratio_jitter=args.ratio_jitter,
-            drift_velocity=args.drift_velocity,
-            spread=args.spread,
-            family_churn=args.family_churn,
-            start=date.fromisoformat(args.start),
-        )
+        spec = _drift_spec(**{f.name: getattr(args, f.name) for f in fields(DriftSpec)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     d = generate(spec, seed=args.seed)
@@ -674,15 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.set_defaults(func=_cmd_tune)
 
     p_gen = sub.add_parser("generate", help="emit a synthetic drifting dataset")
-    p_gen.add_argument("--months", type=int, required=True)
-    p_gen.add_argument("--samples-per-month", type=int, required=True)
-    p_gen.add_argument("--dim", type=int, default=2)
-    p_gen.add_argument("--positive-ratio", type=float, default=0.10)
-    p_gen.add_argument("--ratio-jitter", type=float, default=0.02)
-    p_gen.add_argument("--drift-velocity", type=float, default=0.0)
-    p_gen.add_argument("--spread", type=float, default=1.0)
-    p_gen.add_argument("--family-churn", type=float, default=0.0)
-    p_gen.add_argument("--start", default="2014-01-01")
+    # One flag per DriftSpec field; argparse runs ``type`` on string defaults too.
+    for f in fields(DriftSpec):
+        kind = {"int": int, "float": float}.get(f.type, str)
+        given = {"required": True} if f.default is MISSING else {"default": str(f.default)}
+        p_gen.add_argument("--" + f.name.replace("_", "-"), type=kind, **given)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)

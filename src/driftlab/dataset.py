@@ -107,24 +107,20 @@ def add_period(d: date, period: Period, k: int = 1) -> date:
 def slot_index(t: date, origin: date, width: Period) -> int:
     """Index k with ``t`` in ``[origin + k*width, origin + (k+1)*width)``.
 
-    Month widths follow calendar arithmetic from ``origin`` (boundaries are
-    ``origin`` shifted by whole months, never iterated, so clamping cannot
-    accumulate).
+    The slot that holds ``t`` on the grid of :func:`slot_edges`.
     """
     if t < origin:
         raise ValueError(f"timestamp {t} precedes slot origin {origin}")
-    if width.days:
-        return (t - origin).days // width.days
-    k = ((t.year - origin.year) * 12 + (t.month - origin.month)) // width.months
-    while add_period(origin, width, k + 1) <= t:
-        k += 1
-    while k > 0 and add_period(origin, width, k) > t:
-        k -= 1
-    return k
+    return len(slot_edges(origin, width, t + timedelta(days=1))) - 2
 
 
 def slot_edges(origin: date, width: Period, end: date) -> list[date]:
-    """Slot starts ``origin + k*width`` that precede ``end``, then ``end`` itself."""
+    """Slot starts ``origin + k*width`` that precede ``end``, then ``end`` itself.
+
+    This is the one slot grid: window k is ``[edges[k], edges[k+1])``, so
+    adjacent windows share their edge. Each start is ``origin`` shifted by
+    whole periods, never iterated, so month-end clamping cannot accumulate.
+    """
     edges: list[date] = []
     while (start := add_period(origin, width, len(edges))) < end:
         edges.append(start)

@@ -184,9 +184,10 @@ def run_policy(
     seed, so rejection's kept-set metrics are directly comparable with the
     ``none`` baseline. Its slot scores are ``scores0``, the result of
     :func:`initial_scores` for the same (split, clf, seed); a caller running
-    several policies computes them once and passes them to each run, and
-    they are computed here when omitted. Until a policy retrains, slot i
-    reads ``scores0[i]``; each retrained model scores its one slot once. With
+    several policies computes them once and passes them to each run. Until a
+    policy retrains, slot i reads ``scores0[i]``; when they are omitted,
+    model 0 is fit here and scores each slot it serves as the loop reaches
+    it. Each retrained model scores its one slot once. With
     ``retune_each_step``, the training ratio is re-derived on the grown pool
     before every retraining.
     """
@@ -217,9 +218,9 @@ def run_policy(
             threshold = None
 
     pool = split.train
-    if scores0 is None:
-        scores0 = initial_scores(split, clf, seed)
     model: TrainedModel | None = None
+    if scores0 is None:
+        model = clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
 
     confusions: list[Confusion] = []
     per_slot_labeled = [0] * n

@@ -5,7 +5,8 @@ The constraints, checked by the validators below and enforced by
 
 * C1 — every training timestamp strictly precedes every testing timestamp;
 * C2 — each test slot k only contains samples dated inside its half-open
-  window ``[start_k, start_k + slot_width)``;
+  window ``[edges[k], edges[k+1])`` on the grid ``test_origin + k*slot_width``
+  (:meth:`SplitSpec.test_edges`);
 * C3 — each test slot's positive ratio stays inside a tolerance band
   around the estimated deployment ratio sigma_hat (default 0.10 +/- 0.02).
 
@@ -45,6 +46,7 @@ __all__ = [
     "UpsamplingRequiredError",
     "Side",
     "Pools",
+    "two_class_windows",
     "time_aware_pools",
     "past_testing_pools",
     "disjoint_class_pools",
@@ -94,11 +96,9 @@ class SplitSpec:
     def test_end(self) -> date:
         return add_period(self.test_origin, self.test_window)
 
-    def test_slot_start(self, k: int) -> date:
-        return add_period(self.test_origin, self.slot_width, k)
-
-    def test_slot_starts(self) -> tuple[date, ...]:
-        return tuple(self.test_slot_start(k) for k in range(self.n_test_slots))
+    def test_edges(self) -> list[date]:
+        """The test slots' edges: slot k is ``[edges[k], edges[k+1])``."""
+        return slot_edges(self.test_origin, self.slot_width, self.test_end)
 
     def as_dict(self) -> dict:
         """The JSON form shared by configs, their echo and split manifests."""
@@ -163,7 +163,7 @@ class TemporalSplit:
 
     @property
     def slot_starts(self) -> tuple[date, ...]:
-        return self.spec.test_slot_starts()
+        return tuple(self.spec.test_edges()[:-1])
 
     @property
     def n_test_samples(self) -> int:
@@ -251,35 +251,32 @@ def time_aware_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
     """The windows of :func:`time_aware_split`: training, then each test slot.
 
     Training covers ``[origin, origin + W)``; test slot k covers
-    ``[start_k, start_k + delta)``. Each window must hold both classes.
+    ``[edges[k], edges[k+1])`` of :meth:`SplitSpec.test_edges`. Each window
+    must hold both classes.
     """
     _require_span(d, spec)
-    train = _two_class_window(d, spec.origin, spec.test_origin, "training window")
-    slots = []
-    for k in range(spec.n_test_slots):
-        lo = spec.test_slot_start(k)
-        pool = _two_class_window(d, lo, add_period(lo, spec.slot_width), f"test slot {k}")
-        slots.append((pool, derive_seed(seed, "split", "test", k, bound=2**63)))
-    return (train, derive_seed(seed, "split", "train", bound=2**63)), tuple(slots)
+    (train,) = two_class_windows(d, [spec.origin, spec.test_origin], "training window")
+    slots = two_class_windows(d, spec.test_edges(), "test slot")
+    return (train, derive_seed(seed, "split", "train", bound=2**63)), tuple(
+        (pool, derive_seed(seed, "split", "test", k, bound=2**63)) for k, pool in enumerate(slots)
+    )
 
 
 def past_testing_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
     """The windows of :func:`past_testing_split`, mirrored in time.
 
     Training covers ``[origin + S, origin + S + W)``; test slot k covers
-    ``[origin + k*delta, origin + (k+1)*delta)``. Each must hold both classes.
+    ``[edges[k], edges[k+1])`` of ``slot_edges(origin, delta, origin + S)``.
+    Each must hold both classes.
     """
     _require_span(d, spec)
     train_start = add_period(spec.origin, spec.test_window)
     train_end = add_period(train_start, spec.train_window)
-    train = _two_class_window(d, train_start, train_end, "training window")
-    slots = []
-    for k in range(spec.n_test_slots):
-        lo = add_period(spec.origin, spec.slot_width, k)
-        hi = add_period(spec.origin, spec.slot_width, k + 1)
-        pool = _two_class_window(d, lo, hi, f"test slot {k}")
-        slots.append((pool, derive_seed(seed, "past", "slot", k)))
-    return (train, derive_seed(seed, "past", "train")), tuple(slots)
+    (train,) = two_class_windows(d, [train_start, train_end], "training window")
+    slots = two_class_windows(d, slot_edges(spec.origin, spec.slot_width, train_start), "test slot")
+    return (train, derive_seed(seed, "past", "train")), tuple(
+        (pool, derive_seed(seed, "past", "slot", k)) for k, pool in enumerate(slots)
+    )
 
 
 def disjoint_class_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
@@ -361,19 +358,27 @@ def disjoint_class_split(
 
 
 def _require_span(d: LabeledDataset, spec: SplitSpec) -> None:
-    last, last_slot = d.time_range[1], spec.test_slot_start(spec.n_test_slots - 1)
+    last, last_slot = d.time_range[1], spec.test_edges()[-2]
     if last < last_slot:
         raise InsufficientSpanError(
             f"dataset ends {last}, before the last test slot starting {last_slot}"
         )
 
 
-def _two_class_window(d: LabeledDataset, lo: date, hi: date, what: str) -> LabeledDataset:
-    """``d.between(lo, hi)``, which must hold both classes."""
-    pool = d.between(lo, hi)
-    if pool.n_positive == 0 or pool.n_negative == 0:
-        raise EmptySlotError(f"{what} ([{lo}, {hi})) lacks one class")
-    return pool
+def two_class_windows(d: LabeledDataset, edges: Sequence[date], what: str) -> list[LabeledDataset]:
+    """``d.between(edges[k], edges[k+1])`` for each k; each must hold both classes.
+
+    ``what`` names the windows in the error: ``"{what} {k}"`` when there are
+    several, ``what`` alone for a single window.
+    """
+    windows = []
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        pool = d.between(lo, hi)
+        if pool.n_positive == 0 or pool.n_negative == 0:
+            name = what if len(edges) == 2 else f"{what} {k}"
+            raise EmptySlotError(f"{name} ([{lo}, {hi})) lacks one class")
+        windows.append(pool)
+    return windows
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +432,7 @@ def check_c1(split: TemporalSplit) -> ConstraintVerdict:
 
 
 def check_c2(split: TemporalSplit) -> ConstraintVerdict:
-    """Every test sample sits inside its slot's window.
+    """Every test sample sits inside its slot's window, cut from :meth:`SplitSpec.test_edges`.
 
     Failures are out-of-window samples. Warnings (never failures) flag
     slots where a class is absent or where the two classes' timestamp
@@ -437,11 +442,10 @@ def check_c2(split: TemporalSplit) -> ConstraintVerdict:
     """
     witnesses: list[dict] = []
     warnings: list[dict] = []
-    width = split.spec.slot_width
+    edges = np.array(split.spec.test_edges(), dtype="datetime64[D]")
     for k, slot in enumerate(split.test_slots):
-        lo = split.spec.test_slot_start(k)
         t = slot.times
-        outside = (t < np.datetime64(lo, "D")) | (t >= np.datetime64(add_period(lo, width), "D"))
+        outside = (t < edges[k]) | (t >= edges[k + 1])
         for i in np.flatnonzero(outside):
             witnesses.append({"slot": k, "id": slot.ids[i], "timestamp": t[i].item().isoformat()})
         pos_t, neg_t = t[slot.labels == 1], t[slot.labels == 0]
@@ -450,7 +454,7 @@ def check_c2(split: TemporalSplit) -> ConstraintVerdict:
         elif pos_t.max() < neg_t.min() or neg_t.max() < pos_t.min():
             warnings.append({"slot": k, "kind": "disjoint_class_windows"})
     # Training slots run from the origin; the last one is clipped at the test origin.
-    train_edges = slot_edges(split.spec.origin, width, split.spec.test_origin)
+    train_edges = slot_edges(split.spec.origin, split.spec.slot_width, split.spec.test_origin)
     pos, neg = split.train.class_counts(train_edges)
     for k in np.flatnonzero((pos == 0) != (neg == 0)):
         warnings.append({"slot": int(k), "kind": "train_missing_class"})

@@ -8,8 +8,8 @@ decay curve, subject to a target-specific error ceiling:
 * target precision -> error = false-negative rate, default ceiling 0.15
 
 The training window is cut in time into a proper-training part and a
-validation tail (default: the last third, sliced into the experiment's
-slot width and downsampled per slot to sigma_hat). phi runs from
+validation tail (default: the last third of the training slot grid
+``origin + k*slot_width``, each slot downsampled to sigma_hat). phi runs from
 sigma_hat to 0.5 in steps of mu: below sigma_hat the positive class would
 be under-represented, above 0.5 it would become the majority. Goodware is
 downsampled uncertainty-first (scored by a model fit on the full
@@ -30,10 +30,10 @@ from datetime import date
 import numpy as np
 
 from .classifiers import Classifier, score_rows
-from .dataset import EmptySlotError, LabeledDataset, add_period
+from .dataset import EmptySlotError, LabeledDataset, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
-from .splits import SplitSpec, enforce_ratio
+from .splits import SplitSpec, enforce_ratio, two_class_windows
 
 __all__ = [
     "TuningConfig",
@@ -124,37 +124,32 @@ def proper_validation_cut(
 ) -> tuple[LabeledDataset, tuple[LabeledDataset, ...], tuple[date, ...]]:
     """Split a training pool in time into (proper_train, val_slots, starts).
 
-    The validation tail is floor(n_slots * validation_fraction) slots of
-    the experiment's slot width, counted back from the end of the training
-    window; each slot is downsampled to sigma_hat so the validation mix
-    matches deployment.
+    The validation tail is the last floor(n_slots * validation_fraction)
+    slots of the training grid ``slot_edges(origin, slot_width, test_origin)``,
+    so it ends at the test origin; each slot is downsampled to sigma_hat so
+    the validation mix matches deployment. Proper training is everything in
+    the pool before the tail.
     """
-    train_end = spec.test_origin
-    n_slots = spec.train_window.slots_of(spec.slot_width)
+    try:
+        n_slots = spec.train_window.slots_of(spec.slot_width)
+    except ValueError as exc:
+        raise ValidationWindowError(str(exc)) from None
     n_val = int(n_slots * cfg.validation_fraction)
     if n_val < 2:
         raise ValidationWindowError(
             f"validation_fraction {cfg.validation_fraction} of {n_slots} slots "
             f"gives {n_val} validation slots; need >= 2"
         )
-    val_start = add_period(train_end, spec.slot_width, -n_val)
+    edges = slot_edges(spec.origin, spec.slot_width, spec.test_origin)[-(n_val + 1) :]
     first = train.time_range[0]
-    if first >= val_start:
+    if first >= edges[0]:
         raise ValidationWindowError("no samples left before the validation window")
-    proper = train.between(first, val_start)
-    if proper.n_positive == 0 or proper.n_negative == 0:
-        raise EmptySlotError("proper-training window lacks one class")
-    slots, starts = [], []
-    for k in range(n_val):
-        lo = add_period(val_start, spec.slot_width, k)
-        hi = add_period(val_start, spec.slot_width, k + 1)
-        slot = train.between(lo, hi)
-        if slot.n_positive == 0 or slot.n_negative == 0:
-            raise EmptySlotError(f"validation slot {k} ([{lo}, {hi})) lacks one class")
-        val_seed = derive_seed(seed, "tuning", "val", k, bound=2**63)
-        slots.append(enforce_ratio(slot, cfg.sigma_hat, "random", seed=val_seed))
-        starts.append(lo)
-    return proper, tuple(slots), tuple(starts)
+    (proper,) = two_class_windows(train, [first, edges[0]], "proper-training window")
+    slots = tuple(
+        enforce_ratio(slot, cfg.sigma_hat, seed=derive_seed(seed, "tuning", "val", k, bound=2**63))
+        for k, slot in enumerate(two_class_windows(train, edges, "validation slot"))
+    )
+    return proper, slots, tuple(edges[:-1])
 
 
 def tune_phi(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,12 @@ def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def ragged_training_window(cfg: dict) -> dict:
+    """A tuned run whose training window is not a whole number of slots."""
+    split = {**cfg["split"], "train_window": "10m", "test_window": "6m", "slot_width": "3m"}
+    return {**with_synthetic(cfg, months=16), "split": split, "tuning": {"mu": 0.1}}
 
 
 def with_synthetic(cfg: dict, **fields) -> dict:
@@ -527,28 +534,31 @@ class TestCliVerbs:
         assert main(["audit", "--manifest", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "verb,corrupt",
+        "verb,corrupt,message",
         [
-            ("audit", lambda manifest: []),
-            ("audit", lambda manifest: {**manifest, "train": 5}),
-            ("run", lambda cfg: {**cfg, "delay": "x"}),
-            ("run", lambda cfg: {**cfg, "split": {**cfg["split"], "origin": 5}}),
-            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": "5"}}),
-            ("run", lambda cfg: {**cfg, "classifier": {"kind": "knn", "k": "3"}}),
-            ("run", lambda cfg: with_synthetic(cfg, months=12.0)),
-            ("run", lambda cfg: with_synthetic(cfg, samples_per_month=80.5)),
-            ("run", lambda cfg: with_synthetic(cfg, dim=2.5)),
-            ("run", lambda cfg: with_synthetic(cfg, months=True)),
-            ("run", lambda cfg: with_synthetic(cfg, drift_velocity=float("inf"))),
-            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": 10**400}}),
-            ("run", lambda cfg: with_synthetic(cfg, months=10**400)),
+            ("audit", lambda manifest: [], "bad"),
+            ("audit", lambda manifest: {**manifest, "train": 5}, "bad"),
+            ("run", lambda cfg: {**cfg, "delay": "x"}, "bad"),
+            ("run", lambda cfg: {**cfg, "split": {**cfg["split"], "origin": 5}}, "bad"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": "5"}},
+             "bad"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "knn", "k": "3"}}, "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, months=12.0), "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, samples_per_month=80.5), "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, dim=2.5), "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, months=True), "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, drift_velocity=float("inf")), "bad"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": 10**400}},
+             "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, months=10**400), "bad"),
+            ("run", ragged_training_window, "10m is not a whole multiple of 3m"),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
              "dim_float", "months_bool", "drift_velocity_inf", "sgd_epochs_huge",
-             "months_huge"],
+             "months_huge", "train_window_ragged_tuned"],
     )
-    def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt):
+    def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt, message):
         blob = base_config(tmp_path / "out", seeds=(0,))
         if verb == "audit":
             assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 0
@@ -559,7 +569,7 @@ class TestCliVerbs:
         else:
             argv = ["run", "--config", self.write_config(tmp_path, corrupt(blob))]
         assert main(argv) == 2
-        assert "config error: bad" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key,value", [("seeds", [True]), ("workers", True), ("kfold_k", True)]
@@ -594,6 +604,34 @@ class TestCliVerbs:
 
         d = load_dataset(str(out_file))
         assert len(d) == 120
+
+    def test_generate_flags_are_drift_spec_fields(self, tmp_path):
+        spec = DriftSpec(
+            months=4,
+            samples_per_month=30,
+            dim=3,
+            positive_ratio=0.2,
+            ratio_jitter=0.01,
+            drift_velocity=0.1,
+            spread=0.8,
+            family_churn=0.3,
+            start=date(2015, 2, 28),
+        )
+        argv = ["generate", "--seed", "6", "--out", str(tmp_path / "cli.csv")]
+        for name, value in vars(spec).items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        write_csv(generate(spec, seed=6), str(tmp_path / "lib.csv"))
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        # Defaults come from the dataclass; fields without one are required.
+        assert main(["generate", "--months", "2", "--samples-per-month", "9",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        default = generate(DriftSpec(months=2, samples_per_month=9), seed=0)
+        write_csv(default, str(tmp_path / "e.csv"))
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--months", "2", "--out", str(tmp_path / "f.csv")])
+        assert exc.value.code == 2
 
     def test_tune_verb(self, tmp_path):
         out = tmp_path / "out"

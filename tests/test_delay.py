@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from driftlab.classifiers import LinearSGDClassifier, score_dataset
+from driftlab.classifiers import KNNClassifier, LinearSGDClassifier, score_dataset
 from driftlab.dataset import LabeledDataset, Period
 from driftlab.delay import (
     ConstraintViolationError,
     DelayPolicy,
     NoMisclassificationError,
     _mistake_q3,
+    initial_scores,
     _most_uncertain,
     _predicted_class_probs,
     run_policy,
@@ -168,6 +169,39 @@ class TestRunPolicyIncremental:
         none = run_policy(split, clf, DelayPolicy("none"), seed=9)
         inc = run_policy(split, clf, DelayPolicy("incremental"), seed=9)
         assert none.series.confusions[0] == inc.series.confusions[0]
+
+
+class TestRunPolicyScoresEachSlotOnce:
+    """Without ``scores0``, model 0 scores only the slots it serves."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [DelayPolicy("none"), DelayPolicy("incremental"), DelayPolicy("active_learning", 0.1)],
+        ids=["none", "incremental", "active_learning"],
+    )
+    def test_one_scores_call_per_slot(self, policy):
+        split = make_split(seed=2, velocity=0.3)
+        assert len(split.test_slots) == 12
+        inner = KNNClassifier(k=3)
+        calls = []
+
+        class Counting:
+            def fit(self, pool, seed):
+                model = inner.fit(pool, seed)
+                unwrapped = model.scores
+
+                def scores(X):
+                    calls.append(len(X))
+                    return unwrapped(X)
+
+                model.scores = scores
+                return model
+
+        res = run_policy(split, Counting(), policy, seed=3)
+        assert len(calls) == 12
+        shared = run_policy(split, inner, policy, seed=3, scores0=initial_scores(split, inner, 3))
+        assert res.series == shared.series
+        assert res.per_slot_labeled == shared.per_slot_labeled
 
 
 class TestRunPolicyActiveLearning:

@@ -1,3 +1,4 @@
+import calendar
 import json
 from datetime import date, timedelta
 
@@ -19,10 +20,12 @@ from driftlab.splits import (
     check_c3,
     disjoint_class_split,
     enforce_ratio,
+    past_testing_pools,
     past_testing_split,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
+    time_aware_pools,
     time_aware_split,
 )
 
@@ -231,6 +234,105 @@ class TestTimeAwareSplit:
         a = time_aware_split(d, spec, RatioSpec(phi=0.10), seed=5)
         b = time_aware_split(d, spec, RatioSpec(phi=0.45), seed=5)
         assert all(x.ids == y.ids for x, y in zip(a.test_slots, b.test_slots))
+
+
+def daily_dataset(first: date, last: date) -> LabeledDataset:
+    """One negative and one positive on every day of ``[first, last]``."""
+    days = [first + timedelta(days=i) for i in range((last - first).days + 1)]
+    n = 2 * len(days)
+    return LabeledDataset(
+        [f"d{i}" for i in range(n)],
+        [t for t in days for _ in (0, 1)],
+        [0, 1] * len(days),
+        np.zeros((n, 1)),
+    )
+
+
+# Origins on any day, with the month ends where calendar arithmetic clamps
+# (days 28-31) drawn often.
+ORIGINS = st.one_of(
+    st.dates(date(2013, 1, 1), date(2015, 12, 31)),
+    st.builds(
+        lambda y, m, d: date(y, m, min(d, calendar.monthrange(y, m)[1])),
+        st.integers(2013, 2015),
+        st.integers(1, 12),
+        st.integers(28, 31),
+    ),
+)
+SLOT_WIDTHS = st.one_of(
+    st.builds(lambda n: Period(months=n), st.integers(1, 2)),
+    st.builds(lambda n: Period(days=n), st.integers(1, 20)),
+)
+
+
+@st.composite
+def dense_specs(draw):
+    """A random SplitSpec and a dense dataset that covers all of its windows."""
+    width = draw(SLOT_WIDTHS)
+    spec = SplitSpec(
+        width.scaled(draw(st.integers(1, 3))),
+        width.scaled(draw(st.integers(2, 4))),
+        width,
+        draw(ORIGINS),
+    )
+    past_end = add_period(add_period(spec.origin, spec.test_window), spec.train_window)
+    last = max(spec.test_end, past_end)
+    return spec, daily_dataset(spec.origin - timedelta(days=3), last + timedelta(days=3))
+
+
+class TestOneSlotGrid:
+    """Every window is cut from one edge list, and C2 is audited against it."""
+
+    @staticmethod
+    def assert_tiles(d: LabeledDataset, slots, lo: date, hi: date) -> None:
+        ids = [i for slot in slots for i in slot.ids]
+        assert len(ids) == len(set(ids))
+        assert sorted(ids) == sorted(d.between(lo, hi).ids)
+
+    @given(dense_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_time_aware_test_pools_tile_the_test_window(self, case):
+        spec, d = case
+        _, tests = time_aware_pools(d, spec, seed=0)
+        self.assert_tiles(d, [pool for pool, _ in tests], spec.test_origin, spec.test_end)
+
+    @given(dense_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_past_testing_pools_tile_their_window(self, case):
+        spec, d = case
+        _, tests = past_testing_pools(d, spec, seed=0)
+        end = add_period(spec.origin, spec.test_window)
+        self.assert_tiles(d, [pool for pool, _ in tests], spec.origin, end)
+
+    @given(dense_specs(), st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_random_time_aware_splits_pass_c1_c3(self, case, seed):
+        spec, d = case
+        split = time_aware_split(d, spec, RatioSpec(sigma_hat=0.5, phi=0.5, delta=0.5), seed)
+        verdicts = run_all_checks(split)
+        assert all(v.passed for v in verdicts.values()), {
+            k: v.as_dict() for k, v in verdicts.items() if not v.passed
+        }
+
+    def test_month_end_origin_keeps_every_test_day(self):
+        # Test origin 2014-01-31: slot 1 is [02-28, 03-31), not [02-28, 03-28).
+        spec = SplitSpec(Period(months=3), Period(months=4), Period(months=1), date(2013, 10, 31))
+        d = daily_dataset(date(2013, 10, 1), date(2014, 6, 30))
+        split = time_aware_split(d, spec, RatioSpec(sigma_hat=0.5, phi=0.5, delta=0.5), seed=0)
+        assert spec.test_edges() == [
+            date(2014, 1, 31),
+            date(2014, 2, 28),
+            date(2014, 3, 31),
+            date(2014, 4, 30),
+            date(2014, 5, 31),
+        ]
+        assert split.slot_starts == tuple(spec.test_edges()[:-1])
+        tested = {t for slot in split.test_slots for t in slot.timestamps}
+        for day in (28, 29, 30):
+            assert date(2014, 3, day) in tested
+        assert date(2014, 5, 30) in tested
+        assert split.n_test_samples == len(d.between(date(2014, 1, 31), date(2014, 5, 31)))
+        assert all(v.passed for v in run_all_checks(split).values())
 
 
 def two_slot_split(train_rows, slot_rows_list, origin=date(2014, 1, 1), w=2):

@@ -85,6 +85,28 @@ class TestProperValidationCut:
         with pytest.raises(ValidationWindowError):
             proper_validation_cut(train, spec_for(months=3), TuningConfig(), seed=0)
 
+    def test_ragged_training_window_is_a_window_error(self):
+        spec = SplitSpec(Period(months=10), Period(months=6), Period(months=3), date(2014, 1, 1))
+        with pytest.raises(ValidationWindowError, match="10m is not a whole multiple of 3m"):
+            proper_validation_cut(drifting_train(1), spec, TuningConfig(), seed=0)
+
+    def test_validation_tail_ends_at_the_test_origin(self):
+        # Origin 2013-10-31, W = 6m: the training grid runs 10-31, 11-30, ...,
+        # 02-28, 03-31 and ends at the test origin 2014-04-30.
+        spec = SplitSpec(Period(months=6), Period(months=2), Period(months=1), date(2013, 10, 31))
+        train = generate(
+            DriftSpec(months=7, samples_per_month=300, start=date(2013, 10, 1)), seed=2
+        ).between(spec.origin, spec.test_origin)
+        cfg = TuningConfig(sigma_hat=0.5, validation_fraction=0.34)
+        proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed=0)
+        assert starts == (date(2014, 2, 28), date(2014, 3, 31))
+        assert max(proper.timestamps) < date(2014, 2, 28)
+        # Downsampling to 0.5 keeps every positive, up to the last training day.
+        tail = [(i, t) for i, t, y in zip(train.ids, train.timestamps, train.labels) if y == 1]
+        tail = [(i, t) for i, t in tail if t >= date(2014, 3, 31)]
+        assert max(t for _, t in tail) >= date(2014, 4, 28)
+        assert {i for i, _ in tail} <= set(val_slots[-1].ids)
+
 
 class TestTunePhi:
     def test_contract_and_brute_force_oracle(self):
