@@ -38,9 +38,9 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +208,12 @@ def parse_config(blob: dict) -> ExperimentConfig:
         not (scenario == "bias_grid" and policies),
         "bias_grid does not combine with a delay policy",
     )
+    if any(p.retune_each_step for p in policies):
+        # Each retune grows the training window by whole slots.
+        try:
+            split.train_window.slots_of(split.slot_width)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # ``type(x) is int`` rather than isinstance: a JSON bool is an int subclass.
     seeds = blob.get("seeds", [0])
@@ -249,12 +255,20 @@ def parse_config(blob: dict) -> ExperimentConfig:
 
 
 def _dataset_for_seed(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
-    if cfg.synthetic is not None:
-        return generate(cfg.synthetic, seed=derive_seed(seed, "dataset"))
+    """The seed's dataset; a file dataset is the same for every seed."""
+    key_seed = seed if cfg.synthetic is not None else None
+    return _dataset(cfg.synthetic, cfg.dataset_path, cfg.dataset_format, key_seed)
+
+
+@lru_cache(maxsize=None)
+def _dataset(synthetic: DriftSpec | None, path: str | None, fmt: str | None, seed: int | None):
+    """Built once per key; cleared when a verb returns, so a rewritten file is read again."""
+    if synthetic is not None:
+        return generate(synthetic, seed=derive_seed(seed, "dataset"))
     try:
-        return load_dataset(cfg.dataset_path, cfg.dataset_format)
+        return load_dataset(path, fmt)
     except FileNotFoundError:
-        raise ConfigError(f"dataset file not found: {cfg.dataset_path}") from None
+        raise ConfigError(f"dataset file not found: {path}") from None
 
 
 def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:
@@ -471,11 +485,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         tasks = [("bias_row", seed, row) for row in rows for seed in cfg.seeds]
 
     payloads = [(cfg, t) for t in tasks]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            gathered = dict(pool.map(_execute_task, payloads))
-    else:
-        gathered = dict(map(_execute_task, payloads))
+    try:
+        if cfg.workers > 1:
+            # Imported here: a serial run never pays for the pool's modules.
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+                gathered = dict(pool.map(_execute_task, payloads))
+        else:
+            gathered = dict(map(_execute_task, payloads))
+    finally:
+        _dataset.cache_clear()
 
     with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
         json.dump(_config_echo(cfg), fh, sort_keys=True, indent=2)
@@ -609,10 +629,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         raise ConfigError("tune verb needs a 'tuning' section in the config")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for seed in cfg.seeds:
-        result = _tune(cfg, _dataset_for_seed(cfg, seed), seed)
-        _write_tuning(out, seed, result)
-        print(f"seed {seed}: phi_star={result.phi_star} aut={result.best_aut:.4f}")
+    try:
+        for seed in cfg.seeds:
+            result = _tune(cfg, _dataset_for_seed(cfg, seed), seed)
+            _write_tuning(out, seed, result)
+            print(f"seed {seed}: phi_star={result.phi_star} aut={result.best_aut:.4f}")
+    finally:
+        _dataset.cache_clear()
     return EXIT_OK
 
 

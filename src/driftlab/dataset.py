@@ -10,7 +10,6 @@ where a :class:`Period` width is either a number of calendar months
 
 from __future__ import annotations
 
-import calendar
 import csv
 import json
 import re
@@ -89,12 +88,17 @@ class Period:
         return q
 
 
+def _month_days(y: int, m: int) -> int:
+    """Number of days in month ``m`` (1-12) of year ``y``."""
+    return (date(y + m // 12, m % 12 + 1, 1) - timedelta(days=1)).day
+
+
 def add_months(d: date, n: int) -> date:
     """Calendar-month shift with day-of-month clamping (Jan 31 + 1m = Feb 28)."""
     total = d.year * 12 + (d.month - 1) + n
     year, month0 = divmod(total, 12)
     month = month0 + 1
-    day = min(d.day, calendar.monthrange(year, month)[1])
+    day = min(d.day, _month_days(year, month))
     return date(year, month, day)
 
 
@@ -178,7 +182,8 @@ class LabeledDataset:
             seen: set[str] = set()
             dup = next(i for i in self.ids if i in seen or seen.add(i))
             raise ValueError(f"duplicate sample id {dup!r}")
-        bad = set(np.unique(self.labels)) - {0, 1}
+        # A mask, not np.unique: numpy 2 imports numpy.ma inside np.unique.
+        bad = set(self.labels[(self.labels != 0) & (self.labels != 1)])
         if bad:
             raise ValueError(f"labels must be 0 or 1, got {sorted(bad)}")
         if np.isnat(self.times).any():

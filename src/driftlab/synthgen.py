@@ -18,14 +18,13 @@ pair is a complete description of the dataset — exports are byte-stable.
 
 from __future__ import annotations
 
-import calendar
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
 from .classifiers import _is_number
-from .dataset import LabeledDataset, add_months
+from .dataset import LabeledDataset, _month_days, add_months
 from .rng import derive_rng
 
 __all__ = ["DriftSpec", "generate"]
@@ -83,7 +82,7 @@ def generate(spec: DriftSpec, seed: int) -> LabeledDataset:
     for m in range(spec.months):
         rng = derive_rng(seed, "synthgen", "month", m)
         month_start = add_months(spec.start, m)
-        n_days = calendar.monthrange(month_start.year, month_start.month)[1]
+        n_days = _month_days(month_start.year, month_start.month)
         n = spec.samples_per_month
         ratio_m = spec.positive_ratio + rng.uniform(-spec.ratio_jitter, spec.ratio_jitter)
         n_pos = int(np.clip(np.rint(n * ratio_m), 1, n - 1))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -10,7 +11,6 @@ import pytest
 
 from driftlab import cli, splits
 from driftlab.cli import (
-    BIAS_GRID_ROWS,
     SCENARIOS,
     ConfigError,
     emit_plot_data,
@@ -19,7 +19,7 @@ from driftlab.cli import (
     run_experiment,
 )
 from driftlab.classifiers import LinearSGDClassifier
-from driftlab.dataset import write_csv
+from driftlab.dataset import load_dataset, write_csv
 from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
 from driftlab.rng import derive_rng, derive_seed
 from driftlab.splits import (
@@ -64,6 +64,13 @@ def ragged_training_window(cfg: dict) -> dict:
     """A tuned run whose training window is not a whole number of slots."""
     split = {**cfg["split"], "train_window": "10m", "test_window": "6m", "slot_width": "3m"}
     return {**with_synthetic(cfg, months=16), "split": split, "tuning": {"mu": 0.1}}
+
+
+def ragged_retuned_window(cfg: dict) -> dict:
+    """An untuned run that retunes over a training window of 3 1/3 slots."""
+    split = {**cfg["split"], "train_window": "10m", "test_window": "6m", "slot_width": "3m"}
+    delay = {"kind": "incremental", "retune_each_step": True}
+    return {**with_synthetic(cfg, months=16), "split": split, "delay": delay}
 
 
 def with_synthetic(cfg: dict, **fields) -> dict:
@@ -308,7 +315,7 @@ class TestFitCounts:
         assert len(counter.fits) == 2 * 2 * (4 + 3)
         assert len(set(counter.fits)) == len(counter.fits)
 
-    def test_bias_grid_generates_each_stream_once_per_row(self, tmp_path, monkeypatch):
+    def test_bias_grid_generates_each_stream_once_per_seed(self, tmp_path, monkeypatch):
         calls = []
 
         def counting_generate(spec, seed):
@@ -318,7 +325,53 @@ class TestFitCounts:
         monkeypatch.setattr(cli, "generate", counting_generate)
         blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
         assert run_experiment(parse_config(blob)) == 0
-        assert len(calls) == len(BIAS_GRID_ROWS) * 2
+        assert len(calls) == 2
+
+    def test_bias_grid_loads_a_file_dataset_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load(path, fmt=None):
+            calls.append(path)
+            return load_dataset(path, fmt)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        data = tmp_path / "data.csv"
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        blob["dataset"] = {"path": str(data)}
+        write_csv(generate(DriftSpec(months=12, samples_per_month=80), seed=0), str(data))
+        assert run_experiment(parse_config(blob)) == 0
+        assert calls == [str(data)]
+        # The next run reads the file again, so it sees a rewrite.
+        write_csv(generate(DriftSpec(months=12, samples_per_month=80), seed=1), str(data))
+        assert run_experiment(parse_config(blob)) == 0
+        assert calls == [str(data)] * 2
+
+    @pytest.mark.parametrize(
+        "scenario,workers,expected",
+        [("bias_grid", 8, 4), ("bias_grid", 2, 2), ("realistic", 3, 1)],
+    )
+    def test_pool_is_bounded_by_the_task_count(
+        self, tmp_path, monkeypatch, scenario, workers, expected
+    ):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,), workers=workers)
+        assert run_experiment(parse_config(blob)) == 0
+        assert sizes == [expected]
 
     def test_bias_grid_downsamples_each_side_once(self, tmp_path, monkeypatch):
         calls = []
@@ -552,11 +605,12 @@ class TestCliVerbs:
              "bad"),
             ("run", lambda cfg: with_synthetic(cfg, months=10**400), "bad"),
             ("run", ragged_training_window, "10m is not a whole multiple of 3m"),
+            ("run", ragged_retuned_window, "10m is not a whole multiple of 3m"),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
              "dim_float", "months_bool", "drift_velocity_inf", "sgd_epochs_huge",
-             "months_huge", "train_window_ragged_tuned"],
+             "months_huge", "train_window_ragged_tuned", "train_window_ragged_retuned"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt, message):
         blob = base_config(tmp_path / "out", seeds=(0,))

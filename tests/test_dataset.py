@@ -74,6 +74,12 @@ class TestPeriod:
             Period(months=7).slots_of(Period(months=2))
 
 
+def test_month_days_matches_calendar():
+    for year in range(1900, 2101):
+        for month in range(1, 13):
+            assert dataset._month_days(year, month) == calendar.monthrange(year, month)[1]
+
+
 class TestSlotIndex:
     def test_origin_maps_to_zero(self):
         assert slot_index(date(2014, 1, 1), date(2014, 1, 1), Period(months=1)) == 0
@@ -164,6 +170,17 @@ class TestLabeledDataset:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             make_dataset([("a", "2014-01-01", 2, [1.0])])
+
+    def test_bad_label_message_lists_each_value_once(self):
+        rows = [("a", "2014-01-01", 2, [1.0]), ("b", "2014-01-02", -1, [1.0]),
+                ("c", "2014-01-03", 2, [1.0]), ("d", "2014-01-04", 1, [1.0])]
+        with pytest.raises(ValueError) as err:
+            make_dataset(rows[:1])
+        # Under numpy 2 this reads "labels must be 0 or 1, got [np.int64(2)]".
+        assert str(err.value) == f"labels must be 0 or 1, got {[np.int64(2)]}"
+        with pytest.raises(ValueError) as err:
+            make_dataset(rows)
+        assert str(err.value) == f"labels must be 0 or 1, got {[np.int64(-1), np.int64(2)]}"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
