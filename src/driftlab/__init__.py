@@ -24,7 +24,6 @@ from .dataset import (
     Period,
     concat,
     load_dataset,
-    slot_index,
     summarize,
     write_csv,
     write_jsonl,
@@ -34,7 +33,6 @@ from .delay import (
     DelayPolicy,
     DelayRunResult,
     run_policy,
-    select_uncertain,
 )
 from .metrics import (
     Confusion,
@@ -79,7 +77,6 @@ __all__ = [
     "Period",
     "concat",
     "load_dataset",
-    "slot_index",
     "summarize",
     "write_csv",
     "write_jsonl",
@@ -87,7 +84,6 @@ __all__ = [
     "DelayPolicy",
     "DelayRunResult",
     "run_policy",
-    "select_uncertain",
     "Confusion",
     "MetricCurve",
     "SlotSeries",

@@ -3,6 +3,9 @@
 A classifier is anything with ``fit(train, seed) -> TrainedModel``; a
 trained model maps feature rows to posterior probabilities of the positive
 class in [0, 1]. Predicted label is 1 iff score >= 0.5 (ties go positive).
+A classifier may also offer ``fit_many(base, rows, seeds)``, equal bit for
+bit to one ``fit`` per ``base.subset(rows[k])``; :func:`fit_models` uses it
+when present and falls back to ``fit`` otherwise.
 Two reference implementations with different inductive biases ship here:
 a logistic-loss linear model trained by seeded mini-batch SGD, and a
 k-nearest-neighbour voter with deterministic id tie-breaking.
@@ -14,7 +17,7 @@ import abc
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "score_rows",
     "score_dataset",
     "predict_dataset",
+    "fit_models",
     "logistic_loss_and_grad",
 ]
 
@@ -87,10 +91,11 @@ def predict_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:
     return (score_dataset(model, d) >= 0.5).astype(np.int64)
 
 
-def _require_both_classes(train: LabeledDataset) -> None:
-    if train.n_positive == 0 or train.n_negative == 0:
+def _require_both_classes(labels: np.ndarray) -> None:
+    n_positive = int(np.add.reduce(labels))
+    if n_positive == 0 or n_positive == len(labels):
         raise SingleClassTrainingError(
-            f"training set has {train.n_positive} positives / {train.n_negative} negatives"
+            f"training set has {n_positive} positives / {len(labels) - n_positive} negatives"
         )
 
 
@@ -105,28 +110,43 @@ def _is_number(value: object, integral: bool) -> bool:
         return False
 
 
-def _check_param(name: str, value: object, integral: bool = False, zero_ok: bool = False) -> None:
-    """Reject a hyperparameter that is not a number above zero (or at zero, if allowed)."""
-    if not _is_number(value, integral) or not (value >= 0 if zero_ok else value > 0):
+def _check_param(
+    name: str, value: object, integral: bool = False, zero_ok: bool = False, cap: int | None = None
+) -> None:
+    """Reject a hyperparameter that is not a number above zero (or at zero, if allowed) or is
+    above ``cap``."""
+    ok = _is_number(value, integral) and (value >= 0 if zero_ok else value > 0)
+    if not ok or (cap is not None and value > cap):
         sign = "non-negative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be a {sign} {'integer' if integral else 'number'}, "
-                         f"got {value!r}")
+        bound = "" if cap is None else f" at most {cap}"
+        raise ValueError(f"{name} must be a {sign} {'integer' if integral else 'number'}"
+                         f"{bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
 # Logistic-loss linear model
 # ---------------------------------------------------------------------------
 
+# Upper bound on LinearSGDClassifier.epochs: a fit's work grows with it.
+MAX_EPOCHS = 10_000
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function with one ``exp`` per element and no overflow.
+    """Logistic function without overflow, in a new array.
 
     With e = exp(-|z|), this is 1 / (1 + exp(-z)) for z >= 0 and
-    exp(z) / (1 + exp(z)) for z < 0, the same operations on the same
+    exp(z) / (1 + exp(z)) for z < 0: the numerator exp(min(z, 0)) is
+    exactly 1 or exactly e. These are the same operations on the same
     operands as the two-branch form, so the bits are the same.
     """
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(z, 0.0)
+    np.exp(num, out=num)
+    num /= e
+    return num
 
 
 def logistic_loss_and_grad(
@@ -169,10 +189,11 @@ class LinearSGDClassifier:
     Bit-identity contract: ``w`` and ``b`` equal, bit for bit, those of the
     plain loop that gathers ``X[batch]`` and ``y[batch]`` for every
     mini-batch, uses the two-branch logistic function and takes the bias
-    step from ``np.mean(resid)``. The loop here changes only where the
-    operands live (one permuted copy per epoch, batches as views) and how
-    many numpy calls compute the same values; every update keeps its
-    operations and their order. Tests compare it with that loop by ``==``.
+    step from ``np.mean(resid)``. :meth:`_sgd` changes only where the
+    operands live (gathered per epoch or per step, stacked across models)
+    and how many numpy calls compute the same values; every update keeps
+    its operations and their order. Tests compare it with that loop by
+    ``==``, and :meth:`fit_many` with :meth:`fit` on each subset.
     """
 
     learning_rate: float = 0.1
@@ -182,31 +203,131 @@ class LinearSGDClassifier:
 
     def __post_init__(self) -> None:
         _check_param("learning_rate", self.learning_rate)
-        _check_param("epochs", self.epochs, integral=True)
+        _check_param("epochs", self.epochs, integral=True, cap=MAX_EPOCHS)
         _check_param("l2", self.l2, zero_ok=True)
         _check_param("batch_size", self.batch_size, integral=True)
 
     def fit(self, train: LabeledDataset, seed: int) -> LinearModel:
-        _require_both_classes(train)
-        X = train.features
-        y = train.labels.astype(float)
-        n, dim = X.shape
-        w = np.zeros(dim)
-        b = 0.0
-        rng = derive_rng(seed, "linear_sgd")
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            # One contiguous copy per epoch; each batch is then a view.
-            Xp, yp = X[order], y[order]
-            for start in range(0, n, self.batch_size):
-                Xb = Xp[start : start + self.batch_size]
-                m = len(Xb)
-                z = Xb @ w + b
-                resid = _sigmoid(z) - yp[start : start + m]
-                w -= self.learning_rate * (Xb.T @ resid / m + self.l2 * w)
-                # np.mean is this same reduction followed by the same division.
-                b -= self.learning_rate * (float(np.add.reduce(resid)) / m)
+        _require_both_classes(train.labels)
+        ((w, b),) = self._sgd(train.features, train.labels, [np.arange(len(train))], [seed])
         return LinearModel(w, b)
+
+    def fit_many(
+        self, base: LabeledDataset, rows: Sequence[np.ndarray], seeds: Sequence[int]
+    ) -> list[LinearModel]:
+        """``[self.fit(base.subset(r), s) for r, s in zip(rows, seeds)]``, bit for bit.
+
+        Each ``rows[k]`` holds distinct indices into ``base``. The models
+        train in lockstep, but no model's training rows are copied out of
+        ``base``: each mini-batch is gathered when it is stepped.
+        """
+        rows = [np.asarray(r, dtype=np.intp) for r in rows]
+        if len(rows) != len(seeds):
+            raise ValueError(f"{len(rows)} row sets for {len(seeds)} seeds")
+        for r in rows:
+            if len(r) and (r.min() < 0 or r.max() >= len(base)):
+                raise IndexError(f"row index out of range for {len(base)} rows")
+            _require_both_classes(base.labels[r])
+        return [LinearModel(w, b) for w, b in self._sgd(base.features, base.labels, rows, seeds)]
+
+    def _sgd(
+        self, X: np.ndarray, labels: np.ndarray, rows: list[np.ndarray], seeds: Sequence[int]
+    ) -> list[tuple[np.ndarray, float]]:
+        """``(w, b)`` of one model per (rows, seed), trained on ``X[rows[k]]``.
+
+        Models are sorted by size, largest first, so at step ``s`` of an
+        epoch the ones with a full batch left form a prefix. A prefix of two
+        or more advances in one stacked step; every other batch (the only
+        model's, or a model's last, partial one) is stepped alone. A lone
+        model gathers its epoch's rows once and steps views of them.
+        """
+        if not rows:
+            return []
+        y = labels.astype(float)
+        bs = self.batch_size
+        by_size = sorted(range(len(rows)), key=lambda k: len(rows[k]), reverse=True)
+        sizes = [len(rows[k]) for k in by_size]
+        rngs = [derive_rng(seeds[k], "linear_sgd") for k in by_size]
+        W = np.zeros((len(rows), X.shape[1]))
+        B = np.zeros(len(rows))
+        G = np.zeros((len(rows), sizes[0]), dtype=np.intp)
+        lone = len(rows) == 1
+        for _ in range(self.epochs):
+            for j, k in enumerate(by_size):
+                np.take(rows[k], rngs[j].permutation(sizes[j]), out=G[j, : sizes[j]])
+            if lone:
+                Xp, yp = X.take(G[0], axis=0, mode="clip"), y.take(G[0], mode="clip")
+            full = len(rows)
+            for s in range(0, sizes[0], bs):
+                while full and sizes[full - 1] < s + bs:
+                    full -= 1
+                if full > 1:
+                    idx = G[:full, s : s + bs]
+                    self._step_many(W[:full], B[:full], X.take(idx, axis=0, mode="clip"),
+                                    y.take(idx, mode="clip"))
+                for j in range(full if full > 1 else 0, len(rows)):
+                    end = min(s + bs, sizes[j])
+                    if end <= s:
+                        break
+                    if lone:
+                        Xb, yb = Xp[s:end], yp[s:end]
+                    else:
+                        idx = G[j, s:end]
+                        Xb, yb = X.take(idx, axis=0, mode="clip"), y.take(idx, mode="clip")
+                    B[j] = self._step(W[j], float(B[j]), Xb, yb)
+        # argsort of the size order is its inverse: model k's position in W.
+        return [(W[j], float(B[j])) for j in np.argsort(by_size)]
+
+    def _step(self, w: np.ndarray, b: float, Xb: np.ndarray, yb: np.ndarray) -> float:
+        """One model's update on one batch: ``w`` in place, the new bias returned."""
+        m = len(Xb)
+        z = Xb @ w
+        z += b
+        resid = _sigmoid(z)
+        resid -= yb
+        grad = Xb.T @ resid
+        grad /= m
+        grad += self.l2 * w
+        grad *= self.learning_rate
+        w -= grad
+        # np.mean is this same reduction followed by the same division.
+        return b - self.learning_rate * (float(np.add.reduce(resid)) / m)
+
+    def _step_many(self, W: np.ndarray, B: np.ndarray, Xb: np.ndarray, yb: np.ndarray) -> None:
+        """:meth:`_step` for each model ``i`` on batch ``Xb[i]``, with ``W`` and ``B`` in place.
+
+        Each stacked product runs the BLAS call of the one-model step on
+        the same operand layout, and the elementwise calls apply the same
+        operations to every element, so each model gets the same bits.
+        """
+        m = Xb.shape[1]
+        z = np.matmul(Xb, W[:, :, None])[:, :, 0]
+        z += B[:, None]
+        resid = _sigmoid(z)
+        resid -= yb
+        grad = np.matmul(Xb.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
+        grad /= m
+        grad += self.l2 * W
+        grad *= self.learning_rate
+        W -= grad
+        step = np.add.reduce(resid, axis=1)
+        step /= m
+        step *= self.learning_rate
+        B -= step
+
+
+def fit_models(
+    clf: Classifier, base: LabeledDataset, rows: Sequence[np.ndarray], seeds: Sequence[int]
+) -> Iterator[TrainedModel]:
+    """One model per (rows, seed), each as if fit on ``base.subset(rows[k])``.
+
+    A classifier with ``fit_many`` trains them all in one call; any other
+    is fit on one subset at a time, as the models are consumed.
+    """
+    fit_many = getattr(clf, "fit_many", None)
+    if fit_many is not None:
+        return iter(fit_many(base, rows, seeds))
+    return (clf.fit(base.subset(r), s) for r, s in zip(rows, seeds))
 
 
 # ---------------------------------------------------------------------------

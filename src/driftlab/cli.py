@@ -45,7 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier, ModelOutputError
+from .classifiers import (
+    Classifier,
+    KNNClassifier,
+    LinearSGDClassifier,
+    ModelOutputError,
+    fit_models,
+)
 from .dataset import LabeledDataset, load_dataset, write_csv, write_jsonl
 from .delay import (
     ConstraintViolationError,
@@ -76,6 +82,7 @@ from .splits import (
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
+    ratio_rows,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
@@ -306,25 +313,36 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The bias table. Each row turns (dataset, config, seed) into folds of
-# (train side, test sides, fit seed), where a side is a window before ratio
-# enforcement and its downsampling seed; a cell scores the mean over folds
-# of the F1 pooled across the fold's test sets.
+# The bias table. Each row turns (dataset, config, seed) into a base dataset
+# and folds of (train side, test sides, fit seed). A train side is row
+# indices into the base with their downsampling seed; a test side is a
+# window before ratio enforcement and its seed. A cell scores the mean over
+# folds of the F1 pooled across the fold's test sets.
 # ---------------------------------------------------------------------------
 
 
 def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, seed: int):
-    """Time-blind stratified k-fold, one fold's sides cut at a time."""
+    """Time-blind stratified k-fold; the training sides are rows of the seed's stream."""
     folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
-    for i, (train_idx, test_idx) in enumerate(folds):
-        train = (d.subset(train_idx), derive_seed(seed, "bk", "tr", i))
-        test = (d.subset(test_idx), derive_seed(seed, "bk", "ts", i))
-        yield train, [test], derive_seed(seed, "bk", "fit", i)
+    return d, [
+        (
+            (train_idx, derive_seed(seed, "bk", "tr", i)),
+            [(d.subset(test_idx), derive_seed(seed, "bk", "ts", i))],
+            derive_seed(seed, "bk", "fit", i),
+        )
+        for i, (train_idx, test_idx) in enumerate(folds)
+    ]
 
 
 def _windowed_row(pools, label: str):
-    """The one-fold row of a :mod:`driftlab.splits` pool builder."""
-    return lambda d, cfg, seed: [(*pools(d, cfg.split, seed), derive_seed(seed, label, "fit"))]
+    """The one-fold row of a :mod:`driftlab.splits` pool builder, based on its training window."""
+
+    def row(d: LabeledDataset, cfg: ExperimentConfig, seed: int):
+        (train, train_seed), tests = pools(d, cfg.split, seed)
+        fold = ((np.arange(len(train)), train_seed), tests, derive_seed(seed, label, "fit"))
+        return train, [fold]
+
+    return row
 
 
 BIAS_GRID_ROWS = {
@@ -339,21 +357,26 @@ def _bias_f1s(cfg: ExperimentConfig, seed: int, row: str) -> dict[tuple[float, f
     """The row's mean-over-folds pooled F1 at each (phi, delta) cell.
 
     The cells are the full grid for ``bias_grid``, else the configured one.
-    Per fold, each test side is downsampled once per delta and the
-    training side once per phi; each phi's model is fit once and scored
-    on every delta.
+    Each test side is downsampled once per delta and each training side
+    once per phi; each phi's fold models are fit in one
+    :func:`~driftlab.classifiers.fit_models` call and each is scored on
+    every delta.
     """
     phis = deltas = BIAS_GRID_RATIOS
     if cfg.scenario != "bias_grid":
         phis, deltas = (cfg.ratios.phi,), (cfg.ratios.delta,)
     scores: dict[tuple[float, float], list[float]] = {(p, q): [] for p in phis for q in deltas}
-    folds = BIAS_GRID_ROWS[row](_dataset_for_seed(cfg, seed), cfg, seed)
-    for (train, train_seed), tests, fit_seed in folds:
-        test_sets = {q: [enforce_ratio(t, q, seed=s) for t, s in tests] for q in deltas}
-        for phi in phis:
-            model = cfg.classifier.fit(enforce_ratio(train, phi, seed=train_seed), fit_seed)
+    base, folds = BIAS_GRID_ROWS[row](_dataset_for_seed(cfg, seed), cfg, seed)
+    test_sets = [
+        {q: [enforce_ratio(t, q, seed=s) for t, s in tests] for q in deltas}
+        for _, tests, _ in folds
+    ]
+    fit_seeds = [fit_seed for _, _, fit_seed in folds]
+    for phi in phis:
+        rows = [r[ratio_rows(base.labels[r], phi, seed=s)] for (r, s), _, _ in folds]
+        for model, sets in zip(fit_models(cfg.classifier, base, rows, fit_seeds), test_sets):
             for delta in deltas:
-                pooled = sum((confusion_counts(model, t) for t in test_sets[delta]), Confusion())
+                pooled = sum((confusion_counts(model, t) for t in sets[delta]), Confusion())
                 scores[phi, delta].append(prf1(pooled)[2])
     return {cell: float(np.mean(f1s)) for cell, f1s in scores.items()}
 
@@ -485,12 +508,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         tasks = [("bias_row", seed, row) for row in rows for seed in cfg.seeds]
 
     payloads = [(cfg, t) for t in tasks]
+    workers = min(cfg.workers, len(tasks))
     try:
-        if cfg.workers > 1:
+        if workers > 1:
             # Imported here: a serial run never pays for the pool's modules.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 gathered = dict(pool.map(_execute_task, payloads))
         else:
             gathered = dict(map(_execute_task, payloads))

@@ -28,7 +28,6 @@ __all__ = [
     "EmptySlotError",
     "add_months",
     "add_period",
-    "slot_index",
     "slot_edges",
     "load_dataset",
     "iso_dates",
@@ -106,16 +105,6 @@ def add_period(d: date, period: Period, k: int = 1) -> date:
     if period.months:
         return add_months(d, period.months * k)
     return d + timedelta(days=period.days * k)
-
-
-def slot_index(t: date, origin: date, width: Period) -> int:
-    """Index k with ``t`` in ``[origin + k*width, origin + (k+1)*width)``.
-
-    The slot that holds ``t`` on the grid of :func:`slot_edges`.
-    """
-    if t < origin:
-        raise ValueError(f"timestamp {t} precedes slot origin {origin}")
-    return len(slot_edges(origin, width, t + timedelta(days=1))) - 2
 
 
 def slot_edges(origin: date, width: Period, end: date) -> list[date]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classifiers import Classifier, TrainedModel, score_dataset
-from .dataset import LabeledDataset, concat
+from .dataset import concat
 from .metrics import (
     Confusion,
     MetricCurve,
@@ -51,7 +51,6 @@ __all__ = [
     "ConstraintViolationError",
     "initial_scores",
     "run_policy",
-    "select_uncertain",
     "write_delay_summary_csv",
     "write_delay_slots_csv",
 ]
@@ -130,13 +129,6 @@ def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int)
     conf = np.abs(scores - 0.5)
     order = sorted(range(len(ids)), key=lambda i: (conf[i], ids[i]))
     return [ids[i] for i in order[:budget_count]]
-
-
-def select_uncertain(
-    model: TrainedModel, slot: LabeledDataset, budget_count: int
-) -> list[str]:
-    """Ids of the budget_count slot members ``model`` is least sure of, most uncertain first."""
-    return _most_uncertain(score_dataset(model, slot), slot.ids, budget_count)
 
 
 def _predicted_class_probs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

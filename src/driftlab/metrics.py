@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, TrainedModel, predict_dataset
+from .classifiers import Classifier, TrainedModel, fit_models, predict_dataset
 from .dataset import LabeledDataset
 from .rng import derive_rng, derive_seed
 
@@ -249,12 +249,15 @@ def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldRe
     Stratification keeps the class mix even so the comparison isolates
     temporal bias from sampling noise.
     """
-    scores = []
-    for i, (train_idx, test_idx) in enumerate(
-        stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
-    ):
-        model = clf.fit(d.subset(train_idx), derive_seed(seed, "kfold", "fit", i))
-        scores.append(prf1(confusion_counts(model, d.subset(test_idx)))[2])
+    folds = stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
+    models = fit_models(
+        clf, d, [train_idx for train_idx, _ in folds],
+        [derive_seed(seed, "kfold", "fit", i) for i in range(k)],
+    )
+    scores = [
+        prf1(confusion_counts(model, d.subset(test_idx)))[2]
+        for model, (_, test_idx) in zip(models, folds)
+    ]
     arr = np.array(scores)
     return KFoldResult(float(arr.mean()), float(arr.std()), tuple(scores))
 

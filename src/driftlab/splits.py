@@ -54,6 +54,7 @@ __all__ = [
     "past_testing_split",
     "disjoint_class_split",
     "enforce_ratio",
+    "ratio_rows",
     "check_c1",
     "check_c2",
     "check_c3",
@@ -179,6 +180,61 @@ def _round_half_even(x: float) -> int:
     return int(np.rint(x))
 
 
+def ratio_rows(
+    labels: np.ndarray,
+    target: float,
+    mode: Literal["random", "uncertainty_prioritized"] = "random",
+    confidence: np.ndarray | None = None,
+    seed: int = 0,
+    ids: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Ascending positions of the rows :func:`enforce_ratio` keeps of a pool with ``labels``.
+
+    Uncertainty mode also needs the pool's ``ids``, which break ties
+    between equal confidences. All positions come back when nothing is cut.
+    """
+    if not (0.0 < target < 1.0):
+        raise ValueError(f"target ratio must lie in (0, 1), got {target}")
+    if mode not in ("random", "uncertainty_prioritized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "uncertainty_prioritized":
+        if confidence is None or np.shape(confidence) != (len(labels),):
+            raise ValueError("uncertainty_prioritized mode requires one scorer confidence per row")
+        if ids is None or len(ids) != len(labels):
+            raise ValueError("uncertainty_prioritized mode requires one id per row")
+
+    n_pos = int(np.add.reduce(labels))
+    n_neg = len(labels) - n_pos
+    everything = np.arange(len(labels))
+    # Over-represented class relative to target, by cross-multiplication
+    # (avoids dividing and float ratio round-off).
+    pos_excess = n_pos * (1.0 - target) - n_neg * target
+    if pos_excess > 0:
+        if n_neg == 0:
+            raise UpsamplingRequiredError("no negatives: target unreachable by downsampling")
+        cut_label, keep_count = 1, _round_half_even(n_neg * target / (1.0 - target))
+    elif pos_excess < 0:
+        if n_pos == 0:
+            raise UpsamplingRequiredError("no positives: target unreachable by downsampling")
+        cut_label, keep_count = 0, _round_half_even(n_pos * (1.0 - target) / target)
+    else:
+        return everything
+
+    cut_idx = np.flatnonzero(labels == cut_label)
+    if keep_count >= len(cut_idx):
+        return everything
+    if mode == "random":
+        rng = derive_rng(seed, "enforce_ratio")
+        kept = rng.choice(cut_idx, size=keep_count, replace=False)
+    else:
+        conf = confidence[cut_idx]
+        order = sorted(range(len(cut_idx)), key=lambda j: (conf[j], ids[cut_idx[j]]))
+        kept = cut_idx[order[:keep_count]]
+    keep_mask = labels != cut_label
+    keep_mask[kept] = True
+    return np.flatnonzero(keep_mask)
+
+
 def enforce_ratio(
     pool: LabeledDataset,
     target: float,
@@ -195,45 +251,11 @@ def enforce_ratio(
     each pool row's |score - 0.5|, and the smallest values are kept (ties
     by ascending id), which keeps the points that define the decision
     boundary; in random mode retention is a seeded uniform draw. Output
-    preserves the pool's original order.
+    preserves the pool's original order, and is ``pool`` itself when
+    nothing is cut. :func:`ratio_rows` makes the selection.
     """
-    if not (0.0 < target < 1.0):
-        raise ValueError(f"target ratio must lie in (0, 1), got {target}")
-    if mode not in ("random", "uncertainty_prioritized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "uncertainty_prioritized" and (
-        confidence is None or np.shape(confidence) != (len(pool),)
-    ):
-        raise ValueError("uncertainty_prioritized mode requires one scorer confidence per row")
-
-    n_pos, n_neg = pool.n_positive, pool.n_negative
-    # Over-represented class relative to target, by cross-multiplication
-    # (avoids dividing and float ratio round-off).
-    pos_excess = n_pos * (1.0 - target) - n_neg * target
-    if pos_excess > 0:
-        if n_neg == 0:
-            raise UpsamplingRequiredError("no negatives: target unreachable by downsampling")
-        cut_label, keep_count = 1, _round_half_even(n_neg * target / (1.0 - target))
-    elif pos_excess < 0:
-        if n_pos == 0:
-            raise UpsamplingRequiredError("no positives: target unreachable by downsampling")
-        cut_label, keep_count = 0, _round_half_even(n_pos * (1.0 - target) / target)
-    else:
-        return pool
-
-    cut_idx = np.flatnonzero(pool.labels == cut_label)
-    if keep_count >= len(cut_idx):
-        return pool
-    if mode == "random":
-        rng = derive_rng(seed, "enforce_ratio")
-        kept = rng.choice(cut_idx, size=keep_count, replace=False)
-    else:
-        conf = confidence[cut_idx]
-        order = sorted(range(len(cut_idx)), key=lambda j: (conf[j], pool.ids[cut_idx[j]]))
-        kept = cut_idx[order[:keep_count]]
-    keep_mask = pool.labels != cut_label
-    keep_mask[kept] = True
-    return pool.subset(np.flatnonzero(keep_mask))
+    rows = ratio_rows(pool.labels, target, mode, confidence, seed, pool.ids)
+    return pool if len(rows) == len(pool) else pool.subset(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ from .rng import derive_rng
 __all__ = ["DriftSpec", "generate"]
 
 
+# Upper bounds on DriftSpec's integer fields: a stream's size grows with each.
+MAX_INTS = {"months": 1_200, "samples_per_month": 100_000, "dim": 1_000}
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     months: int
@@ -54,6 +58,9 @@ class DriftSpec:
             raise ValueError("need >= 1 month and >= 2 samples per month")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        for name, cap in MAX_INTS.items():
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be at most {cap}, got {getattr(self, name)!r}")
         if not (0.0 < self.positive_ratio < 1.0):
             raise ValueError("positive_ratio must lie in (0, 1)")
         if self.ratio_jitter < 0 or self.drift_velocity < 0 or self.spread <= 0:

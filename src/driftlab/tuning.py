@@ -29,11 +29,11 @@ from datetime import date
 
 import numpy as np
 
-from .classifiers import Classifier, score_rows
+from .classifiers import Classifier, fit_models, score_rows
 from .dataset import EmptySlotError, LabeledDataset, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
-from .splits import SplitSpec, enforce_ratio, two_class_windows
+from .splits import SplitSpec, enforce_ratio, ratio_rows, two_class_windows
 
 __all__ = [
     "TuningConfig",
@@ -164,7 +164,9 @@ def tune_phi(
     Returns the full grid table for audit. When no phi beats the
     sigma_hat start under the error ceiling, phi* stays at sigma_hat;
     ``constraint_met`` records whether the returned point itself satisfies
-    the ceiling.
+    the ceiling. Every grid point's training set is a row selection of the
+    proper-training pool, and their models are fit in one
+    :func:`~driftlab.classifiers.fit_models` call.
     """
     proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed)
     scorer = clf.fit(proper, derive_seed(seed, "tuning", "scorer"))
@@ -175,18 +177,25 @@ def tune_phi(
         rows = proper.labels == label
         confidence[rows] = np.abs(score_rows(scorer, proper.features[rows]) - 0.5)
 
-    evaluations: list[tuple[float, float, float]] = []
-    for j, phi in enumerate(cfg.grid()):
-        downsampled = enforce_ratio(
-            proper,
+    grid = cfg.grid()
+    kept_rows = []
+    for j, phi in enumerate(grid):
+        kept = ratio_rows(
+            proper.labels,
             phi,
             "uncertainty_prioritized",
             confidence=confidence,
             seed=derive_seed(seed, "tuning", "downsample", j, bound=2**63),
+            ids=proper.ids,
         )
-        if downsampled.n_positive == 0 or downsampled.n_negative == 0:
+        n_positive = int(np.add.reduce(proper.labels[kept]))
+        if n_positive == 0 or n_positive == len(kept):
             raise EmptySlotError(f"proper-training pool single-class at phi={phi}")
-        model = clf.fit(downsampled, derive_seed(seed, "tuning", "fit", j))
+        kept_rows.append(kept)
+    fit_seeds = [derive_seed(seed, "tuning", "fit", j) for j in range(len(grid))]
+
+    evaluations: list[tuple[float, float, float]] = []
+    for phi, model in zip(grid, fit_models(clf, proper, kept_rows, fit_seeds)):
         series = slot_series(model, val_slots, starts)
         area = aut(point_estimates(series, cfg.target))
         evaluations.append((phi, area, error_rate(series.pooled(), cfg.target)))

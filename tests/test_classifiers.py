@@ -14,6 +14,7 @@ from driftlab.classifiers import (
     SingleClassTrainingError,
     TrainedModel,
     _sigmoid,
+    fit_models,
     logistic_loss_and_grad,
     predict_dataset,
     score_dataset,
@@ -194,6 +195,106 @@ class TestSGDBitIdentity:
         z = np.array([m for v in mags for m in (v, -v)])
         got, expected = _sigmoid(z), two_branch_sigmoid(z)
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A base dataset, ragged row sets into it, one seed per set, and a classifier.
+
+    Each row set's size sits below, at or above batch_size (batch_size 1
+    included), each holds both classes, and feature columns have scales
+    from 0.1 to 10.
+    """
+    batch_size = draw(st.sampled_from([1, 2, 5, 16]))
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 4 * batch_size + 8
+    X = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
+    y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(int)
+    y[:2] = (0, 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(["below", "at", "above"]))
+        if shape == "below" and batch_size > 2:
+            size = draw(st.integers(2, batch_size - 1))
+        elif shape == "above" or batch_size == 1:
+            size = draw(st.integers(batch_size + 1, n))
+        else:
+            size = max(batch_size, 2)
+        # Rows 0 and 1 (one of each class) plus a random draw of the rest, shuffled.
+        r = np.concatenate([[0, 1], rng.choice(np.arange(2, n), size=size - 2, replace=False)])
+        rows.append(rng.permutation(r))
+    clf = LinearSGDClassifier(
+        learning_rate=draw(st.sampled_from([0.01, 0.1, 1.0])),
+        epochs=draw(st.integers(1, 3)),
+        l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+        batch_size=batch_size,
+    )
+    seeds = [draw(st.integers(0, 2**31 - 1)) for _ in rows]
+    return tiny_dataset(X, y), rows, seeds, clf
+
+
+class TestFitMany:
+    @settings(max_examples=80, deadline=None)
+    @given(lockstep_cases())
+    def test_equals_fit_on_each_subset(self, case):
+        base, rows, seeds, clf = case
+        many = clf.fit_many(base, rows, seeds)
+        assert len(many) == len(rows)
+        for model, r, seed in zip(many, rows, seeds):
+            one = clf.fit(base.subset(r), seed)
+            assert model.w.tolist() == one.w.tolist()
+            assert model.b == one.b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        models=st.integers(1, 6),
+        batch=st.integers(1, 70),
+        dim=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_step_equals_one_model_steps(self, models, batch, dim, seed):
+        rng = np.random.default_rng(seed)
+        Xb = rng.normal(size=(models, batch, dim)) * 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
+        yb = (rng.random((models, batch)) < 0.3).astype(float)
+        W, B = rng.normal(size=(models, dim)), rng.normal(size=models)
+        clf = LinearSGDClassifier(l2=0.01)
+        expected = []
+        for i in range(models):
+            w = W[i].copy()
+            b = clf._step(w, float(B[i]), Xb[i], yb[i])
+            expected.append((w.tolist(), b))
+        clf._step_many(W, B, Xb, yb)
+        assert [(w.tolist(), b) for w, b in zip(W, B.tolist())] == expected
+
+    def test_single_class_row_set_rejected_like_fit(self):
+        base = tiny_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1])
+        clf = LinearSGDClassifier(epochs=1)
+        with pytest.raises(SingleClassTrainingError):
+            clf.fit(base.subset([1, 2]), 0)
+        with pytest.raises(SingleClassTrainingError):
+            clf.fit_many(base, [[0, 1], [1, 2]], [0, 0])
+
+    def test_no_row_sets_no_models(self):
+        base = tiny_dataset([[0.0], [1.0]], [0, 1])
+        assert LinearSGDClassifier().fit_many(base, [], []) == []
+
+
+class TestFitModels:
+    def test_fit_only_classifier_fit_on_each_subset(self):
+        base = blob_dataset(30, 30, seed=4)
+        rows = [np.arange(0, 60, 2), np.arange(1, 60, 3)]
+        fitted = []
+
+        class FitOnly:
+            def fit(self, train, seed):
+                fitted.append((train.ids, seed))
+                return KNNClassifier(k=3).fit(train, seed)
+
+        models = fit_models(FitOnly(), base, rows, [5, 6])
+        assert fitted == []  # fit lazily, one model at a time
+        assert len(list(models)) == 2
+        assert fitted == [(base.subset(r).ids, s) for r, s in zip(rows, [5, 6])]
 
 
 class TestKNN:

@@ -26,6 +26,7 @@ from driftlab.splits import (
     disjoint_class_split,
     enforce_ratio,
     past_testing_split,
+    ratio_rows,
     time_aware_split,
 )
 from driftlab.synthgen import DriftSpec, generate
@@ -116,6 +117,30 @@ class TestParseConfig:
         blob["delay"] = {"kind": "active_learning", "al_budget": [0.01, 0.25]}
         cfg = parse_config(blob)
         assert [p.al_budget for p in cfg.delay_policies] == [0.01, 0.25]
+
+    @pytest.mark.parametrize("over", ["cap+1", "10**300"])
+    @pytest.mark.parametrize(
+        "section,field,cap",
+        [
+            ("classifier", "epochs", 10_000),
+            ("dataset.synthetic", "months", 1_200),
+            ("dataset.synthetic", "samples_per_month", 100_000),
+            ("dataset.synthetic", "dim", 1_000),
+        ],
+    )
+    def test_integer_field_over_its_cap_rejected(self, tmp_path, section, field, cap, over):
+        def with_value(value):
+            blob = base_config(tmp_path / "out")
+            if section == "classifier":
+                blob["classifier"][field] = value
+            else:
+                blob["dataset"]["synthetic"][field] = value
+            return blob
+
+        parse_config(with_value(cap))  # the cap itself is allowed
+        value = cap + 1 if over == "cap+1" else 10**300
+        with pytest.raises(ConfigError, match=f"bad {section}: {field} must be .*at most {cap}"):
+            parse_config(with_value(value))
 
     def test_bad_split_reported(self, tmp_path):
         blob = base_config(tmp_path / "out")
@@ -371,7 +396,30 @@ class TestFitCounts:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,), workers=workers)
         assert run_experiment(parse_config(blob)) == 0
-        assert sizes == [expected]
+        # A one-task run stays in-process: no executor is built at all.
+        assert sizes == ([expected] if expected > 1 else [])
+
+    def test_bias_grid_fits_each_phi_in_one_lockstep_call(self, tmp_path, monkeypatch):
+        calls, fits = [], []
+        fit_many, fit = LinearSGDClassifier.fit_many, LinearSGDClassifier.fit
+
+        def counting_fit_many(self, base, rows, seeds):
+            calls.append((base.ids, len(rows)))
+            return fit_many(self, base, rows, seeds)
+
+        def counting_fit(self, train, seed):
+            fits.append(seed)
+            return fit(self, train, seed)
+
+        monkeypatch.setattr(LinearSGDClassifier, "fit_many", counting_fit_many)
+        monkeypatch.setattr(LinearSGDClassifier, "fit", counting_fit)
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        assert run_experiment(parse_config(blob)) == 0
+        # One call per (seed, row, phi): 2 seeds x 4 rows x 2 phis; the
+        # k-fold row's calls hold its 4 folds, the others one model.
+        assert len(calls) == 2 * 4 * 2
+        assert sorted(n for _, n in calls) == [1] * 12 + [4] * 4
+        assert fits == []
 
     def test_bias_grid_downsamples_each_side_once(self, tmp_path, monkeypatch):
         calls = []
@@ -380,14 +428,55 @@ class TestFitCounts:
             calls.append((pool.ids, target, kwargs["seed"]))
             return enforce_ratio(pool, target, *args, **kwargs)
 
+        def counting_ratio_rows(labels, target, *args, **kwargs):
+            calls.append((labels.tobytes(), target, kwargs["seed"]))
+            return ratio_rows(labels, target, *args, **kwargs)
+
         monkeypatch.setattr(cli, "enforce_ratio", counting_enforce_ratio)
         monkeypatch.setattr(splits, "enforce_ratio", counting_enforce_ratio)
+        # Training sides are selected as rows; enforce_ratio's own call is not counted.
+        monkeypatch.setattr(cli, "ratio_rows", counting_ratio_rows)
         blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
         assert run_experiment(parse_config(blob)) == 0
         # Per seed, 2 phis + 2 deltas per side: k-fold 4 x (1 + 1), past_testing
         # and realistic 1 + 6 slots, disjoint_class_windows 1 + 1.
         assert len(calls) == 2 * 2 * (4 * 2 + 7 + 7 + 2)
         assert len(set(calls)) == len(calls)
+
+
+class FitOnly:
+    """A classifier with ``fit`` alone, so the framework falls back to one fit per model."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def fit(self, train, seed):
+        return self.inner.fit(train, seed)
+
+
+class TestFitManyFallback:
+    @pytest.mark.parametrize(
+        "scenario,extra",
+        [
+            ("bias_grid", {}),
+            ("kfold", {}),
+            ("realistic", {"tuning": {"mu": 0.1, "validation_fraction": 0.34}}),
+        ],
+        ids=["bias_grid", "kfold", "tune"],
+    )
+    def test_fit_only_classifier_writes_the_same_bytes(self, tmp_path, scenario, extra):
+        blob = base_config(tmp_path / "lockstep", scenario=scenario, seeds=(0, 1), **extra)
+        blob["dataset"]["synthetic"]["samples_per_month"] = 120
+        cfg = parse_config(blob)
+        assert run_experiment(cfg) == 0
+        fallback = replace(
+            cfg, classifier=FitOnly(cfg.classifier), output_dir=str(tmp_path / "fit")
+        )
+        assert run_experiment(fallback) == 0
+        lockstep = dir_digest(tmp_path / "lockstep")
+        assert lockstep == dir_digest(tmp_path / "fit")
+        if scenario == "realistic":
+            assert "tuning_seed0.csv" in lockstep
 
 
 def oracle_bias_grid(cfg) -> dict[tuple[str, str, str, str], str]:

@@ -17,11 +17,18 @@ from driftlab.dataset import (
     Period,
     add_period,
     load_dataset,
-    slot_index,
+    slot_edges,
     summarize,
     write_csv,
     write_jsonl,
 )
+
+
+def slot_index(t, origin, width):
+    """Index k with ``t`` in ``[origin + k*width, origin + (k+1)*width)`` on the slot_edges grid."""
+    if t < origin:
+        raise ValueError(f"timestamp {t} precedes slot origin {origin}")
+    return len(slot_edges(origin, width, t + timedelta(days=1))) - 2
 
 
 def make_dataset(rows):

@@ -17,7 +17,6 @@ from driftlab.delay import (
     _most_uncertain,
     _predicted_class_probs,
     run_policy,
-    select_uncertain,
     write_delay_slots_csv,
     write_delay_summary_csv,
 )
@@ -64,6 +63,11 @@ def slot_of(score_table, labels=None):
     labels = labels if labels is not None else [0] * len(ids)
     d = LabeledDataset(ids, [date(2015, 1, 5)] * len(ids), labels, feats)
     return d, FixedScoreModel(table)
+
+
+def select_uncertain(model, slot, budget_count):
+    """Ids of the budget_count slot members the model is least sure of, as run_policy ranks them."""
+    return _most_uncertain(score_dataset(model, slot), slot.ids, budget_count)
 
 
 class TestSelectUncertain:

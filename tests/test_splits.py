@@ -22,6 +22,7 @@ from driftlab.splits import (
     enforce_ratio,
     past_testing_pools,
     past_testing_split,
+    ratio_rows,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
@@ -63,6 +64,9 @@ class TestEnforceRatio:
         d = flat_dataset(90, 10)
         out = enforce_ratio(d, 0.10, "random", seed=0)
         assert out.ids == d.ids
+        # Nothing is cut: every row is selected, and the pool itself comes back uncopied.
+        assert ratio_rows(d.labels, 0.10).tolist() == list(range(len(d)))
+        assert out is d
 
     def test_downsample_negatives_oracle(self):
         # Oracle: keep_neg = round(pos * (1 - t) / t) = round(20 * 0.8 / 0.2) = 80.
