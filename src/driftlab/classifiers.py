@@ -14,14 +14,12 @@ k-nearest-neighbour voter with deterministic id tie-breaking.
 from __future__ import annotations
 
 import abc
-import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_fields, rule
 from .rng import derive_rng
 
 __all__ = [
@@ -99,37 +97,9 @@ def _require_both_classes(labels: np.ndarray) -> None:
         )
 
 
-def _is_number(value: object, integral: bool) -> bool:
-    """A finite real (an int if ``integral``) within float range; bools and strings are not."""
-    kind = numbers.Integral if integral else numbers.Real
-    if not isinstance(value, kind) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
-def _check_param(
-    name: str, value: object, integral: bool = False, zero_ok: bool = False, cap: int | None = None
-) -> None:
-    """Reject a hyperparameter that is not a number above zero (or at zero, if allowed) or is
-    above ``cap``."""
-    ok = _is_number(value, integral) and (value >= 0 if zero_ok else value > 0)
-    if not ok or (cap is not None and value > cap):
-        sign = "non-negative" if zero_ok else "positive"
-        bound = "" if cap is None else f" at most {cap}"
-        raise ValueError(f"{name} must be a {sign} {'integer' if integral else 'number'}"
-                         f"{bound}, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Logistic-loss linear model
 # ---------------------------------------------------------------------------
-
-# Upper bound on LinearSGDClassifier.epochs: a fit's work grows with it.
-MAX_EPOCHS = 10_000
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow, in a new array.
@@ -196,16 +166,14 @@ class LinearSGDClassifier:
     ``==``, and :meth:`fit_many` with :meth:`fit` on each subset.
     """
 
-    learning_rate: float = 0.1
-    epochs: int = 40
-    l2: float = 1e-4
-    batch_size: int = 64
+    learning_rate: float = field(default=0.1, metadata=rule(float, gt=0))
+    # A fit's work grows with epochs.
+    epochs: int = field(default=40, metadata=rule(int, gt=0, le=10_000))
+    l2: float = field(default=1e-4, metadata=rule(float, ge=0))
+    batch_size: int = field(default=64, metadata=rule(int, gt=0))
 
     def __post_init__(self) -> None:
-        _check_param("learning_rate", self.learning_rate)
-        _check_param("epochs", self.epochs, integral=True, cap=MAX_EPOCHS)
-        _check_param("l2", self.l2, zero_ok=True)
-        _check_param("batch_size", self.batch_size, integral=True)
+        check_fields(self)
 
     def fit(self, train: LabeledDataset, seed: int) -> LinearModel:
         _require_both_classes(train.labels)
@@ -419,11 +387,10 @@ class KNNModel(TrainedModel):
 class KNNClassifier:
     """Majority-vote scorer: score = positive fraction among k nearest points."""
 
-    k: int = 5
+    k: int = field(default=5, metadata=rule(int, gt=0, odd=True))
 
     def __post_init__(self) -> None:
-        if not _is_number(self.k, integral=True) or self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"k must be a positive odd integer, got {self.k!r}")
+        check_fields(self)
 
     def fit(self, train: LabeledDataset, seed: int) -> KNNModel:
         if self.k > len(train):

@@ -38,7 +38,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
@@ -52,7 +52,7 @@ from .classifiers import (
     ModelOutputError,
     fit_models,
 )
-from .dataset import LabeledDataset, load_dataset, write_csv, write_jsonl
+from .dataset import LabeledDataset, check_fields, load_dataset, rule, write_csv, write_jsonl
 from .delay import (
     ConstraintViolationError,
     DelayPolicy,
@@ -120,22 +120,41 @@ class ConstraintViolation(RuntimeError):
     """A scenario that promises realistic splits failed a constraint check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    dataset_path: str | None
-    dataset_format: str | None
-    synthetic: DriftSpec | None
+    """A parsed config. Each default is what an absent key means."""
+
     split: SplitSpec
-    ratios: RatioSpec
-    classifier: Classifier
-    classifier_echo: dict
-    scenario: str
-    tuning: TuningConfig | None
-    delay_policies: tuple[DelayPolicy, ...]
-    seeds: tuple[int, ...]
-    output_dir: str
-    kfold_k: int = 10
-    workers: int = 1
+    output_dir: str = field(metadata=rule(str))
+    dataset_path: str | None = field(default=None, metadata=rule(str, optional=True))
+    dataset_format: str | None = field(default=None, metadata=rule(("csv", "jsonl"), optional=True))
+    synthetic: DriftSpec | None = None
+    ratios: RatioSpec = RatioSpec()
+    classifier: Classifier = LinearSGDClassifier()
+    classifier_echo: dict = field(default_factory=lambda: {"kind": "linear_sgd"})
+    scenario: str = field(default="realistic", metadata=rule(SCENARIOS))
+    tuning: TuningConfig | None = None
+    delay_policies: tuple[DelayPolicy, ...] = ()
+    seeds: tuple[int, ...] = (0,)
+    kfold_k: int = field(default=10, metadata=rule(int, ge=2))
+    workers: int = field(default=1, metadata=rule(int, gt=0))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        # ``type(s) is int`` rather than isinstance: a JSON bool is an int subclass.
+        if not self.seeds or any(type(s) is not int or not 0 <= s < 2**63 for s in self.seeds):
+            raise ValueError(
+                f"seeds must be a non-empty list of integers in [0, 2**63), got {list(self.seeds)}"
+            )
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be unique")
+        if (self.dataset_path is None) == (self.synthetic is None):
+            raise ValueError("dataset needs exactly one of 'path' or 'synthetic'")
+        if self.scenario == "bias_grid" and self.delay_policies:
+            raise ValueError("bias_grid does not combine with a delay policy")
+        if any(p.retune_each_step for p in self.delay_policies):
+            # Each retune grows the training window by whole slots.
+            self.split.train_window.slots_of(self.split.slot_width)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -144,116 +163,87 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _section(name: str, build):
-    """``build()``, with a malformed config section reported as ``bad <name>``."""
+    """``build()``, with a malformed config section reported as ``bad <name>``.
+
+    A ConfigError raised inside already names its value and passes through.
+    """
     try:
         return build()
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name}: {exc}") from None
 
 
 def _drift_spec(**fields) -> DriftSpec:
-    if "start" in fields:
-        fields["start"] = date.fromisoformat(fields["start"])
+    """A DriftSpec whose ``start`` may be an ISO date string."""
+    if isinstance(fields.get("start"), str):
+        try:
+            fields["start"] = date.fromisoformat(fields["start"])
+        except ValueError:
+            pass  # DriftSpec rejects the string by name
     return DriftSpec(**fields)
 
 
+def _dataset_fields(blob: dict) -> dict:
+    """A file's ``path`` and ``format``, or the ``synthetic`` generator's fields."""
+    unknown = set(blob) - {"path", "format", "synthetic"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    synthetic = blob.get("synthetic")
+    if synthetic is not None:
+        synthetic = _section("dataset.synthetic", lambda: _drift_spec(**synthetic))
+    return {"dataset_path": blob.get("path"), "dataset_format": blob.get("format"),
+            "synthetic": synthetic}
+
+
+def _classifier_fields(blob: dict) -> dict:
+    """``kind`` picks the classifier; the other keys are its fields."""
+    params = dict(blob)
+    kind = params.pop("kind", None)
+    if kind not in ("linear_sgd", "knn"):
+        raise ValueError(f"kind must be 'linear_sgd' or 'knn', got {kind!r}")
+    make = LinearSGDClassifier if kind == "linear_sgd" else KNNClassifier
+    return {"classifier": make(**params), "classifier_echo": dict(blob)}
+
+
 def _delay_policies(al_budget=None, **fields) -> tuple[DelayPolicy, ...]:
-    """One policy per budget when ``al_budget`` is a list."""
-    budgets = al_budget if isinstance(al_budget, list) else [al_budget]
+    """One policy per budget when ``al_budget`` is a non-empty list."""
+    budgets = al_budget if isinstance(al_budget, list) and al_budget else [al_budget]
     return tuple(DelayPolicy(al_budget=b, **fields) for b in budgets)
+
+
+# Every accepted top-level key, with the builder that turns its value into
+# ExperimentConfig fields; a builder's error is reported as ``bad <key>``.
+# A key without a builder is the ExperimentConfig field of the same name.
+_SECTIONS = {
+    "dataset": _dataset_fields,
+    "split": lambda v: {"split": SplitSpec.from_dict(v)},
+    "ratios": lambda v: {"ratios": RatioSpec(**v)},
+    "classifier": _classifier_fields,
+    "tuning": lambda v: {"tuning": TuningConfig(**v)},
+    "delay": lambda v: {"delay_policies": _delay_policies(**v)},
+    "seeds": lambda v: {"seeds": tuple(v)},
+    "scenario": None,
+    "output_dir": None,
+    "kfold_k": None,
+    "workers": None,
+}
 
 
 def parse_config(blob: dict) -> ExperimentConfig:
     """Validate and materialize a config dict (see README for the schema)."""
     _require(isinstance(blob, dict), "config root must be an object")
-    unknown = set(blob) - {
-        "dataset",
-        "split",
-        "ratios",
-        "classifier",
-        "scenario",
-        "tuning",
-        "delay",
-        "seeds",
-        "output_dir",
-        "kfold_k",
-        "workers",
-    }
+    unknown = set(blob) - set(_SECTIONS)
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-
-    ds = blob.get("dataset")
-    _require(isinstance(ds, dict), "config needs a 'dataset' object")
-    has_path, has_synth = "path" in ds, "synthetic" in ds
-    _require(has_path != has_synth, "dataset needs exactly one of 'path' or 'synthetic'")
-    synthetic = None
-    if has_synth:
-        synthetic = _section("dataset.synthetic", lambda: _drift_spec(**ds["synthetic"]))
-
-    sp = blob.get("split")
-    _require(isinstance(sp, dict), "config needs a 'split' object")
-    split = _section("split", lambda: SplitSpec.from_dict(sp))
-    ratios = _section("ratios", lambda: RatioSpec(**blob.get("ratios", {})))
-
-    clf_blob = blob.get("classifier", {"kind": "linear_sgd"})
-    _require(isinstance(clf_blob, dict) and "kind" in clf_blob, "classifier needs a 'kind'")
-    kind = clf_blob["kind"]
-    _require(kind in ("linear_sgd", "knn"), f"unknown classifier kind {kind!r}")
-    make = LinearSGDClassifier if kind == "linear_sgd" else KNNClassifier
-    params = {k: v for k, v in clf_blob.items() if k != "kind"}
-    classifier: Classifier = _section("classifier", lambda: make(**params))
-
-    scenario = blob.get("scenario", "realistic")
-    _require(scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}")
-
-    tuning = None
-    if "tuning" in blob:
-        tuning = _section("tuning", lambda: TuningConfig(**blob["tuning"]))
-    policies: tuple[DelayPolicy, ...] = ()
-    if "delay" in blob:
-        policies = _section("delay", lambda: _delay_policies(**blob["delay"]))
-    _require(
-        not (scenario == "bias_grid" and policies),
-        "bias_grid does not combine with a delay policy",
-    )
-    if any(p.retune_each_step for p in policies):
-        # Each retune grows the training window by whole slots.
-        try:
-            split.train_window.slots_of(split.slot_width)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    # ``type(x) is int`` rather than isinstance: a JSON bool is an int subclass.
-    seeds = blob.get("seeds", [0])
-    _require(
-        isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds),
-        "seeds must be a non-empty list of integers",
-    )
-    _require(len(set(seeds)) == len(seeds), "seeds must be unique")
-
-    out = blob.get("output_dir")
-    _require(isinstance(out, str) and out, "config needs an 'output_dir' string")
-
-    kfold_k = blob.get("kfold_k", 10)
-    _require(type(kfold_k) is int and kfold_k >= 2, "kfold_k must be an int >= 2")
-    workers = blob.get("workers", 1)
-    _require(type(workers) is int and workers >= 1, "workers must be an int >= 1")
-
-    return ExperimentConfig(
-        dataset_path=ds.get("path"),
-        dataset_format=ds.get("format"),
-        synthetic=synthetic,
-        split=split,
-        ratios=ratios,
-        classifier=classifier,
-        classifier_echo=dict(clf_blob),
-        scenario=scenario,
-        tuning=tuning,
-        delay_policies=policies,
-        seeds=tuple(seeds),
-        output_dir=out,
-        kfold_k=kfold_k,
-        workers=workers,
-    )
+    given = {}
+    for key, value in blob.items():
+        build = _SECTIONS[key]
+        given.update(_section(key, lambda: build(value)) if build else {key: value})
+    try:
+        return ExperimentConfig(**given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +487,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     Returns 0 on success; raises ConfigError / ConstraintViolation /
     other exceptions for the CLI to map onto exit codes.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if cfg.scenario in ("realistic", "kfold"):
         tasks = [(cfg.scenario, seed) for seed in cfg.seeds]
     else:
@@ -521,6 +508,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     finally:
         _dataset.cache_clear()
 
+    # Made only now, so a run that fails in a task leaves no directory.
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
         json.dump(_config_echo(cfg), fh, sort_keys=True, indent=2)
 
@@ -651,15 +641,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config, args)
     if cfg.tuning is None:
         raise ConfigError("tune verb needs a 'tuning' section in the config")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        for seed in cfg.seeds:
-            result = _tune(cfg, _dataset_for_seed(cfg, seed), seed)
-            _write_tuning(out, seed, result)
-            print(f"seed {seed}: phi_star={result.phi_star} aut={result.best_aut:.4f}")
+        results = [(seed, _tune(cfg, _dataset_for_seed(cfg, seed), seed)) for seed in cfg.seeds]
     finally:
         _dataset.cache_clear()
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for seed, result in results:
+        _write_tuning(out, seed, result)
+        print(f"seed {seed}: phi_star={result.phi_star} aut={result.best_aut:.4f}")
     return EXIT_OK
 
 
@@ -713,9 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a synthetic drifting dataset")
     # One flag per DriftSpec field; argparse runs ``type`` on string defaults too.
     for f in fields(DriftSpec):
-        kind = {"int": int, "float": float}.get(f.type, str)
+        kind = f.metadata["rule"].kind
         given = {"required": True} if f.default is MISSING else {"default": str(f.default)}
-        p_gen.add_argument("--" + f.name.replace("_", "-"), type=kind, **given)
+        given["type"] = kind if kind in (int, float) else str
+        p_gen.add_argument("--" + f.name.replace("_", "-"), **given)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)

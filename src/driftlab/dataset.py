@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -35,6 +37,8 @@ __all__ = [
     "write_jsonl",
     "summarize",
     "concat",
+    "rule",
+    "check_fields",
 ]
 
 
@@ -85,6 +89,85 @@ class Period:
         if r:
             raise ValueError(f"{self} is not a whole multiple of {width}")
         return q
+
+
+# ---------------------------------------------------------------------------
+# Config field rules: every config dataclass declares, on each field, the
+# values it accepts, and checks them all with one check_fields call.
+# ---------------------------------------------------------------------------
+
+_NOUNS = {int: "integer", float: "number", bool: "boolean", str: "non-empty string", date: "date"}
+
+
+class _Rule:
+    """A config field's accepted values: a kind, optional bounds, optionally null."""
+
+    __slots__ = ("kind", "gt", "ge", "lt", "le", "optional", "odd")
+
+    def __init__(self, kind, gt, ge, lt, le, optional, odd) -> None:
+        self.kind, self.optional, self.odd = kind, optional, odd
+        self.gt, self.ge, self.lt, self.le = gt, ge, lt, le
+
+    def accepts(self, value: object) -> bool:
+        if value is None:
+            return self.optional
+        if isinstance(self.kind, tuple):
+            return isinstance(value, str) and value in self.kind
+        if self.kind not in (int, float):
+            return isinstance(value, self.kind) and value != ""
+        real = numbers.Integral if self.kind is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, real):
+            return False
+        try:
+            if not math.isfinite(value):
+                return False
+        except OverflowError:  # an integer beyond float range
+            return False
+        return (
+            (self.gt is None or value > self.gt)
+            and (self.ge is None or value >= self.ge)
+            and (self.lt is None or value < self.lt)
+            and (self.le is None or value <= self.le)
+            and (not self.odd or value % 2 == 1)
+        )
+
+    def __str__(self) -> str:
+        """The accepted values in words, e.g. ``a positive integer at most 1200``."""
+        if isinstance(self.kind, tuple):
+            text = f"one of {list(self.kind)}"
+        else:
+            sign = "positive " if self.gt == 0 else "non-negative " if self.ge == 0 else ""
+            text = f"{sign}{'odd ' if self.odd else ''}{_NOUNS[self.kind]}"
+            text = ("an " if text[0] in "aeiou" else "a ") + text
+            # A lower bound of 0 is the sign above.
+            limits = [f"{w} {b}" for w, b in (("above", self.gt), ("at least", self.ge))
+                      if b not in (None, 0)]
+            limits += [f"{w} {b}" for w, b in (("below", self.lt), ("at most", self.le))
+                       if b is not None]
+            if limits:
+                text += " " + " and ".join(limits)
+        return text + (" or null" if self.optional else "")
+
+
+def rule(kind, *, gt=None, ge=None, lt=None, le=None, optional: bool = False, odd: bool = False):
+    """Field metadata declaring the values a config field accepts.
+
+    ``kind`` is ``int``, ``float`` (any finite real), ``bool`` (a JSON
+    boolean), ``str`` (non-empty), ``date``, or a tuple of allowed strings.
+    Numbers are bounded by ``gt``/``ge`` below and ``lt``/``le`` above; a
+    bool is never a number. ``odd`` admits odd integers only, and
+    ``optional`` admits ``None``.
+    """
+    return {"rule": _Rule(kind, gt, ge, lt, le, optional, odd)}
+
+
+def check_fields(obj) -> None:
+    """Raise ``ValueError("<field> must be <rule>, got <value>")`` for the first field of
+    dataclass ``obj`` whose value its :func:`rule` rejects."""
+    for f in fields(obj):
+        r = f.metadata.get("rule")
+        if r is not None and not r.accepts(value := getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {r}, got {value!r}")
 
 
 def _month_days(y: int, m: int) -> int:

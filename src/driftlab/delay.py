@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classifiers import Classifier, TrainedModel, score_dataset
-from .dataset import concat
+from .dataset import check_fields, concat, rule
 from .metrics import (
     Confusion,
     MetricCurve,
@@ -68,19 +68,15 @@ class ConstraintViolationError(ValueError):
 
 @dataclass(frozen=True)
 class DelayPolicy:
-    kind: str = "none"
-    al_budget: float | None = None
-    retune_each_step: bool = False
-    refresh_threshold: bool = False
+    kind: str = field(default="none", metadata=rule(POLICY_KINDS))
+    al_budget: float | None = field(default=None, metadata=rule(float, gt=0, le=1, optional=True))
+    retune_each_step: bool = field(default=False, metadata=rule(bool))
+    refresh_threshold: bool = field(default=False, metadata=rule(bool))
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
-        if self.kind == "active_learning":
-            if self.al_budget is None or not (0.0 < self.al_budget <= 1.0):
-                raise ValueError("active_learning needs al_budget in (0, 1]")
-        elif self.al_budget is not None:
-            raise ValueError("al_budget is only meaningful for active_learning")
+        check_fields(self)
+        if (self.kind == "active_learning") != (self.al_budget is not None):
+            raise ValueError("al_budget is set for active_learning and for no other kind")
         if self.refresh_threshold and self.kind != "rejection":
             raise ValueError("refresh_threshold only applies to rejection")
 

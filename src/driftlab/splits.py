@@ -19,7 +19,7 @@ nothing is ever synthesized. All randomness is seeded through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Sequence
 
@@ -30,8 +30,10 @@ from .dataset import (
     LabeledDataset,
     Period,
     add_period,
+    check_fields,
     concat,
     iso_dates,
+    rule,
     slot_edges,
 )
 from .rng import derive_rng, derive_seed
@@ -51,8 +53,6 @@ __all__ = [
     "past_testing_pools",
     "disjoint_class_pools",
     "time_aware_split",
-    "past_testing_split",
-    "disjoint_class_split",
     "enforce_ratio",
     "ratio_rows",
     "check_c1",
@@ -112,7 +112,10 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "SplitSpec":
-        """Inverse of :meth:`as_dict`; every key is required."""
+        """Inverse of :meth:`as_dict`; every key is required and no other is allowed."""
+        unknown = set(blob) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         return cls(
             train_window=Period.parse(blob["train_window"]),
             test_window=Period.parse(blob["test_window"]),
@@ -126,18 +129,13 @@ class RatioSpec:
     """Class-ratio targets: estimated in-the-wild positive rate sigma_hat,
     training ratio phi, testing ratio delta, and the per-slot C3 band."""
 
-    sigma_hat: float = 0.10
-    phi: float = 0.10
-    delta: float = 0.10
-    per_slot_tolerance: float = 0.02
+    sigma_hat: float = field(default=0.10, metadata=rule(float, gt=0, lt=1))
+    phi: float = field(default=0.10, metadata=rule(float, gt=0, lt=1))
+    delta: float = field(default=0.10, metadata=rule(float, gt=0, lt=1))
+    per_slot_tolerance: float = field(default=0.02, metadata=rule(float, ge=0, le=1))
 
     def __post_init__(self) -> None:
-        for name in ("sigma_hat", "phi", "delta"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.per_slot_tolerance < 0:
-            raise ValueError("per_slot_tolerance must be non-negative")
+        check_fields(self)
 
     @property
     def band(self) -> tuple[float, float]:
@@ -285,11 +283,11 @@ def time_aware_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
 
 
 def past_testing_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
-    """The windows of :func:`past_testing_split`, mirrored in time.
+    """The windows of :func:`time_aware_pools`, mirrored in time (the C1 pitfall).
 
     Training covers ``[origin + S, origin + S + W)``; test slot k covers
     ``[edges[k], edges[k+1])`` of ``slot_edges(origin, delta, origin + S)``.
-    Each must hold both classes.
+    Each must hold both classes. A model trained here is scored on detecting the past.
     """
     _require_span(d, spec)
     train_start = add_period(spec.origin, spec.test_window)
@@ -302,7 +300,7 @@ def past_testing_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
 
 
 def disjoint_class_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools:
-    """The windows of :func:`disjoint_class_split`: training and one test window.
+    """Training and one test window, each taking its classes from disjoint periods (the C2 pitfall).
 
     The train window ``[origin, origin + W)`` and the test window
     ``[origin + W, origin + W + S)`` are each cut at their middle slot
@@ -328,17 +326,6 @@ def disjoint_class_pools(d: LabeledDataset, spec: SplitSpec, seed: int) -> Pools
     )
 
 
-def _downsampled(
-    pools: Pools, ratios: RatioSpec
-) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
-    """The training pool downsampled to phi and each test pool to delta."""
-    (train, train_seed), tests = pools
-    return (
-        enforce_ratio(train, ratios.phi, seed=train_seed),
-        tuple(enforce_ratio(pool, ratios.delta, seed=s) for pool, s in tests),
-    )
-
-
 def time_aware_split(
     d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
 ) -> TemporalSplit:
@@ -351,32 +338,9 @@ def time_aware_split(
     streams do not depend on phi, so splits differing only in phi share
     their test slots exactly.
     """
-    train, slots = _downsampled(time_aware_pools(d, spec, seed), ratios)
-    return TemporalSplit(train, slots, spec, ratios)
-
-
-def past_testing_split(
-    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
-) -> tuple[LabeledDataset, tuple[LabeledDataset, ...]]:
-    """Mirrored split that breaks C1: train on the latest W, test on the earliest S.
-
-    The windows of :func:`past_testing_pools`, training downsampled to phi
-    and each test slot to delta, so the model is scored on detecting the
-    past. Returns ``(train, test_slots)``.
-    """
-    return _downsampled(past_testing_pools(d, spec, seed), ratios)
-
-
-def disjoint_class_split(
-    d: LabeledDataset, spec: SplitSpec, ratios: RatioSpec, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split whose classes come from non-overlapping periods (the C2 pitfall).
-
-    The windows of :func:`disjoint_class_pools`, downsampled to phi (train)
-    or delta (test). Returns ``(train, test)``.
-    """
-    train, (test,) = _downsampled(disjoint_class_pools(d, spec, seed), ratios)
-    return train, test
+    (train, train_seed), tests = time_aware_pools(d, spec, seed)
+    slots = tuple(enforce_ratio(pool, ratios.delta, seed=s) for pool, s in tests)
+    return TemporalSplit(enforce_ratio(train, ratios.phi, seed=train_seed), slots, spec, ratios)
 
 
 def _require_span(d: LabeledDataset, spec: SplitSpec) -> None:

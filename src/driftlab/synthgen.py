@@ -18,55 +18,32 @@ pair is a complete description of the dataset — exports are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
-from .classifiers import _is_number
-from .dataset import LabeledDataset, _month_days, add_months
+from .dataset import LabeledDataset, _month_days, add_months, check_fields, rule
 from .rng import derive_rng
 
 __all__ = ["DriftSpec", "generate"]
 
 
-# Upper bounds on DriftSpec's integer fields: a stream's size grows with each.
-MAX_INTS = {"months": 1_200, "samples_per_month": 100_000, "dim": 1_000}
-
-
 @dataclass(frozen=True)
 class DriftSpec:
-    months: int
-    samples_per_month: int
-    dim: int = 2
-    positive_ratio: float = 0.10
-    ratio_jitter: float = 0.02
-    drift_velocity: float = 0.0
-    spread: float = 1.0
-    family_churn: float = 0.0
-    start: date = date(2014, 1, 1)
+    # Each integer's cap bounds a stream's size.
+    months: int = field(metadata=rule(int, gt=0, le=1_200))
+    samples_per_month: int = field(metadata=rule(int, ge=2, le=100_000))
+    dim: int = field(default=2, metadata=rule(int, gt=0, le=1_000))
+    positive_ratio: float = field(default=0.10, metadata=rule(float, gt=0, lt=1))
+    ratio_jitter: float = field(default=0.02, metadata=rule(float, ge=0))
+    drift_velocity: float = field(default=0.0, metadata=rule(float, ge=0))
+    spread: float = field(default=1.0, metadata=rule(float, gt=0))
+    family_churn: float = field(default=0.0, metadata=rule(float, ge=0, le=1))
+    start: date = field(default=date(2014, 1, 1), metadata=rule(date))
 
     def __post_init__(self) -> None:
-        ints = ("months", "samples_per_month", "dim")
-        reals = ("positive_ratio", "ratio_jitter", "drift_velocity", "spread", "family_churn")
-        for name in ints + reals:
-            value = getattr(self, name)
-            if not _is_number(value, integral=name in ints):
-                kind = "an integer" if name in ints else "a finite number"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-        if self.months < 1 or self.samples_per_month < 2:
-            raise ValueError("need >= 1 month and >= 2 samples per month")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        for name, cap in MAX_INTS.items():
-            if getattr(self, name) > cap:
-                raise ValueError(f"{name} must be at most {cap}, got {getattr(self, name)!r}")
-        if not (0.0 < self.positive_ratio < 1.0):
-            raise ValueError("positive_ratio must lie in (0, 1)")
-        if self.ratio_jitter < 0 or self.drift_velocity < 0 or self.spread <= 0:
-            raise ValueError("ratio_jitter/drift_velocity must be >= 0, spread > 0")
-        if not (0.0 <= self.family_churn <= 1.0):
-            raise ValueError("family_churn must lie in [0, 1]")
+        check_fields(self)
         if (self.family_churn > 0 or self.drift_velocity > 0) and self.dim < 2:
             raise ValueError("drift and family_churn need dim >= 2 to place directions")
 

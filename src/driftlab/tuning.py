@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
 from .classifiers import Classifier, fit_models, score_rows
-from .dataset import EmptySlotError, LabeledDataset, slot_edges
+from .dataset import EmptySlotError, LabeledDataset, check_fields, rule, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
 from .splits import SplitSpec, enforce_ratio, ratio_rows, two_class_windows
@@ -54,21 +54,15 @@ class ValidationWindowError(ValueError):
 
 @dataclass(frozen=True)
 class TuningConfig:
-    mu: float = 0.05
-    target: str = "f1"
-    e_max: float | None = None
-    validation_fraction: float = 1.0 / 3.0
-    sigma_hat: float = 0.10
+    mu: float = field(default=0.05, metadata=rule(float, gt=0, le=0.5))
+    target: str = field(default="f1", metadata=rule(tuple(DEFAULT_E_MAX)))
+    # An error rate's ceiling; None takes the target's DEFAULT_E_MAX.
+    e_max: float | None = field(default=None, metadata=rule(float, ge=0, le=1, optional=True))
+    validation_fraction: float = field(default=1.0 / 3.0, metadata=rule(float, gt=0, lt=1))
+    sigma_hat: float = field(default=0.10, metadata=rule(float, gt=0, le=0.5))
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.mu <= 0.5):
-            raise ValueError(f"mu must lie in (0, 0.5], got {self.mu}")
-        if self.target not in DEFAULT_E_MAX:
-            raise ValueError(f"target must be one of {sorted(DEFAULT_E_MAX)}")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must lie in (0, 1)")
-        if not (0.0 < self.sigma_hat <= 0.5):
-            raise ValueError("sigma_hat must lie in (0, 0.5]")
+        check_fields(self)
         if self.e_max is None:
             object.__setattr__(self, "e_max", DEFAULT_E_MAX[self.target])
 

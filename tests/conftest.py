@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftlab.dataset import LabeledDataset, add_months
+from driftlab.splits import enforce_ratio
 
 
 def blob_dataset(
@@ -57,6 +58,16 @@ def monthly_dataset(
             labels.append(1)
             feats.append(rng.normal(center, spread, size=2))
     return LabeledDataset(ids, stamps, labels, np.array(feats))
+
+
+def downsampled(pools, ratios):
+    """A pool builder's ``(train, test_sides)``: training downsampled to phi, each test side
+    to delta, each with its own seed."""
+    (train, train_seed), tests = pools
+    return (
+        enforce_ratio(train, ratios.phi, seed=train_seed),
+        tuple(enforce_ratio(pool, ratios.delta, seed=s) for pool, s in tests),
+    )
 
 
 @pytest.fixture

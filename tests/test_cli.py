@@ -2,34 +2,42 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import cli, splits
 from driftlab.cli import (
     SCENARIOS,
     ConfigError,
+    ExperimentConfig,
     emit_plot_data,
     main,
     parse_config,
     run_experiment,
 )
-from driftlab.classifiers import LinearSGDClassifier
+from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
 from driftlab.dataset import load_dataset, write_csv
+from driftlab.delay import DelayPolicy
 from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
 from driftlab.rng import derive_rng, derive_seed
 from driftlab.splits import (
-    disjoint_class_split,
+    RatioSpec,
+    disjoint_class_pools,
     enforce_ratio,
-    past_testing_split,
+    past_testing_pools,
     ratio_rows,
     time_aware_split,
 )
 from driftlab.synthgen import DriftSpec, generate
+from driftlab.tuning import TuningConfig
+
+from conftest import downsampled
 
 
 def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
@@ -77,6 +85,10 @@ def ragged_retuned_window(cfg: dict) -> dict:
 def with_synthetic(cfg: dict, **fields) -> dict:
     synthetic = {**cfg["dataset"]["synthetic"], **fields}
     return {**cfg, "dataset": {"synthetic": synthetic}}
+
+
+def with_ratios(cfg: dict, **fields) -> dict:
+    return {**cfg, "ratios": {**cfg["ratios"], **fields}}
 
 
 def dir_digest(path: Path) -> dict[str, str]:
@@ -147,6 +159,65 @@ class TestParseConfig:
         blob["split"]["slot_width"] = "one month"
         with pytest.raises(ConfigError, match="bad split"):
             parse_config(blob)
+
+
+# Each config dataclass, the section it is parsed from (None: the top level)
+# and that section's other keys.
+CONFIG_SECTIONS = {
+    DriftSpec: ("dataset.synthetic", None),
+    RatioSpec: ("ratios", {}),
+    TuningConfig: ("tuning", {}),
+    DelayPolicy: ("delay", {"kind": "active_learning", "al_budget": 0.1}),
+    LinearSGDClassifier: ("classifier", {"kind": "linear_sgd"}),
+    KNNClassifier: ("classifier", {"kind": "knn"}),
+    ExperimentConfig: (None, None),
+}
+RULED_FIELDS = [
+    (cls, f.name, f.metadata["rule"])
+    for cls in CONFIG_SECTIONS
+    for f in fields(cls)
+    if "rule" in f.metadata
+]
+WRONG_KINDS = ["x", True, False, [], ["x"], None, float("nan"), float("inf"), float("-inf"),
+               10**400]
+
+
+def with_field(cfg: dict, cls, name: str, value) -> dict:
+    """``cfg`` with field ``name`` of the section that parses into ``cls`` set to ``value``."""
+    section, rest = CONFIG_SECTIONS[cls]
+    if name in ("dataset_path", "dataset_format"):
+        return {**cfg, "dataset": {"path": "data.csv", name.split("_")[1]: value}}
+    if section is None:
+        return {**cfg, name: value}
+    if cls is DriftSpec:
+        return with_synthetic(cfg, **{name: value})
+    return {**cfg, section: {**rest, name: value}}
+
+
+class TestFieldRules:
+    def test_every_config_field_declares_a_rule(self):
+        for cls in CONFIG_SECTIONS:
+            unruled = [f.name for f in fields(cls) if "rule" not in f.metadata]
+            if cls is ExperimentConfig:
+                assert not {"kfold_k", "workers"} & set(unruled)
+            else:
+                assert unruled == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_wrong_kind_is_a_config_error_naming_the_field(self, data):
+        cls, name, rule = data.draw(st.sampled_from(RULED_FIELDS))
+        right_kind = [
+            v for v in WRONG_KINDS
+            if (v is None and rule.optional)
+            or (isinstance(v, bool) and rule.kind is bool)
+            or (isinstance(v, str) and rule.kind is str)
+        ]
+        value = data.draw(st.sampled_from([v for v in WRONG_KINDS if v not in right_kind]))
+        section, _ = CONFIG_SECTIONS[cls]
+        prefix = "" if section is None else f"bad {section}: "
+        with pytest.raises(ConfigError, match=f"^{prefix}{name} must be "):
+            parse_config(with_field(base_config("out"), cls, name, value))
 
 
 class TestRealisticScenario:
@@ -494,8 +565,10 @@ def oracle_bias_grid(cfg) -> dict[tuple[str, str, str, str], str]:
                     train = enforce_ratio(d.subset(train_idx), phi, seed=train_seed)
                     test = enforce_ratio(d.subset(test_idx), delta, seed=test_seed)
                     kfold.append((train, [test], derive_seed(seed, "bk", "fit", i)))
-                train, slots = past_testing_split(d, cfg.split, ratios, seed)
-                disjoint_train, disjoint_test = disjoint_class_split(d, cfg.split, ratios, seed)
+                train, slots = downsampled(past_testing_pools(d, cfg.split, seed), ratios)
+                disjoint_train, (disjoint_test,) = downsampled(
+                    disjoint_class_pools(d, cfg.split, seed), ratios
+                )
                 split = time_aware_split(d, cfg.split, ratios, seed)
                 rows = {
                     "kfold": kfold,
@@ -632,6 +705,8 @@ class TestCliVerbs:
         blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,))
         blob["dataset"]["synthetic"]["months"] = 6  # the 6m test window starts in month 7
         assert main(["run", "--config", self.write_config(tmp_path, blob)]) == code
+        # A failed run leaves no output directory.
+        assert (tmp_path / "out").exists() == (code == 0)
 
     @pytest.mark.parametrize(
         "scenario,dropped,code",
@@ -663,7 +738,12 @@ class TestCliVerbs:
         if scenario == "tuning":
             blob.update(scenario="realistic", tuning={"mu": 0.1, "validation_fraction": 0.1})
             blob["split"].update(train_window="8m", test_window="4m")
-        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == code
+        cfg_path = self.write_config(tmp_path, blob)
+        assert main(["run", "--config", cfg_path]) == code
+        assert not (tmp_path / "out").exists()
+        if scenario == "tuning":
+            assert main(["tune", "--config", cfg_path]) == code
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stamp", ["2014-01", "NaT", "2014-01-05T10"])
     def test_audit_bad_manifest_timestamp_exit_2(self, tmp_path, stamp):
@@ -695,11 +775,44 @@ class TestCliVerbs:
             ("run", lambda cfg: with_synthetic(cfg, months=10**400), "bad"),
             ("run", ragged_training_window, "10m is not a whole multiple of 3m"),
             ("run", ragged_retuned_window, "10m is not a whole multiple of 3m"),
+            ("run", lambda cfg: with_ratios(cfg, per_slot_tolerance=float("nan")),
+             "bad ratios: per_slot_tolerance must be"),
+            ("run", lambda cfg: with_ratios(cfg, per_slot_tolerance=float("inf")),
+             "bad ratios: per_slot_tolerance must be"),
+            ("run", lambda cfg: with_ratios(cfg, per_slot_tolerance=True),
+             "bad ratios: per_slot_tolerance must be"),
+            ("run", lambda cfg: with_ratios(cfg, phi="0.1"), "bad ratios: phi must be"),
+            ("run", lambda cfg: {**cfg, "tuning": {"e_max": "x"}}, "bad tuning: e_max must be"),
+            ("run", lambda cfg: {**cfg, "tuning": {"e_max": float("nan")}},
+             "bad tuning: e_max must be"),
+            ("run", lambda cfg: {**cfg, "tuning": {"e_max": -1}}, "bad tuning: e_max must be"),
+            ("run", lambda cfg: {**cfg, "tuning": {"target": ["f1"]}},
+             "bad tuning: target must be"),
+            ("run", lambda cfg: {**cfg, "delay": {"kind": "active_learning", "al_budget": True}},
+             "bad delay: al_budget must be"),
+            ("run", lambda cfg: {**cfg, "delay": {"kind": "incremental", "retune_each_step": "no"}},
+             "bad delay: retune_each_step must be"),
+            ("run", lambda cfg: {**cfg, "delay": {"kind": "rejection", "refresh_threshold": 1}},
+             "bad delay: refresh_threshold must be"),
+            ("run", lambda cfg: {**cfg, "dataset": {"path": 5}}, "dataset_path must be"),
+            ("run", lambda cfg: {**cfg, "dataset": {"path": "data.csv", "format": 5}},
+             "dataset_format must be"),
+            ("run", lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "extra": 1}},
+             "bad dataset: unknown keys ['extra']"),
+            ("run", lambda cfg: {**cfg, "split": {**cfg["split"], "extra": 1}},
+             "bad split: unknown keys ['extra']"),
+            ("run", lambda cfg: {**cfg, "seeds": [-1]}, "seeds must be"),
+            ("run", lambda cfg: {**cfg, "seeds": [2**63]}, "seeds must be"),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
              "dim_float", "months_bool", "drift_velocity_inf", "sgd_epochs_huge",
-             "months_huge", "train_window_ragged_tuned", "train_window_ragged_retuned"],
+             "months_huge", "train_window_ragged_tuned", "train_window_ragged_retuned",
+             "tolerance_nan", "tolerance_inf", "tolerance_bool", "phi_str", "e_max_str",
+             "e_max_nan", "e_max_negative", "target_list", "al_budget_bool",
+             "retune_each_step_str", "refresh_threshold_int", "dataset_path_int",
+             "dataset_format_int", "dataset_extra_key", "split_extra_key", "seed_negative",
+             "seed_huge"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt, message):
         blob = base_config(tmp_path / "out", seeds=(0,))
@@ -713,6 +826,8 @@ class TestCliVerbs:
             argv = ["run", "--config", self.write_config(tmp_path, corrupt(blob))]
         assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        if verb == "run":
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key,value", [("seeds", [True]), ("workers", True), ("kfold_k", True)]

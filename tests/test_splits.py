@@ -18,10 +18,9 @@ from driftlab.splits import (
     check_c1,
     check_c2,
     check_c3,
-    disjoint_class_split,
+    disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
-    past_testing_split,
     ratio_rows,
     run_all_checks,
     split_from_manifest,
@@ -30,7 +29,7 @@ from driftlab.splits import (
     time_aware_split,
 )
 
-from conftest import monthly_dataset
+from conftest import downsampled, monthly_dataset
 
 
 def flat_dataset(n_neg, n_pos, day=date(2015, 1, 15)):
@@ -368,7 +367,7 @@ class TestPastTestingSplit:
     def test_trains_on_the_future_of_every_slot(self, phi, delta):
         d = monthly_dataset(36, 45, 15, seed=2)
         spec = default_spec()
-        train, slots = past_testing_split(d, spec, RatioSpec(phi=phi, delta=delta), seed=4)
+        train, slots = downsampled(past_testing_pools(d, spec, 4), RatioSpec(phi=phi, delta=delta))
         assert len(slots) == spec.n_test_slots
         assert min(train.timestamps) > max(t for s in slots for t in s.timestamps)
         for k, slot in enumerate(slots):
@@ -380,15 +379,15 @@ class TestPastTestingSplit:
 
     def test_deterministic(self):
         d = monthly_dataset(36, 45, 15, seed=2)
-        a = past_testing_split(d, default_spec(), RatioSpec(), seed=9)
-        b = past_testing_split(d, default_spec(), RatioSpec(), seed=9)
+        a = downsampled(past_testing_pools(d, default_spec(), 9), RatioSpec())
+        b = downsampled(past_testing_pools(d, default_spec(), 9), RatioSpec())
         assert a[0].ids == b[0].ids
         assert [s.ids for s in a[1]] == [s.ids for s in b[1]]
 
     def test_insufficient_span(self):
         d = monthly_dataset(20, 9, 1)
         with pytest.raises(InsufficientSpanError):
-            past_testing_split(d, default_spec(), RatioSpec(), seed=0)
+            past_testing_pools(d, default_spec(), 0)
 
 
 class TestDisjointClassSplit:
@@ -396,7 +395,8 @@ class TestDisjointClassSplit:
     def test_every_positive_precedes_every_negative(self, phi, delta):
         d = monthly_dataset(36, 45, 15, seed=2)
         spec = default_spec()
-        train, test = disjoint_class_split(d, spec, RatioSpec(phi=phi, delta=delta), seed=4)
+        ratios = RatioSpec(phi=phi, delta=delta)
+        train, (test,) = downsampled(disjoint_class_pools(d, spec, 4), ratios)
         windows = ((train, spec.origin, spec.test_origin), (test, spec.test_origin, spec.test_end))
         for part, lo, hi in windows:
             pos = [t for t, y in zip(part.timestamps, part.labels) if y == 1]
@@ -410,7 +410,7 @@ class TestDisjointClassSplit:
     def test_insufficient_span(self):
         d = monthly_dataset(20, 9, 1)
         with pytest.raises(InsufficientSpanError):
-            disjoint_class_split(d, default_spec(), RatioSpec(), seed=0)
+            disjoint_class_pools(d, default_spec(), 0)
 
     def test_single_class_half_rejected(self):
         # No negatives from July 2014 on: the train window's late half is all positive.
@@ -420,7 +420,7 @@ class TestDisjointClassSplit:
             if y == 1 or t < date(2014, 7, 1)
         ]
         with pytest.raises(EmptySlotError):
-            disjoint_class_split(d.subset(keep), default_spec(), RatioSpec(), seed=0)
+            disjoint_class_pools(d.subset(keep), default_spec(), 0)
 
 
 class TestCheckC1:
