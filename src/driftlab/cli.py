@@ -28,7 +28,7 @@ standalone ``kfold`` reports :func:`kfold_eval`, which keeps each fold's
 natural class ratio where the bias row enforces (phi, delta) per fold.
 
 Every byte written is a pure function of (config, seeds): tasks fan out
-over a process pool but results are merged and written in sorted order,
+over forked processes but results are merged and written in sorted order,
 so worker count cannot change any output file.
 """
 
@@ -37,6 +37,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
@@ -150,6 +152,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be unique")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("dataset needs exactly one of 'path' or 'synthetic'")
+        if self.synthetic is not None and self.dataset_format is not None:
+            raise ValueError("dataset 'format' applies to a 'path' only, not to 'synthetic'")
         if self.scenario == "bias_grid" and self.delay_policies:
             raise ValueError("bias_grid does not combine with a delay policy")
         if any(p.retune_each_step for p in self.delay_policies):
@@ -387,6 +391,98 @@ def _execute_task(payload):
     return task, _bias_f1s(cfg, seed, task[2])
 
 
+def _fan_out(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]`` over ``n = min(workers, len(items))`` processes.
+
+    Item ``i`` runs in process ``i % n``: process 0 is the caller and the
+    rest are forked children, so none sits idle. Each process stops at its
+    first failure, and the lowest-index failure is raised, which is the one
+    a serial run raises. Without ``os.fork`` everything runs in-process.
+    """
+    n = min(workers, len(items)) if hasattr(os, "fork") else 1
+    children = []  # (first index, pid, read end of its pipe)
+    done = []
+    try:
+        for p in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child_share(fn, items, p, n, write)
+            os.close(write)
+            children.append((p, pid, read))
+        done = _share(fn, items, 0, n)
+    finally:
+        for p, pid, read in children:
+            done += _collect(p, pid, read)
+    done.sort(key=lambda entry: entry[0])
+    for _, ok, value in done:
+        if not ok:
+            raise value
+    return [value for _, _, value in done]
+
+
+def _share(fn, items: list, p: int, n: int) -> list:
+    """``(i, True, fn(items[i]))`` for ``i = p, p + n, ...``, up to the first
+    failure, which ends the list as ``(i, False, exception)``."""
+    done = []
+    for i in range(p, len(items), n):
+        try:
+            done.append((i, True, fn(items[i])))
+        except Exception as exc:  # noqa: BLE001 - raised again by _fan_out
+            done.append((i, False, exc))
+            break
+    return done
+
+
+def _child_share(fn, items: list, p: int, n: int, write: int):
+    """In a forked child: pickle process ``p``'s share into ``write`` and exit.
+
+    ``os._exit`` keeps the child out of its caller's stack and exit
+    handlers. An entry that cannot be pickled becomes a RuntimeError and
+    ends the share.
+    """
+    code = 1
+    try:
+        done = _share(fn, items, p, n)
+        try:
+            payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - find the entry and report it
+            for k, (i, _, value) in enumerate(done):
+                try:
+                    pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # noqa: BLE001
+                    lost = RuntimeError(f"the outcome of task {i} cannot be pickled: {exc}")
+                    done[k:] = [(i, False, lost)]
+                    break
+            payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(p: int, pid: int, read: int) -> list:
+    """Child ``pid``'s entries, read from its pipe before it is reaped.
+
+    A child that sent nothing readable (it was killed, or crashed) counts
+    as a failure of its first task, ``p``.
+    """
+    with open(read, "rb") as fh:
+        payload = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not payload:
+        how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+        problem = f"worker process ended ({how}) without sending its results"
+    else:
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 - a cut-off or unreadable payload
+            problem = f"cannot read a worker process's results: {exc}"
+    return [(p, False, RuntimeError(problem))]
+
+
 # ---------------------------------------------------------------------------
 # Artifact writing (single-threaded, sorted, reproducible)
 # ---------------------------------------------------------------------------
@@ -490,21 +586,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.scenario in ("realistic", "kfold"):
         tasks = [(cfg.scenario, seed) for seed in cfg.seeds]
     else:
-        # Row-outer, so the big k-fold tasks start on different workers.
+        # Row-outer, so the big k-fold tasks go to different processes.
         rows = BIAS_GRID_ROWS if cfg.scenario == "bias_grid" else (cfg.scenario,)
         tasks = [("bias_row", seed, row) for row in rows for seed in cfg.seeds]
 
-    payloads = [(cfg, t) for t in tasks]
-    workers = min(cfg.workers, len(tasks))
     try:
-        if workers > 1:
-            # Imported here: a serial run never pays for the pool's modules.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                gathered = dict(pool.map(_execute_task, payloads))
-        else:
-            gathered = dict(map(_execute_task, payloads))
+        gathered = dict(_fan_out(_execute_task, [(cfg, t) for t in tasks], cfg.workers))
     finally:
         _dataset.cache_clear()
 

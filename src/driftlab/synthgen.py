@@ -31,14 +31,15 @@ __all__ = ["DriftSpec", "generate"]
 
 @dataclass(frozen=True)
 class DriftSpec:
-    # Each integer's cap bounds a stream's size.
+    # Each integer's cap bounds a stream's size; the real bounds keep every
+    # feature, and the drift angle drift_velocity * month / (3 * spread), finite.
     months: int = field(metadata=rule(int, gt=0, le=1_200))
     samples_per_month: int = field(metadata=rule(int, ge=2, le=100_000))
     dim: int = field(default=2, metadata=rule(int, gt=0, le=1_000))
     positive_ratio: float = field(default=0.10, metadata=rule(float, gt=0, lt=1))
-    ratio_jitter: float = field(default=0.02, metadata=rule(float, ge=0))
-    drift_velocity: float = field(default=0.0, metadata=rule(float, ge=0))
-    spread: float = field(default=1.0, metadata=rule(float, gt=0))
+    ratio_jitter: float = field(default=0.02, metadata=rule(float, ge=0, le=1))
+    drift_velocity: float = field(default=0.0, metadata=rule(float, ge=0, le=1_000_000))
+    spread: float = field(default=1.0, metadata=rule(float, ge=1e-6, le=1_000_000))
     family_churn: float = field(default=0.0, metadata=rule(float, ge=0, le=1))
     start: date = field(default=date(2014, 1, 1), metadata=rule(date))
 

@@ -1,7 +1,8 @@
-import concurrent.futures
 import csv
 import hashlib
 import json
+import os
+import signal
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -15,6 +16,7 @@ from driftlab import cli, splits
 from driftlab.cli import (
     SCENARIOS,
     ConfigError,
+    ConstraintViolation,
     ExperimentConfig,
     emit_plot_data,
     main,
@@ -449,26 +451,18 @@ class TestFitCounts:
     def test_pool_is_bounded_by_the_task_count(
         self, tmp_path, monkeypatch, scenario, workers, expected
     ):
-        sizes = []
+        forks = []
+        fork = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         blob = base_config(tmp_path / "out", scenario=scenario, seeds=(0,), workers=workers)
         assert run_experiment(parse_config(blob)) == 0
-        # A one-task run stays in-process: no executor is built at all.
-        assert sizes == ([expected] if expected > 1 else [])
+        # The caller is one of the processes; a one-task run forks nothing.
+        assert len(forks) == expected - 1
 
     def test_bias_grid_fits_each_phi_in_one_lockstep_call(self, tmp_path, monkeypatch):
         calls, fits = [], []
@@ -630,6 +624,105 @@ class TestDeterminism:
         assert dir_digest(tmp_path / "w1") == dir_digest(tmp_path / "w8")
 
 
+def staged_tasks(outcomes: dict):
+    """A stand-in ``_execute_task`` for a ``kfold`` run, whose task i is seed i.
+
+    Task i returns ``outcomes[i]()`` when i is a key, else a score at once.
+    """
+
+    def execute(payload):
+        _, task = payload
+        seed = task[1]
+        return task, outcomes[seed]() if seed in outcomes else 0.5
+
+    return execute
+
+
+def raiser(error: type, message: str):
+    def fail():
+        raise error(message)
+
+    return fail
+
+
+class TestFanOut:
+    """A failure in any process ends the run as a serial run's failure would."""
+
+    def run(self, tmp_path, monkeypatch, capsys, outcomes, workers):
+        # Forked children inherit the stand-in.
+        monkeypatch.setattr(cli, "_execute_task", staged_tasks(outcomes))
+        blob = base_config(tmp_path / "out", scenario="kfold", seeds=tuple(range(8)),
+                           workers=workers)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(blob))
+        code = main(["run", "--config", str(path)])
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error,code,prefix",
+        [(ConstraintViolation, 3, "constraint violation"), (ConfigError, 2, "config error"),
+         (Exception, 4, "error")],
+        ids=["constraint", "config", "other"],
+    )
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent_first", "child_first"])
+    def test_a_failure_reads_the_same_at_any_worker_count(
+        self, tmp_path, monkeypatch, capsys, error, code, prefix, index
+    ):
+        # Task 0 is the caller's first at every worker count; task 1 a child's first from 2 on.
+        outcomes = {index: raiser(error, f"task {index} failed")}
+        for workers in (1, 2, 8):
+            got = self.run(tmp_path, monkeypatch, capsys, outcomes, workers)
+            assert got == (code, f"{prefix}: task {index} failed\n")
+
+    @pytest.mark.parametrize("first,second", [(3, 6), (2, 5)],
+                             ids=["child_before_caller", "caller_before_child"])
+    def test_the_lowest_failing_index_wins(self, tmp_path, monkeypatch, capsys, first, second):
+        outcomes = {first: raiser(ConfigError, "first"), second: raiser(ConstraintViolation, "second")}
+        for workers in (1, 2, 8):
+            got = self.run(tmp_path, monkeypatch, capsys, outcomes, workers)
+            assert got == (2, "config error: first\n")
+
+    def test_a_killed_child_exits_4(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+
+        def die():
+            assert os.getpid() != caller, "task 1 must run in a child"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        code, err = self.run(tmp_path, monkeypatch, capsys, {1: die}, workers=2)
+        assert code == 4
+        assert err.startswith("error: worker process ended (killed by signal 9)")
+
+    def test_without_fork_every_task_runs_in_process(self, tmp_path, monkeypatch):
+        pids = []
+
+        def record(payload):
+            pids.append(os.getpid())
+            return payload[1], 0.5
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_execute_task", record)
+        blob = base_config(tmp_path / "out", scenario="kfold", seeds=tuple(range(8)), workers=8)
+        assert run_experiment(parse_config(blob)) == 0
+        assert pids == [os.getpid()] * 8
+
+    @pytest.mark.parametrize("what", ["result", "exception"])
+    def test_an_unpicklable_outcome_exits_4(self, tmp_path, monkeypatch, capsys, what):
+        def unpicklable():
+            if what == "result":
+                return lambda: None
+            exc = Exception("holds a lambda")
+            exc.hook = lambda: None
+            raise exc
+
+        code, err = self.run(tmp_path, monkeypatch, capsys, {1: unpicklable}, workers=2)
+        assert code == 4
+        assert err.startswith("error: the outcome of task 1 cannot be pickled: ")
+
+
 class TestCliVerbs:
     def write_config(self, tmp_path, blob):
         p = tmp_path / "cfg.json"
@@ -773,6 +866,14 @@ class TestCliVerbs:
             ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "epochs": 10**400}},
              "bad"),
             ("run", lambda cfg: with_synthetic(cfg, months=10**400), "bad"),
+            ("run", lambda cfg: with_synthetic(cfg, spread=1e308),
+             "bad dataset.synthetic: spread must be"),
+            ("run", lambda cfg: with_synthetic(cfg, drift_velocity=1e308),
+             "bad dataset.synthetic: drift_velocity must be"),
+            ("run", lambda cfg: with_synthetic(cfg, ratio_jitter=1e308),
+             "bad dataset.synthetic: ratio_jitter must be"),
+            ("run", lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "format": "jsonl"}},
+             "dataset 'format' applies to a 'path' only"),
             ("run", ragged_training_window, "10m is not a whole multiple of 3m"),
             ("run", ragged_retuned_window, "10m is not a whole multiple of 3m"),
             ("run", lambda cfg: with_ratios(cfg, per_slot_tolerance=float("nan")),
@@ -807,7 +908,8 @@ class TestCliVerbs:
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
              "dim_float", "months_bool", "drift_velocity_inf", "sgd_epochs_huge",
-             "months_huge", "train_window_ragged_tuned", "train_window_ragged_retuned",
+             "months_huge", "spread_huge", "drift_velocity_huge", "ratio_jitter_huge",
+             "format_on_synthetic", "train_window_ragged_tuned", "train_window_ragged_retuned",
              "tolerance_nan", "tolerance_inf", "tolerance_bool", "phi_str", "e_max_str",
              "e_max_nan", "e_max_negative", "target_list", "al_budget_bool",
              "retune_each_step_str", "refresh_threshold_int", "dataset_path_int",

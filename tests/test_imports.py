@@ -1,4 +1,4 @@
-"""A serial run loads no module that only a pooled run or another verb uses."""
+"""A run loads no process pool, and no module that only another verb uses."""
 
 import json
 import os
@@ -32,17 +32,27 @@ def test_importing_the_cli_skips_the_pool_calendar_and_masked_arrays(tmp_path):
     assert loaded_after("import driftlab.cli", tmp_path, watched) == []
 
 
-def test_a_serial_run_skips_the_pool_and_masked_arrays(tmp_path):
+def run_config(tmp_path: Path, **extra) -> str:
+    """Code that runs a tiny synthetic experiment in ``tmp_path`` and asserts exit 0."""
     config = {
         "dataset": {"synthetic": {"months": 8, "samples_per_month": 40, "drift_velocity": 0.25}},
         "split": {"origin": "2014-01-01", "train_window": "4m", "test_window": "4m",
                   "slot_width": "1m"},
-        "tuning": {"mu": 0.1, "validation_fraction": 0.5},
-        "delay": {"kind": "active_learning", "al_budget": 0.1},
         "classifier": {"kind": "linear_sgd", "epochs": 3},
         "seeds": [0],
         "output_dir": str(tmp_path / "out"),
+        **extra,
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
-    run = "import driftlab.cli\nassert driftlab.cli.main(['run', '--config', 'config.json']) == 0"
+    return "import driftlab.cli\nassert driftlab.cli.main(['run', '--config', 'config.json']) == 0"
+
+
+def test_a_serial_run_skips_the_pool_and_masked_arrays(tmp_path):
+    run = run_config(tmp_path, tuning={"mu": 0.1, "validation_fraction": 0.5},
+                     delay={"kind": "active_learning", "al_budget": 0.1})
     assert loaded_after(run, tmp_path, POOL + ("numpy.ma",)) == []
+
+
+def test_a_forked_bias_grid_run_skips_the_pool(tmp_path):
+    run = run_config(tmp_path, scenario="bias_grid", seeds=[0, 1], workers=2)
+    assert loaded_after(run, tmp_path, POOL) == []

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -49,6 +50,18 @@ class TestGenerate:
         write_csv(generate(spec, seed=9), str(p1))
         write_csv(generate(spec, seed=9), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("spread", ["floor", "cap"])
+    def test_every_field_at_its_cap_gives_finite_features(self, spread):
+        rules = {f.name: f.metadata["rule"] for f in fields(DriftSpec)}
+        given = {name: r.le for name, r in rules.items() if r.le is not None}
+        given["samples_per_month"] = 2
+        if spread == "floor":  # the widest drift angle
+            given["spread"] = rules["spread"].ge
+        d = generate(DriftSpec(**given), seed=0)
+        assert len(d) == 1_200 * 2
+        assert d.dimensionality == 1_000
+        assert np.isfinite(d.features).all()
 
     def test_different_seeds_differ(self):
         spec = DriftSpec(months=3, samples_per_month=40)
