@@ -30,6 +30,7 @@ __all__ = [
     "LinearModel",
     "KNNModel",
     "SingleClassTrainingError",
+    "TrainingSizeError",
     "ModelOutputError",
     "score_rows",
     "score_dataset",
@@ -41,6 +42,10 @@ __all__ = [
 
 class SingleClassTrainingError(ValueError):
     """Training set contains only one class."""
+
+
+class TrainingSizeError(ValueError):
+    """Training set has fewer rows than the classifier needs (kNN's k)."""
 
 
 class ModelOutputError(ValueError):
@@ -331,9 +336,10 @@ class KNNModel(TrainedModel):
 
         Neighbours are the k smallest exact squared distances
         ``(t - q)·(t - q)``, ties broken by ascending id. A block of query
-        rows first gets all its distances from one matrix product; that
-        estimate only picks candidates, and the exact form ranks them, so a
-        row's score does not depend on the block it was scored in.
+        rows first gets every distance less the row's ``q·q`` from one
+        matrix product; that estimate only picks candidates, and the exact
+        form ranks them where a row has more than k, so a row's score does
+        not depend on the block it was scored in.
         """
         Q = np.atleast_2d(np.asarray(features, dtype=float))
         rows = max(1, _KNN_BLOCK_DISTANCES // len(self._X))
@@ -345,41 +351,49 @@ class KNNModel(TrainedModel):
     def _block_scores(self, Q: np.ndarray) -> np.ndarray:
         n_train, dim = self._X.shape
         k = min(self.k, n_train)
-        q_sq = np.einsum("ij,ij->i", Q, Q)
-        # q_sq - 2g + sq_norms, built in the product's buffer: a + (-2g)
-        # rounds exactly as a - 2g, and the additions keep their order.
-        approx = Q @ self._X.T
-        approx *= -2.0
-        approx += q_sq[:, None]
+        # |t|^2 - 2q.t, in the product's buffer. It differs from the squared
+        # distance by |q|^2, the same for the whole row, so it ranks the
+        # training rows alike. Doubling q is exact.
+        approx = (-2.0 * Q) @ self._X.T
         approx += self._sq_norms
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # Candidate margin. With u = eps/2 and gamma_n = n*u / (1 - n*u),
-        # S = (|q| + max|t|)^2 bounds |q|^2 + 2|q.t| + |t|^2. The squared
-        # norms and the dot product each carry at most gamma_d relative
-        # error (|q.t| <= |q||t|), and the two additions add gamma_2, so
-        # the expansion is within gamma_(d+2) * S of the true distance. The
-        # exact form rounds each difference and square once and adds d
-        # terms, so it is within gamma_(d+2) * S of it too. Every estimate
-        # is thus within delta = 2 * gamma_(d+2) * S of the exact value it
-        # stands for. A true neighbour's exact value is <= the exact k-th
-        # value, which is <= kth + delta, so its estimate is <= kth + 2 *
-        # delta, about 2 * (d+2) * eps * S. The margin takes four times
-        # that, covering the rounding of S, of the norms and of kth +
-        # margin, plus an absolute term for gradual underflow. Under
-        # overflow the bound is inf or nan, and "not above the bound"
-        # keeps every training row.
+        # S = (|q| + max|t|)^2 bounds |q|^2 + 2|q.t| + |t|^2. The product
+        # carries at most gamma_d * 2|q||t| error (|q.t| <= |q||t|) and the
+        # squared norm gamma_d * |t|^2; the one addition adds u, so the
+        # estimate is within gamma_(d+1) * S of |q - t|^2 - |q|^2. The exact
+        # form rounds each difference and square once and adds d terms, so
+        # it is within gamma_(d+2) * S of |q - t|^2. So every estimate is
+        # within delta = (gamma_(d+1) + gamma_(d+2)) * S of the exact value
+        # it stands for, less the row's |q|^2. A true neighbour's exact value
+        # is <= the exact k-th value, which is <= kth + |q|^2 + delta, so its
+        # estimate is <= kth + 2 * delta, about (2d+3) * eps * S. Adding
+        # |q|^2 as well, as the full expansion does, would need
+        # 2 * (d+2) * eps * S, so dropping it loosens nothing. The margin
+        # takes over four times the bound, covering the rounding of S, of the
+        # norms and of kth + margin (|kth| is about S at most), plus an
+        # absolute term for gradual underflow. Under overflow the bound is
+        # inf or nan, and "not above the bound" keeps every training row.
+        q_sq = np.einsum("ij,ij->i", Q, Q)
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         margin = 8.0 * (dim + 4) * (eps * (np.sqrt(q_sq) + self._max_norm) ** 2 + tiny)
         far = np.greater(approx, (kth + margin)[:, None])
-        row, col = np.nonzero(np.logical_not(far, out=far))
-        diff = self._X[col] - Q[row]
-        exact = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((self._id_rank[col], exact, row))
-        row, col = row[order], col[order]
-        # Keep the first k candidates of each row (rows are contiguous now).
-        first = np.searchsorted(row, row, side="left")
-        keep = np.arange(len(row)) - first < k
-        votes = np.bincount(row[keep], weights=self._y[col[keep]], minlength=len(Q))
+        row, col = np.divmod(np.flatnonzero(np.logical_not(far, out=far)), n_train)
+        # A row's candidates hold every training row whose exact distance is
+        # at most its k-th, ties included, so a row with exactly k candidates
+        # votes with all of them. Only rows with more are ranked exactly.
+        rerank = np.bincount(row, minlength=len(Q))[row] > k
+        votes = np.bincount(row, weights=self._y[col] * ~rerank, minlength=len(Q))
+        if rerank.any():
+            row, col = row[rerank], col[rerank]
+            diff = self._X[col] - Q[row]
+            exact = np.einsum("ij,ij->i", diff, diff)
+            order = np.lexsort((self._id_rank[col], exact, row))
+            row, col = row[order], col[order]
+            # Keep the first k candidates of each row (rows are contiguous now).
+            first = np.searchsorted(row, row, side="left")
+            keep = np.arange(len(row)) - first < k
+            votes += np.bincount(row[keep], weights=self._y[col[keep]], minlength=len(Q))
         return votes / k
 
 
@@ -394,6 +408,6 @@ class KNNClassifier:
 
     def fit(self, train: LabeledDataset, seed: int) -> KNNModel:
         if self.k > len(train):
-            raise ValueError(f"k={self.k} exceeds training size {len(train)}")
+            raise TrainingSizeError(f"k={self.k} exceeds training size {len(train)}")
         return KNNModel(train.features, train.labels, train.ids, self.k)
 

@@ -52,6 +52,7 @@ from .classifiers import (
     KNNClassifier,
     LinearSGDClassifier,
     ModelOutputError,
+    TrainingSizeError,
     fit_models,
 )
 from .dataset import LabeledDataset, check_fields, load_dataset, rule, write_csv, write_jsonl
@@ -809,7 +810,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InsufficientSpanError, StratificationError, ValidationWindowError) as exc:
+    except (ConfigError, InsufficientSpanError, StratificationError, TrainingSizeError,
+            ValidationWindowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConstraintViolation, ConstraintViolationError, EmptySlotError) as exc:

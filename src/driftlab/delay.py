@@ -79,6 +79,11 @@ class DelayPolicy:
             raise ValueError("al_budget is set for active_learning and for no other kind")
         if self.refresh_threshold and self.kind != "rejection":
             raise ValueError("refresh_threshold only applies to rejection")
+        # none and rejection never retrain, and under active learning the
+        # grown pool's months past the origin hold only the most uncertain
+        # picks, no deployment mix to cut a validation tail from.
+        if self.retune_each_step and self.kind != "incremental":
+            raise ValueError("retune_each_step only applies to incremental")
 
     @property
     def label(self) -> str:
@@ -176,8 +181,8 @@ def run_policy(
     policy retrains, slot i reads ``scores0[i]``; when they are omitted,
     model 0 is fit here and scores each slot it serves as the loop reaches
     it. Each retrained model scores its one slot once. With
-    ``retune_each_step``, the training ratio is re-derived on the grown pool
-    before every retraining.
+    ``retune_each_step`` (incremental only), the training ratio is
+    re-derived on the grown pool before every retraining.
     """
     verdicts = run_all_checks(split)
     failed = [k for k, v in verdicts.items() if not v.passed]

@@ -361,11 +361,22 @@ def knn_cases(draw):
 
     ``grid`` features are small integers (many exact distance ties);
     ``offset`` shifts them, or tiny Gaussian steps, by 1e4, where the
-    expanded distance |q|^2 - 2 q.t + |t|^2 cancels almost every digit.
-    Training rows are duplicated, and query counts are 1 or span blocks.
+    expanded estimate |t|^2 - 2 q.t cancels almost every digit, and
+    ``far_offset`` by 1e8, where its rounding error exceeds the gaps
+    between distances. ``overflow`` magnitudes run from 1e154 to 1e300,
+    where squared norms overflow and every training row stays a
+    candidate. ``subnormal`` features sit near 1e-310, where every product
+    underflows, and ``gradual`` near 1e-160, where products are subnormal
+    and carry absolute error. Training rows are duplicated, k may equal
+    the training size, and query counts are 1 or span blocks.
     """
     dim = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["grid", "offset_grid", "offset_normal", "normal"]))
+    kind = draw(
+        st.sampled_from(
+            ["grid", "offset_grid", "offset_normal", "far_offset", "normal", "overflow",
+             "subnormal", "gradual"]
+        )
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def rows(m):
@@ -373,6 +384,15 @@ def knn_cases(draw):
             return rng.normal(size=(m, dim))
         if kind == "offset_normal":
             return 1e4 + 1e-3 * rng.normal(size=(m, dim))
+        if kind == "far_offset":
+            return 1e8 + 1e-3 * rng.normal(size=(m, dim))
+        if kind == "overflow":
+            sign = rng.choice([-1.0, 1.0], size=(m, dim))
+            return sign * 10.0 ** rng.uniform(154, 300, size=(m, dim))
+        if kind == "subnormal":
+            return 1e-310 * rng.normal(size=(m, dim))
+        if kind == "gradual":
+            return 1e-160 * rng.normal(size=(m, dim))
         grid = rng.integers(-2, 3, size=(m, dim)).astype(float)
         return grid + 1e4 if kind == "offset_grid" else grid
 
@@ -404,6 +424,54 @@ class TestKNNExactness:
         # A row's score does not depend on the rows scored with it.
         for i in range(0, len(Q), max(1, len(Q) // 7)):
             assert model.scores(Q[i : i + 1])[0] == got[i]
+
+
+def count_lexsorts(monkeypatch):
+    """Calls to ``np.lexsort``, the re-rank of rows with more than k candidates."""
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return calls
+
+
+class TestKNNPaths:
+    def test_exactly_k_candidates_skip_the_rerank(self, monkeypatch):
+        X = np.arange(10.0)[:, None]
+        y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0])
+        ids = tuple(f"s{i}" for i in range(10))
+        Q = np.array([[0.1], [4.3], [9.2]])
+        calls = count_lexsorts(monkeypatch)
+        got = KNNModel(X, y, ids, 3).scores(Q)
+        assert calls == []
+        assert got.tolist() == [knn_oracle(X, y, ids, 3, q) for q in Q] == [2 / 3, 1 / 3, 1 / 3]
+
+    def test_duplicates_at_the_kth_distance_rerank_by_id(self, monkeypatch):
+        # Rows 1-3 repeat one point at distance 1; k=3 keeps two, the smaller
+        # ids "a" and "b", so the vote is rows 0, 2 and 3.
+        X = np.array([[0.0], [1.0], [1.0], [1.0], [5.0]])
+        y = np.array([1, 1, 0, 1, 1])
+        ids = ("e", "c", "a", "b", "d")
+        calls = count_lexsorts(monkeypatch)
+        got = KNNModel(X, y, ids, 3).scores(np.array([[0.0]]))
+        assert calls == [4]
+        assert got.tolist() == [knn_oracle(X, y, ids, 3, np.array([0.0]))] == [2 / 3]
+
+    def test_gradual_underflow_keeps_the_exact_nearest(self):
+        # At this scale every product rounds to a whole subnormal step. The
+        # estimate puts row 1 first (0 steps against 1) and the exact form
+        # row 0 (0 steps against 1); only the margin's absolute term keeps
+        # row 0 a candidate.
+        b = 2.0**-540
+        X = np.array([[-6 * b], [4 * b]])
+        y = np.array([1, 0])
+        q = np.array([-2 * b])
+        got = KNNModel(X, y, ("a", "b"), 1).scores(q[None, :])
+        assert got.tolist() == [knn_oracle(X, y, ("a", "b"), 1, q)] == [1.0]
 
 
 class StubModel(TrainedModel):

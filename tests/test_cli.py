@@ -895,6 +895,11 @@ class TestCliVerbs:
              "bad delay: retune_each_step must be"),
             ("run", lambda cfg: {**cfg, "delay": {"kind": "rejection", "refresh_threshold": 1}},
              "bad delay: refresh_threshold must be"),
+            ("run", lambda cfg: {**cfg, "delay": {"kind": "active_learning", "al_budget": 0.25,
+                                                  "retune_each_step": True}},
+             "bad delay: retune_each_step only applies to incremental"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "knn", "k": 1001}},
+             "k=1001 exceeds training size"),
             ("run", lambda cfg: {**cfg, "dataset": {"path": 5}}, "dataset_path must be"),
             ("run", lambda cfg: {**cfg, "dataset": {"path": "data.csv", "format": 5}},
              "dataset_format must be"),
@@ -912,7 +917,8 @@ class TestCliVerbs:
              "format_on_synthetic", "train_window_ragged_tuned", "train_window_ragged_retuned",
              "tolerance_nan", "tolerance_inf", "tolerance_bool", "phi_str", "e_max_str",
              "e_max_nan", "e_max_negative", "target_list", "al_budget_bool",
-             "retune_each_step_str", "refresh_threshold_int", "dataset_path_int",
+             "retune_each_step_str", "refresh_threshold_int", "retune_each_step_al",
+             "knn_k_above_training_size", "dataset_path_int",
              "dataset_format_int", "dataset_extra_key", "split_extra_key", "seed_negative",
              "seed_huge"],
     )

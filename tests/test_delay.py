@@ -375,6 +375,13 @@ class TestRetuneEachStep:
         for phi in res.tuned_phis:
             assert 0.10 - 1e-9 <= phi <= 0.5 + 1e-9
 
+    @pytest.mark.parametrize(
+        "kind,budget", [("none", None), ("active_learning", 0.25), ("rejection", None)]
+    )
+    def test_only_incremental_retunes(self, kind, budget):
+        with pytest.raises(ValueError, match="retune_each_step only applies to incremental"):
+            DelayPolicy(kind, al_budget=budget, retune_each_step=True)
+
 
 class TestCsvOutputs:
     def test_summary_and_slots(self, tmp_path):
