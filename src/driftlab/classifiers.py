@@ -36,7 +36,6 @@ __all__ = [
     "score_dataset",
     "predict_dataset",
     "fit_models",
-    "logistic_loss_and_grad",
 ]
 
 
@@ -124,24 +123,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return num
 
 
-def logistic_loss_and_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean logistic loss + (l2/2)||w||^2 and its exact gradient.
-
-    Kept separate from the SGD loop so the gradient can be checked against
-    finite differences.
-    """
-    z = X @ w + b
-    # log(1 + exp(-m)) with m = (2y-1)z, stable via logaddexp.
-    margins = np.where(y == 1, z, -z)
-    loss = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * l2 * float(w @ w)
-    resid = _sigmoid(z) - y
-    dw = X.T @ resid / len(y) + l2 * w
-    db = float(np.mean(resid))
-    return loss, dw, db
-
-
 class LinearModel(TrainedModel):
     def __init__(self, w: np.ndarray, b: float) -> None:
         self.w = np.asarray(w, dtype=float).copy()
@@ -179,6 +160,13 @@ class LinearSGDClassifier:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        # Each step scales w by (1 - learning_rate * l2) before the loss
+        # gradient; at a product of 2 or more that factor is <= -1 and the
+        # weights grow without bound.
+        if self.learning_rate * self.l2 >= 2:
+            raise ValueError(
+                f"learning_rate * l2 must be < 2, got {self.learning_rate} * {self.l2}"
+            )
 
     def fit(self, train: LabeledDataset, seed: int) -> LinearModel:
         _require_both_classes(train.labels)

@@ -5,10 +5,11 @@ three constraints on a saved split manifest), ``tune`` (training-ratio
 grid search only), ``generate`` (synthetic dataset to CSV/JSONL),
 ``plotdata`` (reshape run artifacts into tidy plotting CSVs).
 
-Exit codes: 0 ok, 2 config error (including a split that runs past the
-data, a class too small for ``kfold_k`` folds or a training window too
-short for its validation tail), 3 constraint violation (including a time
-window that is empty or lacks a class), 4 runtime failure.
+Exit codes: 0 ok, 2 config error (including a malformed dataset file, a
+split that runs past the data, a class too small for ``kfold_k`` folds or
+a training window too short for its validation tail), 3 constraint
+violation (including a time window that is empty or lacks a class), 4
+runtime failure.
 
 Scenarios mirror the classic bias table, whose rows live in one table,
 ``BIAS_GRID_ROWS``: ``realistic`` (constraint-clean time split),
@@ -40,33 +41,21 @@ import json
 import os
 import pickle
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, fields, replace
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import (
-    Classifier,
-    KNNClassifier,
-    LinearSGDClassifier,
-    ModelOutputError,
-    TrainingSizeError,
-    fit_models,
-)
-from .dataset import LabeledDataset, check_fields, load_dataset, rule, write_csv, write_jsonl
-from .delay import (
-    ConstraintViolationError,
-    DelayPolicy,
-    DelayRunResult,
-    initial_scores,
-    run_policy,
-    write_delay_slots_csv,
-    write_delay_summary_csv,
-)
+from .classifiers import ModelOutputError, TrainingSizeError, fit_models
+from .config import SCENARIOS, ConfigError, ExperimentConfig, _drift_spec, _section, parse_config
+from .dataset import DatasetFormatError, LabeledDataset, load_dataset, write_csv, write_jsonl
+from .delay import ConstraintViolationError, DelayPolicy, DelayRunResult, initial_scores, run_policy
 from .metrics import (
     Confusion,
+    MetricCurve,
+    SlotSeries,
     StratificationError,
     aut,
     confusion_counts,
@@ -74,14 +63,11 @@ from .metrics import (
     kfold_eval,
     prf1,
     stratified_folds,
-    write_curves_csv,
 )
 from .rng import derive_rng, derive_seed
 from .splits import (
     EmptySlotError,
     InsufficientSpanError,
-    RatioSpec,
-    SplitSpec,
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
@@ -93,19 +79,10 @@ from .splits import (
     time_aware_split,
 )
 from .synthgen import DriftSpec, generate
-from .tuning import TuningConfig, TuningResult, ValidationWindowError, tune_phi, write_grid_csv
+from .tuning import TuningResult, ValidationWindowError, tune_phi
 
-__all__ = [
-    "ExperimentConfig",
-    "ConfigError",
-    "ConstraintViolation",
-    "parse_config",
-    "run_experiment",
-    "emit_plot_data",
-    "main",
-]
+__all__ = ["run_experiment", "emit_plot_data", "main"]
 
-SCENARIOS = ("realistic", "kfold", "past_testing", "disjoint_class_windows", "bias_grid")
 # bias_grid crosses every training ratio phi with every testing ratio delta.
 BIAS_GRID_RATIOS = (0.1, 0.9)
 
@@ -113,142 +90,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONSTRAINT = 3
 EXIT_RUNTIME = 4
-
-
-class ConfigError(ValueError):
-    """Experiment configuration violates the documented schema."""
-
-
-class ConstraintViolation(RuntimeError):
-    """A scenario that promises realistic splits failed a constraint check."""
-
-
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
-    """A parsed config. Each default is what an absent key means."""
-
-    split: SplitSpec
-    output_dir: str = field(metadata=rule(str))
-    dataset_path: str | None = field(default=None, metadata=rule(str, optional=True))
-    dataset_format: str | None = field(default=None, metadata=rule(("csv", "jsonl"), optional=True))
-    synthetic: DriftSpec | None = None
-    ratios: RatioSpec = RatioSpec()
-    classifier: Classifier = LinearSGDClassifier()
-    classifier_echo: dict = field(default_factory=lambda: {"kind": "linear_sgd"})
-    scenario: str = field(default="realistic", metadata=rule(SCENARIOS))
-    tuning: TuningConfig | None = None
-    delay_policies: tuple[DelayPolicy, ...] = ()
-    seeds: tuple[int, ...] = (0,)
-    kfold_k: int = field(default=10, metadata=rule(int, ge=2))
-    workers: int = field(default=1, metadata=rule(int, gt=0))
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        # ``type(s) is int`` rather than isinstance: a JSON bool is an int subclass.
-        if not self.seeds or any(type(s) is not int or not 0 <= s < 2**63 for s in self.seeds):
-            raise ValueError(
-                f"seeds must be a non-empty list of integers in [0, 2**63), got {list(self.seeds)}"
-            )
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError("seeds must be unique")
-        if (self.dataset_path is None) == (self.synthetic is None):
-            raise ValueError("dataset needs exactly one of 'path' or 'synthetic'")
-        if self.synthetic is not None and self.dataset_format is not None:
-            raise ValueError("dataset 'format' applies to a 'path' only, not to 'synthetic'")
-        if self.scenario == "bias_grid" and self.delay_policies:
-            raise ValueError("bias_grid does not combine with a delay policy")
-        if any(p.retune_each_step for p in self.delay_policies):
-            # Each retune grows the training window by whole slots.
-            self.split.train_window.slots_of(self.split.slot_width)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _section(name: str, build):
-    """``build()``, with a malformed config section reported as ``bad <name>``.
-
-    A ConfigError raised inside already names its value and passes through.
-    """
-    try:
-        return build()
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name}: {exc}") from None
-
-
-def _drift_spec(**fields) -> DriftSpec:
-    """A DriftSpec whose ``start`` may be an ISO date string."""
-    if isinstance(fields.get("start"), str):
-        try:
-            fields["start"] = date.fromisoformat(fields["start"])
-        except ValueError:
-            pass  # DriftSpec rejects the string by name
-    return DriftSpec(**fields)
-
-
-def _dataset_fields(blob: dict) -> dict:
-    """A file's ``path`` and ``format``, or the ``synthetic`` generator's fields."""
-    unknown = set(blob) - {"path", "format", "synthetic"}
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
-    synthetic = blob.get("synthetic")
-    if synthetic is not None:
-        synthetic = _section("dataset.synthetic", lambda: _drift_spec(**synthetic))
-    return {"dataset_path": blob.get("path"), "dataset_format": blob.get("format"),
-            "synthetic": synthetic}
-
-
-def _classifier_fields(blob: dict) -> dict:
-    """``kind`` picks the classifier; the other keys are its fields."""
-    params = dict(blob)
-    kind = params.pop("kind", None)
-    if kind not in ("linear_sgd", "knn"):
-        raise ValueError(f"kind must be 'linear_sgd' or 'knn', got {kind!r}")
-    make = LinearSGDClassifier if kind == "linear_sgd" else KNNClassifier
-    return {"classifier": make(**params), "classifier_echo": dict(blob)}
-
-
-def _delay_policies(al_budget=None, **fields) -> tuple[DelayPolicy, ...]:
-    """One policy per budget when ``al_budget`` is a non-empty list."""
-    budgets = al_budget if isinstance(al_budget, list) and al_budget else [al_budget]
-    return tuple(DelayPolicy(al_budget=b, **fields) for b in budgets)
-
-
-# Every accepted top-level key, with the builder that turns its value into
-# ExperimentConfig fields; a builder's error is reported as ``bad <key>``.
-# A key without a builder is the ExperimentConfig field of the same name.
-_SECTIONS = {
-    "dataset": _dataset_fields,
-    "split": lambda v: {"split": SplitSpec.from_dict(v)},
-    "ratios": lambda v: {"ratios": RatioSpec(**v)},
-    "classifier": _classifier_fields,
-    "tuning": lambda v: {"tuning": TuningConfig(**v)},
-    "delay": lambda v: {"delay_policies": _delay_policies(**v)},
-    "seeds": lambda v: {"seeds": tuple(v)},
-    "scenario": None,
-    "output_dir": None,
-    "kfold_k": None,
-    "workers": None,
-}
-
-
-def parse_config(blob: dict) -> ExperimentConfig:
-    """Validate and materialize a config dict (see README for the schema)."""
-    _require(isinstance(blob, dict), "config root must be an object")
-    unknown = set(blob) - set(_SECTIONS)
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    given = {}
-    for key, value in blob.items():
-        build = _SECTIONS[key]
-        given.update(_section(key, lambda: build(value)) if build else {key: value})
-    try:
-        return ExperimentConfig(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +131,7 @@ def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
     verdicts = run_all_checks(split)
     failed = sorted(k for k, v in verdicts.items() if not v.passed)
     if failed:
-        raise ConstraintViolation(f"seed {seed}: realistic split violates {failed}")
+        raise ConstraintViolationError(f"seed {seed}: realistic split violates {failed}")
 
     scores0 = initial_scores(split, cfg.classifier, seed)
     baseline = run_policy(split, cfg.classifier, DelayPolicy("none"), cfg.tuning, seed, scores0)
@@ -496,12 +337,14 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, obj, indent: int | None = None) -> None:
+    """``obj`` as JSON with sorted keys and no trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent))
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _policy_tag(policy: DelayPolicy) -> str:
-    return policy.label.replace(":", "_")
 
 
 def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) -> None:
@@ -513,23 +356,20 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
         for metric in ("f1", "precision", "recall"):
             curves.append(baseline.curves[metric])
             curves.append(cumulative_estimates(baseline.series, metric))
-        write_curves_csv(str(out / f"decay_seed{seed}.csv"), baseline.series, curves)
+        _write_curves(out / f"decay_seed{seed}.csv", baseline.series, curves)
         for curve in curves:
             agg.setdefault((curve.metric, curve.mode), []).append(aut(curve))
-        with open(out / f"audit_seed{seed}.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(res["audit"], sort_keys=True, indent=2))
-        with open(out / f"split_manifest_seed{seed}.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(res["split_manifest"], sort_keys=True))
+        _write_json(out / f"audit_seed{seed}.json", res["audit"], indent=2)
+        _write_json(out / f"split_manifest_seed{seed}.json", res["split_manifest"])
         if res["tuning"] is not None:
             _write_tuning(out, seed, res["tuning"])
         if res["delay_runs"]:
             phi_mode = "phi_star" if cfg.tuning is not None else "sigma_hat"
             pairs = [(phi_mode, r) for r in [baseline] + res["delay_runs"]]
-            write_delay_summary_csv(str(out / f"delay_summary_seed{seed}.csv"), pairs)
+            _write_delay_summary(out / f"delay_summary_seed{seed}.csv", pairs)
             for run in res["delay_runs"]:
-                write_delay_slots_csv(
-                    str(out / f"delay_{_policy_tag(run.policy)}_slots_seed{seed}.csv"), run
-                )
+                tag = run.policy.label.replace(":", "_")
+                _write_delay_slots(out / f"delay_{tag}_slots_seed{seed}.csv", run)
     rows = [
         [metric, mode, _fmt(np.mean(vals)), _fmt(np.std(vals)), len(vals)]
         for (metric, mode), vals in sorted(agg.items())
@@ -537,10 +377,47 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
     _write_rows(out / "aggregate.csv", ["metric", "mode", "aut_mean", "aut_std", "n_seeds"], rows)
 
 
+def _write_curves(path: Path, series: SlotSeries, curves: list[MetricCurve]) -> None:
+    """Each curve's per-slot values, then one AUT row per curve."""
+    starts = [t.isoformat() for t in series.slot_starts]
+    _write_rows(
+        path,
+        ["slot", "timestamp", "metric", "mode", "value"],
+        [[k, starts[k], c.metric, c.mode, _fmt(v)] for c in curves for k, v in enumerate(c.values)]
+        + [[c.area_label, "", c.metric, c.mode, _fmt(aut(c))] for c in curves],
+    )
+
+
+def _write_delay_summary(path: Path, pairs: list[tuple[str, DelayRunResult]]) -> None:
+    """One row per (phi mode label, run): the run's L, Q and AUT(F1)."""
+    _write_rows(
+        path,
+        ["policy", "phi_mode", "L", "Q", "AUT_F1"],
+        [[r.policy.label, mode, r.ledger.labeled, r.ledger.quarantined, _fmt(r.ledger.aut_f1)]
+         for mode, r in pairs],
+    )
+
+
+def _write_delay_slots(path: Path, run: DelayRunResult) -> None:
+    f1, precision, recall = (run.curves[m].values for m in ("f1", "precision", "recall"))
+    _write_rows(
+        path,
+        ["slot", "timestamp", "labeled", "rejected", "f1", "precision", "recall"],
+        [
+            [k, t.isoformat(), run.per_slot_labeled[k], run.per_slot_rejected[k],
+             _fmt(f1[k]), _fmt(precision[k]), _fmt(recall[k])]
+            for k, t in enumerate(run.series.slot_starts)
+        ],
+    )
+
+
 def _write_tuning(out: Path, seed: int, result: TuningResult) -> None:
-    write_grid_csv(str(out / f"tuning_seed{seed}.csv"), result)
-    with open(out / f"tuning_seed{seed}.json", "w", encoding="utf-8") as fh:
-        fh.write(result.to_json())
+    _write_rows(
+        out / f"tuning_seed{seed}.csv",
+        ["phi", "aut", "error", "selected"],
+        [[_fmt(g.phi), _fmt(g.aut), _fmt(g.error), int(g.selected)] for g in result.grid],
+    )
+    _write_json(out / f"tuning_seed{seed}.json", result.as_dict())
 
 
 def _write_scalar_scenario(
@@ -581,7 +458,7 @@ def _write_bias_grid(out: Path, gathered: dict) -> None:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured scenario for every seed and write artifacts.
 
-    Returns 0 on success; raises ConfigError / ConstraintViolation /
+    Returns 0 on success; raises ConfigError / ConstraintViolationError /
     other exceptions for the CLI to map onto exit codes.
     """
     if cfg.scenario in ("realistic", "kfold"):
@@ -599,8 +476,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # Made only now, so a run that fails in a task leaves no directory.
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
-        json.dump(_config_echo(cfg), fh, sort_keys=True, indent=2)
+    _write_json(out / "config_echo.json", _config_echo(cfg), indent=2)
 
     if cfg.scenario == "realistic":
         _write_realistic_artifacts(cfg, out, gathered)
@@ -810,11 +686,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InsufficientSpanError, StratificationError, TrainingSizeError,
-            ValidationWindowError) as exc:
+    except (ConfigError, DatasetFormatError, InsufficientSpanError, StratificationError,
+            TrainingSizeError, ValidationWindowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstraintViolation, ConstraintViolationError, EmptySlotError) as exc:
+    except (ConstraintViolationError, EmptySlotError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except ModelOutputError as exc:

@@ -17,7 +17,6 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -292,14 +291,6 @@ class LabeledDataset:
     def positive_ratio(self) -> float:
         return self.n_positive / len(self)
 
-    @cached_property
-    def _id_pos(self) -> dict[str, int]:
-        # Built on the first lookup: most datasets are never searched by id.
-        return {sid: i for i, sid in enumerate(self.ids)}
-
-    def index_of(self, sample_id: str) -> int:
-        return self._id_pos[sample_id]
-
     # -- derived datasets ----------------------------------------------
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "LabeledDataset":
@@ -410,6 +401,17 @@ def load_dataset(
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise DatasetFormatError(f"line {ids[bad[0]][0]}: non-finite feature value")
+    # With every |feature| <= B, a squared distance between two rows sums
+    # dim terms (t_i - q_i)^2 <= (2B)^2, so it is at most 4 * dim * B^2. At
+    # B = sqrt(max_float / (4 * (dim + 1))) that is max_float * dim / (dim + 1),
+    # and for dim < 10^7 the 1 / (dim + 1) headroom exceeds the rounding of
+    # the squares and the sum (relative error under (dim + 4) * eps), so the
+    # computed distance is finite too. At sqrt(max_float / (4 * dim)) it can
+    # round to inf.
+    bound = math.sqrt(np.finfo(np.float64).max / (4 * (features.shape[1] + 1)))
+    bad = np.flatnonzero(np.maximum(features.max(axis=1), -features.min(axis=1)) > bound)
+    if len(bad):
+        raise DatasetFormatError(f"line {ids[bad[0]][0]}: |feature| exceeds {bound:.6g}")
     return LabeledDataset([s for _, s in ids], stamps, labels, features)
 
 

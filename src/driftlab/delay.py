@@ -22,9 +22,7 @@ ground truth plays the human analyst.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -51,8 +49,6 @@ __all__ = [
     "ConstraintViolationError",
     "initial_scores",
     "run_policy",
-    "write_delay_summary_csv",
-    "write_delay_slots_csv",
 ]
 
 POLICY_KINDS = ("none", "incremental", "active_learning", "rejection")
@@ -63,7 +59,7 @@ class NoMisclassificationError(ValueError):
 
 
 class ConstraintViolationError(ValueError):
-    """A split handed to run_policy fails C1/C2/C3."""
+    """A split that must satisfy C1/C2/C3 fails one of them."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +114,8 @@ class DelayRunResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int) -> list[str]:
-    """Ids of the budget_count rows whose ``scores`` lie nearest 0.5.
+def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int) -> list[int]:
+    """Positions of the budget_count rows whose ``scores`` lie nearest 0.5.
 
     Uncertainty is 1 minus the predicted-class probability, i.e. largest
     first means smallest |score - 0.5| first; exact ties fall back to
@@ -129,7 +125,7 @@ def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int)
         raise ValueError(f"budget {budget_count} exceeds slot size {len(ids)}")
     conf = np.abs(scores - 0.5)
     order = sorted(range(len(ids)), key=lambda i: (conf[i], ids[i]))
-    return [ids[i] for i in order[:budget_count]]
+    return order[:budget_count]
 
 
 def _predicted_class_probs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +243,7 @@ def run_policy(
             count = _al_count(policy.al_budget, len(slot))
             per_slot_labeled[i] = count
             if count:
-                chosen = _most_uncertain(scores, slot.ids, count)
-                pool = concat([pool, slot.subset([slot.index_of(c) for c in chosen])])
+                pool = concat([pool, slot.subset(_most_uncertain(scores, slot.ids, count))])
 
         retrains = policy.kind in ("incremental", "active_learning")
         if retrains and i < n - 1:
@@ -268,10 +263,6 @@ def run_policy(
                 )
             model = clf.fit(fit_pool, derive_seed(seed, "delay", "fit", i + 1))
 
-    if policy.kind == "active_learning" and all(c == 0 for c in per_slot_labeled):
-        _warnings.warn("active-learning budget rounded to zero for every slot")
-        run_warnings.append("budget rounded to zero for every slot")
-
     series = SlotSeries(tuple(confusions), split.slot_starts)
     curves = {m: point_estimates(series, m) for m in ("f1", "precision", "recall")}
     ledger = CostLedger(
@@ -290,46 +281,3 @@ def run_policy(
         threshold=threshold,
         warnings=tuple(run_warnings),
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (summary shaped like a performance/cost table, plus a
-# per-slot detail file)
-# ---------------------------------------------------------------------------
-
-
-def write_delay_summary_csv(path: str, rows: list[tuple[str, DelayRunResult]]) -> None:
-    """rows: (phi_mode_label, result) pairs, e.g. ('sigma_hat', result)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["policy", "phi_mode", "L", "Q", "AUT_F1"])
-        for phi_mode, res in rows:
-            writer.writerow(
-                [
-                    res.policy.label,
-                    phi_mode,
-                    res.ledger.labeled,
-                    res.ledger.quarantined,
-                    repr(res.ledger.aut_f1),
-                ]
-            )
-
-
-def write_delay_slots_csv(path: str, res: DelayRunResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["slot", "timestamp", "labeled", "rejected", "f1", "precision", "recall"]
-        )
-        for k in range(res.series.n_slots):
-            writer.writerow(
-                [
-                    k,
-                    res.series.slot_starts[k].isoformat(),
-                    res.per_slot_labeled[k],
-                    res.per_slot_rejected[k],
-                    repr(res.curves["f1"].values[k]),
-                    repr(res.curves["precision"].values[k]),
-                    repr(res.curves["recall"].values[k]),
-                ]
-            )

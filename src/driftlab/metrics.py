@@ -15,7 +15,6 @@ class before reading zeros as model failure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Literal, Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "KFoldResult",
     "StratificationError",
     "stratified_folds",
-    "write_curves_csv",
 ]
 
 MetricName = Literal["f1", "precision", "recall"]
@@ -260,23 +258,3 @@ def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldRe
     ]
     arr = np.array(scores)
     return KFoldResult(float(arr.mean()), float(arr.std()), tuple(scores))
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization: slot,timestamp,metric,mode,value (+ AUT summary rows)
-# ---------------------------------------------------------------------------
-
-
-def write_curves_csv(
-    path: str, series: SlotSeries, curves: Sequence[MetricCurve]
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "timestamp", "metric", "mode", "value"])
-        for curve in curves:
-            for k, v in enumerate(curve.values):
-                writer.writerow(
-                    [k, series.slot_starts[k].isoformat(), curve.metric, curve.mode, repr(v)]
-                )
-        for curve in curves:
-            writer.writerow([curve.area_label, "", curve.metric, curve.mode, repr(aut(curve))])

@@ -18,7 +18,6 @@ nothing is ever synthesized. All randomness is seeded through
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Sequence
@@ -163,10 +162,6 @@ class TemporalSplit:
     @property
     def slot_starts(self) -> tuple[date, ...]:
         return tuple(self.spec.test_edges()[:-1])
-
-    @property
-    def n_test_samples(self) -> int:
-        return sum(len(s) for s in self.test_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +383,6 @@ class ConstraintVerdict:
             "per_slot": list(self.per_slot),
             "warnings": list(self.warnings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def check_c1(split: TemporalSplit) -> ConstraintVerdict:

@@ -22,8 +22,6 @@ influence the result; tune_phi never sees the test window.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -42,7 +40,6 @@ __all__ = [
     "ValidationWindowError",
     "tune_phi",
     "proper_validation_cut",
-    "write_grid_csv",
 ]
 
 DEFAULT_E_MAX = {"f1": 0.10, "recall": 0.05, "precision": 0.15}
@@ -105,9 +102,6 @@ class TuningResult:
             "target": self.target,
             "grid": [vars(g) for g in self.grid],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def proper_validation_cut(
@@ -213,11 +207,3 @@ def tune_phi(
         grid=grid,
         target=cfg.target,
     )
-
-
-def write_grid_csv(path: str, result: TuningResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "aut", "error", "selected"])
-        for g in result.grid:
-            writer.writerow([repr(g.phi), repr(g.aut), repr(g.error), int(g.selected)])

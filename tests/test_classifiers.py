@@ -15,7 +15,6 @@ from driftlab.classifiers import (
     TrainedModel,
     _sigmoid,
     fit_models,
-    logistic_loss_and_grad,
     predict_dataset,
     score_dataset,
 )
@@ -58,7 +57,12 @@ class TestLinearSGD:
             LinearSGDClassifier().fit(d, seed=0)
 
     def test_gradient_matches_finite_differences(self):
-        # Central finite differences on random small instances.
+        # One _step moves (w, b) by -learning_rate times the gradient of the
+        # mean logistic loss + (l2/2)||w||^2, checked by central differences.
+        def loss(w, b, X, y, l2):
+            z = X @ w + b
+            return float(np.mean(np.logaddexp(0.0, np.where(y == 1, -z, z)))) + 0.5 * l2 * (w @ w)
+
         rng = np.random.default_rng(11)
         for _ in range(5):
             n, d = 12, 4
@@ -66,20 +70,19 @@ class TestLinearSGD:
             y = rng.integers(0, 2, size=n).astype(float)
             w = rng.normal(size=d)
             b = float(rng.normal())
-            l2 = 0.01
-            _, dw, db = logistic_loss_and_grad(w, b, X, y, l2)
+            clf = LinearSGDClassifier(learning_rate=0.1, l2=0.01)
+            w_new = w.copy()
+            b_new = clf._step(w_new, b, X, y)
+            dw, db = (w - w_new) / clf.learning_rate, (b - b_new) / clf.learning_rate
             eps = 1e-6
             for j in range(d):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += eps
                 wm[j] -= eps
-                lp, _, _ = logistic_loss_and_grad(wp, b, X, y, l2)
-                lm, _, _ = logistic_loss_and_grad(wm, b, X, y, l2)
-                num = (lp - lm) / (2 * eps)
+                num = (loss(wp, b, X, y, clf.l2) - loss(wm, b, X, y, clf.l2)) / (2 * eps)
                 assert num == pytest.approx(dw[j], rel=1e-5, abs=1e-8)
-            lp, _, _ = logistic_loss_and_grad(w, b + eps, X, y, l2)
-            lm, _, _ = logistic_loss_and_grad(w, b - eps, X, y, l2)
-            assert (lp - lm) / (2 * eps) == pytest.approx(db, rel=1e-5, abs=1e-8)
+            num = (loss(w, b + eps, X, y, clf.l2) - loss(w, b - eps, X, y, clf.l2)) / (2 * eps)
+            assert num == pytest.approx(db, rel=1e-5, abs=1e-8)
 
     def test_scores_within_unit_interval(self):
         d = blob_dataset(50, 50, seed=5, pos_center=(50.0, 50.0), spread=0.1)
@@ -110,6 +113,12 @@ class TestLinearSGD:
     def test_zero_l2_and_integer_rate_accepted(self):
         clf = LinearSGDClassifier(learning_rate=1, l2=0)
         assert (clf.learning_rate, clf.l2) == (1, 0)
+
+    def test_l2_shrink_factor_above_minus_one_accepted(self):
+        # learning_rate * l2 = 1.9: each step scales w by -0.9, heavy but convergent.
+        assert LinearSGDClassifier(l2=19).l2 == 19
+        with pytest.raises(ValueError, match=r"learning_rate \* l2 must be < 2"):
+            LinearSGDClassifier(l2=20)
 
 
 def two_branch_sigmoid(z):
@@ -357,7 +366,7 @@ def knn_oracle(X, y, ids, k, q):
 
 @st.composite
 def knn_cases(draw):
-    """Training set, queries and k, built to stress the candidate margin.
+    """Training set, queries, k and an overflow flag, built to stress the candidate margin.
 
     ``grid`` features are small integers (many exact distance ties);
     ``offset`` shifts them, or tiny Gaussian steps, by 1e4, where the
@@ -409,21 +418,24 @@ def knn_cases(draw):
     # Queries that sit exactly on training rows: zero distances and ties.
     on_train = rng.integers(0, m, size=m // 3)
     Q[on_train] = X[rng.integers(0, n, size=len(on_train))]
-    return X, y, ids, k, Q
+    return X, y, ids, k, Q, kind == "overflow"
 
 
 class TestKNNExactness:
     @settings(max_examples=60, deadline=None)
     @given(knn_cases())
     def test_equals_per_row_oracle(self, case):
-        X, y, ids, k, Q = case
-        model = KNNModel(X, y, ids, k)
-        got = model.scores(Q)
-        expected = [knn_oracle(X, y, ids, k, q) for q in Q]
-        assert got.tolist() == expected
-        # A row's score does not depend on the rows scored with it.
-        for i in range(0, len(Q), max(1, len(Q) // 7)):
-            assert model.scores(Q[i : i + 1])[0] == got[i]
+        X, y, ids, k, Q, overflow = case
+        # Overflow draws overflow the squared norms on purpose.
+        faults = dict(over="ignore", invalid="ignore") if overflow else {}
+        with np.errstate(**faults):
+            model = KNNModel(X, y, ids, k)
+            got = model.scores(Q)
+            expected = [knn_oracle(X, y, ids, k, q) for q in Q]
+            assert got.tolist() == expected
+            # A row's score does not depend on the rows scored with it.
+            for i in range(0, len(Q), max(1, len(Q) // 7)):
+                assert model.scores(Q[i : i + 1])[0] == got[i]
 
 
 def count_lexsorts(monkeypatch):

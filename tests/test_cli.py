@@ -16,7 +16,6 @@ from driftlab import cli, splits
 from driftlab.cli import (
     SCENARIOS,
     ConfigError,
-    ConstraintViolation,
     ExperimentConfig,
     emit_plot_data,
     main,
@@ -25,7 +24,7 @@ from driftlab.cli import (
 )
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
 from driftlab.dataset import load_dataset, write_csv
-from driftlab.delay import DelayPolicy
+from driftlab.delay import ConstraintViolationError, DelayPolicy
 from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
 from driftlab.rng import derive_rng, derive_seed
 from driftlab.splits import (
@@ -370,8 +369,9 @@ class TestFitCounts:
         for seed in (0, 1):
             d = generate(cfg.synthetic, seed=derive_seed(seed, "dataset"))
             manifest = json.loads((out / f"split_manifest_seed{seed}.json").read_text())
+            position = {sid: i for i, sid in enumerate(d.ids)}
             slots = [
-                d.subset([d.index_of(r["id"]) for r in slot]).features.tobytes()
+                d.subset([position[r["id"]] for r in slot]).features.tobytes()
                 for slot in manifest["test_slots"]
             ]
             fit_seeds = [derive_seed(seed, "delay", "fit", i) for i in range(len(slots))]
@@ -663,7 +663,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize(
         "error,code,prefix",
-        [(ConstraintViolation, 3, "constraint violation"), (ConfigError, 2, "config error"),
+        [(ConstraintViolationError, 3, "constraint violation"), (ConfigError, 2, "config error"),
          (Exception, 4, "error")],
         ids=["constraint", "config", "other"],
     )
@@ -680,7 +680,8 @@ class TestFanOut:
     @pytest.mark.parametrize("first,second", [(3, 6), (2, 5)],
                              ids=["child_before_caller", "caller_before_child"])
     def test_the_lowest_failing_index_wins(self, tmp_path, monkeypatch, capsys, first, second):
-        outcomes = {first: raiser(ConfigError, "first"), second: raiser(ConstraintViolation, "second")}
+        outcomes = {first: raiser(ConfigError, "first"),
+                    second: raiser(ConstraintViolationError, "second")}
         for workers in (1, 2, 8):
             got = self.run(tmp_path, monkeypatch, capsys, outcomes, workers)
             assert got == (2, "config error: first\n")
@@ -754,13 +755,21 @@ class TestCliVerbs:
     def test_missing_config_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
-    def test_malformed_dataset_exit_4(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row,message",
+        [("a,not-a-date,0,1.0", "line 2: unparseable timestamp"),
+         ("a,2014-01-05,7,1.0", "line 2: label must be 0 or 1"),
+         ("a,2014-01-05,0,1e200", "line 2: |feature| exceeds")],
+        ids=["bad_date", "label_7", "huge_feature"],
+    )
+    def test_malformed_dataset_exit_2(self, tmp_path, capsys, row, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,timestamp,label,f0\na,not-a-date,0,1.0\n")
+        bad.write_text(f"id,timestamp,label,f0\n{row}\n")
         blob = base_config(tmp_path / "out", seeds=(0,))
         blob["dataset"] = {"path": str(bad)}
         cfg_path = self.write_config(tmp_path, blob)
-        assert main(["run", "--config", cfg_path]) == 4
+        assert main(["run", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
         "bad_scores",
@@ -909,6 +918,12 @@ class TestCliVerbs:
              "bad split: unknown keys ['extra']"),
             ("run", lambda cfg: {**cfg, "seeds": [-1]}, "seeds must be"),
             ("run", lambda cfg: {**cfg, "seeds": [2**63]}, "seeds must be"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "l2": 21}},
+             "bad classifier: learning_rate * l2 must be < 2"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "l2": 100}},
+             "bad classifier: learning_rate * l2 must be < 2"),
+            ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "learning_rate": 1e6}},
+             "bad classifier: learning_rate * l2 must be < 2"),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
@@ -920,7 +935,7 @@ class TestCliVerbs:
              "retune_each_step_str", "refresh_threshold_int", "retune_each_step_al",
              "knn_k_above_training_size", "dataset_path_int",
              "dataset_format_int", "dataset_extra_key", "split_extra_key", "seed_negative",
-             "seed_huge"],
+             "seed_huge", "sgd_l2_21", "sgd_l2_100", "sgd_learning_rate_huge"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt, message):
         blob = base_config(tmp_path / "out", seeds=(0,))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab import dataset
+from driftlab.classifiers import KNNModel
 from driftlab.dataset import (
     DatasetFormatError,
     EmptySlotError,
@@ -235,6 +236,10 @@ class TestLabeledDataset:
             make_dataset([("a", "2014-01-01", 0, [1.0]), ("b", "2014-01-02", 1, [bad])])
 
 
+# The largest |feature| load_dataset accepts in a file of 3 features.
+LOAD_BOUND_3 = float(np.sqrt(np.finfo(np.float64).max / 16))
+
+
 class TestLoading:
     def test_csv_three_rows(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -301,6 +306,25 @@ class TestLoading:
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("dim", [1, 20, 300])
+    def test_overflow_scale_feature_names_line(self, tmp_path, dim):
+        # At the bound every squared distance between two rows is finite,
+        # under kNN scoring too; one step past it, a file is rejected.
+        bound = np.sqrt(np.finfo(np.float64).max / (4 * (dim + 1)))
+        header = "id,timestamp,label," + ",".join(f"f{i}" for i in range(dim))
+        values = [bound, -bound, np.nextafter(bound, np.inf)]
+        rows = [f"{sid},2014-01-0{n},{n % 2}," + ",".join([repr(float(v))] * dim)
+                for n, (sid, v) in enumerate(zip("abc", values), start=1)]
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join([header] + rows[:2]) + "\n")
+        d = load_dataset(str(p))
+        diff = d.features[0] - d.features[1]
+        assert np.isfinite(diff @ diff)
+        assert KNNModel(d.features, d.labels, d.ids, 1).scores(d.features).tolist() == [1.0, 0.0]
+        p.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"line 4: \|feature\| exceeds"):
+            load_dataset(str(p))
+
     @staticmethod
     def per_cell_floats(path):
         with open(path, newline="", encoding="utf-8") as fh:
@@ -309,7 +333,8 @@ class TestLoading:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            # Every float load_dataset accepts in a 3-feature file.
+            st.lists(st.floats(-LOAD_BOUND_3, LOAD_BOUND_3), min_size=3, max_size=3),
             min_size=1,
             max_size=20,
         ),

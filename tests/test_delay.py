@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier, score_dataset
+from driftlab.cli import _write_delay_slots, _write_delay_summary
 from driftlab.dataset import LabeledDataset, Period
 from driftlab.delay import (
     ConstraintViolationError,
@@ -17,8 +18,6 @@ from driftlab.delay import (
     _most_uncertain,
     _predicted_class_probs,
     run_policy,
-    write_delay_slots_csv,
-    write_delay_summary_csv,
 )
 from driftlab.metrics import aut
 from driftlab.splits import RatioSpec, SplitSpec, TemporalSplit, time_aware_split
@@ -67,7 +66,8 @@ def slot_of(score_table, labels=None):
 
 def select_uncertain(model, slot, budget_count):
     """Ids of the budget_count slot members the model is least sure of, as run_policy ranks them."""
-    return _most_uncertain(score_dataset(model, slot), slot.ids, budget_count)
+    picks = _most_uncertain(score_dataset(model, slot), slot.ids, budget_count)
+    return [slot.ids[i] for i in picks]
 
 
 class TestSelectUncertain:
@@ -97,7 +97,8 @@ class TestSelectUncertain:
         # |s - 0.5| ties at 0.1 ({b, d, e}) and at 0.4 ({a, c}).
         d, model = slot_of({"e": 0.4, "b": 0.6, "d": 0.4, "c": 0.9, "a": 0.1})
         ranked = _most_uncertain(score_dataset(model, d), d.ids, n)
-        assert ranked == select_uncertain(model, d, n) == ["b", "d", "e", "a", "c"][:n]
+        assert ranked == [1, 3, 4, 0, 2][:n]  # the rows of b, d, e, a, c
+        assert select_uncertain(model, d, n) == ["b", "d", "e", "a", "c"][:n]
 
 
 def rejection_threshold(model, validation):
@@ -160,7 +161,7 @@ class TestRunPolicyIncremental:
             inc = run_policy(
                 split, LinearSGDClassifier(epochs=25), DelayPolicy("incremental"), seed=seed
             )
-            assert inc.ledger.labeled == split.n_test_samples
+            assert inc.ledger.labeled == sum(map(len, split.test_slots))
             assert inc.per_slot_labeled == tuple(len(s) for s in split.test_slots)
             assert inc.ledger.quarantined == 0
             auts_none.append(none.ledger.aut_f1)
@@ -272,7 +273,7 @@ class TestRunPolicyActiveLearning:
             DelayPolicy("active_learning", al_budget=1.0),
             seed=7,
         )
-        assert res.ledger.labeled == split.n_test_samples
+        assert res.ledger.labeled == sum(map(len, split.test_slots))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="al_budget"):
@@ -393,12 +394,12 @@ class TestCsvOutputs:
             seed=12,
         )
         ps = tmp_path / "summary.csv"
-        write_delay_summary_csv(str(ps), [("sigma_hat", res)])
+        _write_delay_summary(ps, [("sigma_hat", res)])
         lines = ps.read_text().strip().splitlines()
         assert lines[0] == "policy,phi_mode,L,Q,AUT_F1"
         assert lines[1].startswith("active_learning:0.1,sigma_hat,")
         pd = tmp_path / "slots.csv"
-        write_delay_slots_csv(str(pd), res)
+        _write_delay_slots(pd, res)
         rows = pd.read_text().strip().splitlines()
         assert rows[0] == "slot,timestamp,labeled,rejected,f1,precision,recall"
         assert len(rows) == 1 + len(split.test_slots)

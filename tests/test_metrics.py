@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
+from driftlab.cli import _write_curves
 from driftlab.metrics import (
     Confusion,
     KFoldResult,
@@ -21,7 +22,6 @@ from driftlab.metrics import (
     prf1,
     slot_series,
     stratified_folds,
-    write_curves_csv,
 )
 
 from conftest import blob_dataset
@@ -237,7 +237,7 @@ class TestCsv:
         s = series_from([Confusion(tp=1), Confusion(fn=1)])
         curves = [point_estimates(s, "f1"), cumulative_estimates(s, "f1")]
         p = tmp_path / "curves.csv"
-        write_curves_csv(str(p), s, curves)
+        _write_curves(p, s, curves)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "slot,timestamp,metric,mode,value"
         assert lines[1].startswith("0,2015-01-01,f1,point,")

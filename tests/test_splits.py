@@ -156,7 +156,8 @@ class TestEnforceRatio:
     def test_preserves_input_order(self):
         d = flat_dataset(50, 10)
         out = enforce_ratio(d, 0.4, "random", seed=3)
-        positions = [d.index_of(i) for i in out.ids]
+        position = {sid: i for i, sid in enumerate(d.ids)}
+        positions = [position[i] for i in out.ids]
         assert positions == sorted(positions)
 
 
@@ -176,7 +177,7 @@ class TestTimeAwareSplit:
         split = time_aware_split(d, default_spec(), RatioSpec(), seed=0)
         # 10% everywhere already: nothing removed.
         assert len(split.train) == len(d.between(date(2014, 1, 1), date(2015, 1, 1)))
-        assert split.n_test_samples == len(d.between(date(2015, 1, 1), date(2017, 1, 1)))
+        assert sum(map(len, split.test_slots)) == len(d.between(date(2015, 1, 1), date(2017, 1, 1)))
 
     def test_slot_downsampling_oracle(self):
         # Each month 1000 neg + 200 pos; delta = 0.10 keeps 1000 + 111 per slot.
@@ -334,7 +335,8 @@ class TestOneSlotGrid:
         for day in (28, 29, 30):
             assert date(2014, 3, day) in tested
         assert date(2014, 5, 30) in tested
-        assert split.n_test_samples == len(d.between(date(2014, 1, 31), date(2014, 5, 31)))
+        n_tested = sum(map(len, split.test_slots))
+        assert n_tested == len(d.between(date(2014, 1, 31), date(2014, 5, 31)))
         assert all(v.passed for v in run_all_checks(split).values())
 
 
@@ -563,7 +565,7 @@ class TestCheckC3:
 
     def test_verdict_json_shape(self):
         verdict = check_c3(self.make([0.10, 0.90]))
-        blob = json.loads(verdict.to_json())
+        blob = verdict.as_dict()
         assert set(blob) == {"constraint", "pass", "witnesses", "per_slot", "warnings"}
         assert blob["constraint"] == "C3"
 

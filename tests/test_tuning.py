@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from datetime import date
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftlab.classifiers import LinearSGDClassifier
+from driftlab.cli import _write_tuning
 from driftlab.dataset import Period
 from driftlab.metrics import Confusion, aut, confusion_counts, error_rate, point_estimates, slot_series
 from driftlab.rng import derive_rng
@@ -16,7 +18,6 @@ from driftlab.tuning import (
     ValidationWindowError,
     proper_validation_cut,
     tune_phi,
-    write_grid_csv,
 )
 
 
@@ -251,20 +252,18 @@ class TestTunePhi:
         result = tune_phi(
             train, LinearSGDClassifier(epochs=15), TuningConfig(), spec_for(), seed=0
         )
-        p = tmp_path / "grid.csv"
-        write_grid_csv(str(p), result)
-        lines = p.read_text().strip().splitlines()
+        _write_tuning(tmp_path, 0, result)
+        lines = (tmp_path / "tuning_seed0.csv").read_text().strip().splitlines()
         assert lines[0] == "phi,aut,error,selected"
         assert len(lines) == 1 + len(result.grid)
         assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == 1
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         train = drifting_train(6)
         result = tune_phi(
             train, LinearSGDClassifier(epochs=15), TuningConfig(), spec_for(), seed=0
         )
-        import json
-
-        blob = json.loads(result.to_json())
+        _write_tuning(tmp_path, 0, result)
+        blob = json.loads((tmp_path / "tuning_seed0.json").read_text())
         assert blob["phi_star"] == result.phi_star
         assert len(blob["grid"]) == len(result.grid)
