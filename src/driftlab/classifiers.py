@@ -130,8 +130,7 @@ class LinearModel(TrainedModel):
         self.b = float(b)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        s = _sigmoid(np.asarray(features, dtype=float) @ self.w + self.b)
-        return np.clip(s, 0.0, 1.0)
+        return _sigmoid(np.asarray(features, dtype=float) @ self.w + self.b)
 
 
 @dataclass(frozen=True)

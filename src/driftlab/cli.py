@@ -43,7 +43,7 @@ import pickle
 import sys
 from dataclasses import MISSING, fields, replace
 from datetime import date
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +120,7 @@ def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:
     return tune_phi(train_raw, cfg.classifier, cfg.tuning, cfg.split, seed)
 
 
-def _task_realistic(cfg: ExperimentConfig, seed: int) -> dict:
+def _task_realistic(cfg: ExperimentConfig, seed: int, row: str) -> dict:
     d = _dataset_for_seed(cfg, seed)
     ratios = cfg.ratios
     tuning_result = None
@@ -189,18 +189,14 @@ BIAS_GRID_ROWS = {
 }
 
 
-def _bias_f1s(cfg: ExperimentConfig, seed: int, row: str) -> dict[tuple[float, float], float]:
-    """The row's mean-over-folds pooled F1 at each (phi, delta) cell.
+def _bias_f1s(cfg: ExperimentConfig, seed: int, row: str, phis: tuple, deltas: tuple) -> dict:
+    """The row's mean-over-folds pooled F1 at each (phi, delta) cell of ``phis`` x ``deltas``.
 
-    The cells are the full grid for ``bias_grid``, else the configured one.
     Each test side is downsampled once per delta and each training side
     once per phi; each phi's fold models are fit in one
     :func:`~driftlab.classifiers.fit_models` call and each is scored on
     every delta.
     """
-    phis = deltas = BIAS_GRID_RATIOS
-    if cfg.scenario != "bias_grid":
-        phis, deltas = (cfg.ratios.phi,), (cfg.ratios.delta,)
     scores: dict[tuple[float, float], list[float]] = {(p, q): [] for p in phis for q in deltas}
     base, folds = BIAS_GRID_ROWS[row](_dataset_for_seed(cfg, seed), cfg, seed)
     test_sets = [
@@ -217,20 +213,20 @@ def _bias_f1s(cfg: ExperimentConfig, seed: int, row: str) -> dict[tuple[float, f
     return {cell: float(np.mean(f1s)) for cell, f1s in scores.items()}
 
 
-def _execute_task(payload):
-    """Run one ``(scenario, seed)`` task or one ``("bias_row", seed, row)`` task.
+def _task_bias_cell(cfg: ExperimentConfig, seed: int, row: str) -> float:
+    """The row's F1 at the configured (phi, delta) cell."""
+    (f1,) = _bias_f1s(cfg, seed, row, (cfg.ratios.phi,), (cfg.ratios.delta,)).values()
+    return f1
 
-    A bias row's task scores every (phi, delta) cell of the scenario (the
-    four-cell grid for ``bias_grid``, the configured cell otherwise).
-    """
+
+def _task_kfold(cfg: ExperimentConfig, seed: int, row: str) -> float:
+    return kfold_eval(_dataset_for_seed(cfg, seed), cfg.classifier, cfg.kfold_k, seed).mean_f1
+
+
+def _execute_task(payload):
+    """Run one ``(seed, row)`` task of the config's scenario (see ``_SCENARIOS``)."""
     cfg, task = payload
-    kind, seed = task[:2]
-    if kind == "realistic":
-        return task, _task_realistic(cfg, seed)
-    if kind == "kfold":
-        d = _dataset_for_seed(cfg, seed)
-        return task, kfold_eval(d, cfg.classifier, cfg.kfold_k, seed).mean_f1
-    return task, _bias_f1s(cfg, seed, task[2])
+    return task, _SCENARIOS[cfg.scenario][1](cfg, *task)
 
 
 def _fan_out(fn, items: list, workers: int) -> list:
@@ -350,7 +346,7 @@ def _fmt(x: float) -> str:
 def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) -> None:
     agg: dict[tuple[str, str], list[float]] = {}
     for seed in cfg.seeds:
-        res = results[("realistic", seed)]
+        res = results[seed, "realistic"]
         baseline: DelayRunResult = res["baseline"]
         curves = []
         for metric in ("f1", "precision", "recall"):
@@ -420,22 +416,22 @@ def _write_tuning(out: Path, seed: int, result: TuningResult) -> None:
     _write_json(out / f"tuning_seed{seed}.json", result.as_dict())
 
 
-def _write_scalar_scenario(
-    out: Path, name: str, key: str, by_seed: list[tuple[int, float]]
-) -> None:
-    _write_rows(out / f"{name}.csv", ["seed", key], [[seed, _fmt(v)] for seed, v in by_seed])
+def _write_scalar(key: str, cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
+    """A scenario whose task gives one float per seed, reported as ``key``."""
+    by_seed = sorted((seed, v) for (seed, _), v in gathered.items())
+    _write_rows(out / f"{cfg.scenario}.csv", ["seed", key], [[s, _fmt(v)] for s, v in by_seed])
     values = [v for _, v in by_seed]
     _write_rows(
         out / "aggregate.csv",
         ["scenario", "metric", "mean", "std", "n_seeds"],
-        [[name, key, _fmt(np.mean(values)), _fmt(np.std(values)), len(values)]],
+        [[cfg.scenario, key, _fmt(np.mean(values)), _fmt(np.std(values)), len(values)]],
     )
 
 
-def _write_bias_grid(out: Path, gathered: dict) -> None:
+def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
     cells = {
         (row, phi, delta, seed): f1
-        for (_, seed, row), f1s in gathered.items()
+        for (seed, row), f1s in gathered.items()
         for (phi, delta), f1 in f1s.items()
     }
     rows = []
@@ -455,19 +451,33 @@ def _write_bias_grid(out: Path, gathered: dict) -> None:
     )
 
 
+# Each scenario's rows, its task ``(cfg, seed, row) -> result`` and its writer
+# ``(cfg, out, {(seed, row): result})``. The lambda looks the realistic writer up
+# when called, so a wrapper set on the module (bench/tracing.py) is the one run.
+_SCENARIOS = {
+    "realistic": (("realistic",), _task_realistic, lambda *a: _write_realistic_artifacts(*a)),
+    "kfold": (("kfold",), _task_kfold, partial(_write_scalar, "mean_f1")),
+    "past_testing": (("past_testing",), _task_bias_cell, partial(_write_scalar, "pooled_f1")),
+    "disjoint_class_windows": (
+        ("disjoint_class_windows",), _task_bias_cell, partial(_write_scalar, "pooled_f1")
+    ),
+    "bias_grid": (
+        tuple(BIAS_GRID_ROWS),
+        partial(_bias_f1s, phis=BIAS_GRID_RATIOS, deltas=BIAS_GRID_RATIOS),
+        _write_bias_grid,
+    ),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured scenario for every seed and write artifacts.
 
     Returns 0 on success; raises ConfigError / ConstraintViolationError /
     other exceptions for the CLI to map onto exit codes.
     """
-    if cfg.scenario in ("realistic", "kfold"):
-        tasks = [(cfg.scenario, seed) for seed in cfg.seeds]
-    else:
-        # Row-outer, so the big k-fold tasks go to different processes.
-        rows = BIAS_GRID_ROWS if cfg.scenario == "bias_grid" else (cfg.scenario,)
-        tasks = [("bias_row", seed, row) for row in rows for seed in cfg.seeds]
-
+    rows, _, write = _SCENARIOS[cfg.scenario]
+    # Row-outer, so the big k-fold tasks go to different processes.
+    tasks = [(seed, row) for row in rows for seed in cfg.seeds]
     try:
         gathered = dict(_fan_out(_execute_task, [(cfg, t) for t in tasks], cfg.workers))
     finally:
@@ -477,16 +487,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config_echo.json", _config_echo(cfg), indent=2)
-
-    if cfg.scenario == "realistic":
-        _write_realistic_artifacts(cfg, out, gathered)
-    elif cfg.scenario == "bias_grid":
-        _write_bias_grid(out, gathered)
-    else:
-        kfold = cfg.scenario == "kfold"
-        key, cell = ("mean_f1" if kfold else "pooled_f1"), (cfg.ratios.phi, cfg.ratios.delta)
-        by_seed = sorted((t[1], v if kfold else v[cell]) for t, v in gathered.items())
-        _write_scalar_scenario(out, cfg.scenario, key, by_seed)
+    write(cfg, out, gathered)
     return EXIT_OK
 
 
@@ -685,7 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A float fault ends the verb with exit 4 instead of a warning beside exit 0.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ConfigError, DatasetFormatError, InsufficientSpanError, StratificationError,
             TrainingSizeError, ValidationWindowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ violation raises :class:`ConfigError`, which the CLI maps to exit code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
@@ -61,6 +61,11 @@ class ExperimentConfig:
             raise ValueError("dataset 'format' applies to a 'path' only, not to 'synthetic'")
         if self.scenario == "bias_grid" and self.delay_policies:
             raise ValueError("bias_grid does not combine with a delay policy")
+        if self.tuning is not None and self.tuning.sigma_hat != self.ratios.sigma_hat:
+            raise ValueError(
+                f"tuning.sigma_hat {self.tuning.sigma_hat} differs from "
+                f"ratios.sigma_hat {self.ratios.sigma_hat}"
+            )
         if any(p.retune_each_step for p in self.delay_policies):
             # Each retune grows the training window by whole slots.
             self.split.train_window.slots_of(self.split.slot_width)
@@ -149,6 +154,10 @@ def parse_config(blob: dict) -> ExperimentConfig:
     for key, value in blob.items():
         build = _SECTIONS[key]
         given.update(_section(key, lambda: build(value)) if build else {key: value})
+    if "tuning" in given and "sigma_hat" not in blob["tuning"]:
+        # phi is tuned from the deployment rate up, so an unset sigma_hat is the run's.
+        sigma_hat = given.get("ratios", RatioSpec()).sigma_hat
+        given["tuning"] = _section("tuning", lambda: replace(given["tuning"], sigma_hat=sigma_hat))
     try:
         return ExperimentConfig(**given)
     except (TypeError, ValueError) as exc:

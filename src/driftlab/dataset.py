@@ -360,34 +360,19 @@ def _parse_label(text: object, lineno: int) -> int:
     raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {text!r}")
 
 
-def _check_range(t: date, expected_range: tuple[date, date] | None, lineno: int) -> None:
-    if expected_range is not None and not (expected_range[0] <= t <= expected_range[1]):
-        raise DatasetFormatError(
-            f"line {lineno}: timestamp {t} outside expected range "
-            f"[{expected_range[0]}, {expected_range[1]}]"
-        )
-
-
-def load_dataset(
-    path: str,
-    format: str | None = None,
-    expected_range: tuple[date, date] | None = None,
-) -> LabeledDataset:
+def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     """Load a CSV or JSONL dataset file, validating as it goes.
 
     ``format`` is inferred from the file suffix when omitted. Malformed
     rows, non-finite features included, raise :class:`DatasetFormatError`
     naming the 1-based line number.
-    ``expected_range`` (inclusive), when given, rejects rows whose
-    timestamps fall outside it; timestamp sanitization is the caller's
-    declaration, never guessed.
     """
     if format is None:
         format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
     loader = _load_csv if format == "csv" else _load_jsonl
-    ids, stamps, labels, rows = loader(path, expected_range)
+    ids, stamps, labels, rows = loader(path)
     seen: dict[str, int] = {}
     for lineno, sid in ids:
         if sid in seen:
@@ -420,7 +405,7 @@ def load_dataset(
 _CSV_CHUNK_ROWS = 1024
 
 
-def _load_csv(path, expected_range):
+def _load_csv(path):
     ids: list[tuple[int, str]] = []
     stamps: list[date] = []
     labels: list[int] = []
@@ -452,7 +437,6 @@ def _load_csv(path, expected_range):
                         f"{dim} features, got {len(row) - 3}"
                     )
                 t = _parse_date(row[1], lineno)
-                _check_range(t, expected_range, lineno)
                 ids.append((lineno, row[0]))
                 cells.append(row[3:])
                 stamps.append(t)
@@ -492,7 +476,7 @@ def _per_cell_floats(ids: list[tuple[int, str]], cells: list[list[str]]) -> list
     return rows
 
 
-def _load_jsonl(path, expected_range):
+def _load_jsonl(path):
     ids: list[tuple[int, str]] = []
     stamps: list[date] = []
     labels: list[int] = []
@@ -524,7 +508,6 @@ def _load_jsonl(path, expected_range):
                     f"{dim} features, got {len(feats)}"
                 )
             t = _parse_date(str(obj["timestamp"]), lineno)
-            _check_range(t, expected_range, lineno)
             ids.append((lineno, str(obj["id"])))
             stamps.append(t)
             labels.append(_parse_label(obj["label"], lineno))

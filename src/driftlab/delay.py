@@ -38,7 +38,7 @@ from .metrics import (
     point_estimates,
 )
 from .rng import derive_seed
-from .splits import TemporalSplit, enforce_ratio, run_all_checks
+from .splits import TemporalSplit, enforce_ratio, least_confident_first, run_all_checks
 from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
@@ -123,9 +123,7 @@ def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int)
     """
     if budget_count > len(ids):
         raise ValueError(f"budget {budget_count} exceeds slot size {len(ids)}")
-    conf = np.abs(scores - 0.5)
-    order = sorted(range(len(ids)), key=lambda i: (conf[i], ids[i]))
-    return order[:budget_count]
+    return least_confident_first(np.abs(scores - 0.5), ids)[:budget_count]
 
 
 def _predicted_class_probs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +202,6 @@ def run_policy(
             wrong_probs_pool = [float(v) for v in val_wrong]
         except NoMisclassificationError:
             run_warnings.append("no validation misclassifications; rejection disabled")
-            threshold = None
 
     pool = split.train
     model: TrainedModel | None = None
@@ -222,17 +219,13 @@ def run_policy(
         if policy.kind == "rejection" and threshold is not None:
             kept = probs > threshold
             per_slot_rejected[i] = int((~kept).sum())
-            confusions.append(
-                Confusion.from_predictions(slot.labels[kept], pred[kept])
-                if kept.any()
-                else Confusion()
-            )
+            confusions.append(Confusion.from_predictions(slot.labels[kept], pred[kept]))
             if policy.refresh_threshold:
                 # Quarantined objects get inspected (that is what Q pays
                 # for), so their outcomes may refresh the quantile.
                 newly_wrong = probs[(~kept) & (pred != slot.labels)]
                 wrong_probs_pool.extend(float(v) for v in newly_wrong)
-                threshold = float(np.quantile(np.array(wrong_probs_pool), 0.75, method="linear"))
+                threshold = _mistake_q3(np.array(wrong_probs_pool))
         else:
             confusions.append(Confusion.from_predictions(slot.labels, pred))
 
@@ -258,7 +251,6 @@ def run_policy(
                 fit_pool = enforce_ratio(
                     pool,
                     result.phi_star,
-                    "random",
                     seed=derive_seed(seed, "delay", "retune_ratio", i, bound=2**63),
                 )
             model = clf.fit(fit_pool, derive_seed(seed, "delay", "fit", i + 1))

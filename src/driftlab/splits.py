@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from datetime import date
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "time_aware_split",
     "enforce_ratio",
     "ratio_rows",
+    "least_confident_first",
     "check_c1",
     "check_c2",
     "check_c3",
@@ -173,32 +174,32 @@ def _round_half_even(x: float) -> int:
     return int(np.rint(x))
 
 
+def least_confident_first(confidence: np.ndarray, ids: Sequence[str]) -> list[int]:
+    """Row positions by ascending ``(confidence[i], ids[i])``: least confident first."""
+    return sorted(range(len(ids)), key=lambda i: (confidence[i], ids[i]))
+
+
 def ratio_rows(
     labels: np.ndarray,
     target: float,
-    mode: Literal["random", "uncertainty_prioritized"] = "random",
     confidence: np.ndarray | None = None,
     seed: int = 0,
     ids: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Ascending positions of the rows :func:`enforce_ratio` keeps of a pool with ``labels``.
 
-    Uncertainty mode also needs the pool's ``ids``, which break ties
-    between equal confidences. All positions come back when nothing is cut.
+    ``confidence`` also needs the pool's ``ids``, which break ties between
+    equal confidences. All positions come back when nothing is cut.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target ratio must lie in (0, 1), got {target}")
-    if mode not in ("random", "uncertainty_prioritized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "uncertainty_prioritized":
-        if confidence is None or np.shape(confidence) != (len(labels),):
-            raise ValueError("uncertainty_prioritized mode requires one scorer confidence per row")
-        if ids is None or len(ids) != len(labels):
-            raise ValueError("uncertainty_prioritized mode requires one id per row")
+    n = len(labels)
+    if confidence is not None and (np.shape(confidence) != (n,) or ids is None or len(ids) != n):
+        raise ValueError("confidence needs one scorer confidence and one id per row")
 
     n_pos = int(np.add.reduce(labels))
-    n_neg = len(labels) - n_pos
-    everything = np.arange(len(labels))
+    n_neg = n - n_pos
+    everything = np.arange(n)
     # Over-represented class relative to target, by cross-multiplication
     # (avoids dividing and float ratio round-off).
     pos_excess = n_pos * (1.0 - target) - n_neg * target
@@ -216,12 +217,11 @@ def ratio_rows(
     cut_idx = np.flatnonzero(labels == cut_label)
     if keep_count >= len(cut_idx):
         return everything
-    if mode == "random":
+    if confidence is None:
         rng = derive_rng(seed, "enforce_ratio")
         kept = rng.choice(cut_idx, size=keep_count, replace=False)
     else:
-        conf = confidence[cut_idx]
-        order = sorted(range(len(cut_idx)), key=lambda j: (conf[j], ids[cut_idx[j]]))
+        order = least_confident_first(confidence[cut_idx], [ids[i] for i in cut_idx])
         kept = cut_idx[order[:keep_count]]
     keep_mask = labels != cut_label
     keep_mask[kept] = True
@@ -231,7 +231,6 @@ def ratio_rows(
 def enforce_ratio(
     pool: LabeledDataset,
     target: float,
-    mode: Literal["random", "uncertainty_prioritized"] = "random",
     confidence: np.ndarray | None = None,
     seed: int = 0,
 ) -> LabeledDataset:
@@ -239,15 +238,15 @@ def enforce_ratio(
 
     The under-represented class is kept whole; the retained count of the
     other class is the half-to-even rounding of the exact solution, so
-    |realized - target| <= 1/len(result). In uncertainty mode the retained
-    samples are those a scorer is least sure about: ``confidence`` holds
-    each pool row's |score - 0.5|, and the smallest values are kept (ties
-    by ascending id), which keeps the points that define the decision
-    boundary; in random mode retention is a seeded uniform draw. Output
-    preserves the pool's original order, and is ``pool`` itself when
+    |realized - target| <= 1/len(result). Given ``confidence``, the retained
+    samples are those a scorer is least sure about: it holds each pool
+    row's |score - 0.5|, and :func:`least_confident_first` keeps the
+    smallest (ties by ascending id), which keeps the points that define the
+    decision boundary; without it, retention is a seeded uniform draw.
+    Output preserves the pool's original order, and is ``pool`` itself when
     nothing is cut. :func:`ratio_rows` makes the selection.
     """
-    rows = ratio_rows(pool.labels, target, mode, confidence, seed, pool.ids)
+    rows = ratio_rows(pool.labels, target, confidence, seed, pool.ids)
     return pool if len(rows) == len(pool) else pool.subset(rows)
 
 

@@ -171,7 +171,6 @@ def tune_phi(
         kept = ratio_rows(
             proper.labels,
             phi,
-            "uncertainty_prioritized",
             confidence=confidence,
             seed=derive_seed(seed, "tuning", "downsample", j, bound=2**63),
             ids=proper.ids,

@@ -211,7 +211,6 @@ def test_a6_tuning_contract(capsys):
         down = enforce_ratio(
             proper,
             phi,
-            "uncertainty_prioritized",
             confidence=conf,
             seed=int(derive_rng(17, "tuning", "downsample", j).integers(2**63)),
         )

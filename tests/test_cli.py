@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import signal
+import warnings
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -161,6 +162,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bad split"):
             parse_config(blob)
 
+    def test_tuning_takes_the_ratios_sigma_hat(self, tmp_path):
+        blob = with_ratios(base_config(tmp_path / "out"), sigma_hat=0.2, phi=0.2, delta=0.2)
+        tuning = parse_config({**blob, "tuning": {"mu": 0.1}}).tuning
+        assert tuning.sigma_hat == 0.2
+        assert tuning.grid()[0] == 0.2  # phi is never tuned below the deployment rate
+        # Set in both sections, the two values must agree.
+        assert parse_config({**blob, "tuning": {"sigma_hat": 0.2}}).tuning.sigma_hat == 0.2
+
 
 # Each config dataclass, the section it is parsed from (None: the top level)
 # and that section's other keys.
@@ -256,6 +265,9 @@ class TestRealisticScenario:
 
 
 class TestOtherScenarios:
+    def test_every_scenario_has_one_table_entry(self):
+        assert tuple(cli._SCENARIOS) == SCENARIOS
+
     def test_kfold(self, tmp_path):
         out = tmp_path / "out"
         assert run_experiment(parse_config(base_config(out, scenario="kfold"))) == 0
@@ -486,6 +498,21 @@ class TestFitCounts:
         assert sorted(n for _, n in calls) == [1] * 12 + [4] * 4
         assert fits == []
 
+    def test_bias_grid_fans_out_one_task_per_row_and_seed(self, tmp_path, monkeypatch):
+        tasks = []
+        execute = cli._execute_task
+
+        def recording_execute(payload):
+            tasks.append(payload[1])
+            return execute(payload)
+
+        monkeypatch.setattr(cli, "_execute_task", recording_execute)
+        blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
+        assert run_experiment(parse_config(blob)) == 0
+        # Row-outer: 4 rows x 2 seeds.
+        assert tasks == [(seed, row) for row in cli.BIAS_GRID_ROWS for seed in (0, 1)]
+        assert len(tasks) == 8
+
     def test_bias_grid_downsamples_each_side_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -632,7 +659,7 @@ def staged_tasks(outcomes: dict):
 
     def execute(payload):
         _, task = payload
-        seed = task[1]
+        seed = task[0]
         return task, outcomes[seed]() if seed in outcomes else 0.5
 
     return execute
@@ -722,6 +749,18 @@ class TestFanOut:
         code, err = self.run(tmp_path, monkeypatch, capsys, {1: unpicklable}, workers=2)
         assert code == 4
         assert err.startswith("error: the outcome of task 1 cannot be pickled: ")
+
+    def test_a_float_fault_in_a_child_exits_4(self, tmp_path, monkeypatch, capsys):
+        def overflow():
+            return np.float64(1e308) * 10.0
+
+        # As outside the test suite, a RuntimeWarning alone would not stop the run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code, err = self.run(tmp_path, monkeypatch, capsys, {1: overflow}, workers=2)
+        assert code == 4
+        assert err.startswith("error: overflow encountered")
+        assert err.count("\n") == 1
 
 
 class TestCliVerbs:
@@ -898,6 +937,10 @@ class TestCliVerbs:
             ("run", lambda cfg: {**cfg, "tuning": {"e_max": -1}}, "bad tuning: e_max must be"),
             ("run", lambda cfg: {**cfg, "tuning": {"target": ["f1"]}},
              "bad tuning: target must be"),
+            ("run", lambda cfg: {**cfg, "tuning": {"sigma_hat": 0.2}},
+             "tuning.sigma_hat 0.2 differs from ratios.sigma_hat 0.1"),
+            ("run", lambda cfg: {**with_ratios(cfg, sigma_hat=0.7), "tuning": {}},
+             "bad tuning: sigma_hat must be"),
             ("run", lambda cfg: {**cfg, "delay": {"kind": "active_learning", "al_budget": True}},
              "bad delay: al_budget must be"),
             ("run", lambda cfg: {**cfg, "delay": {"kind": "incremental", "retune_each_step": "no"}},
@@ -931,7 +974,8 @@ class TestCliVerbs:
              "months_huge", "spread_huge", "drift_velocity_huge", "ratio_jitter_huge",
              "format_on_synthetic", "train_window_ragged_tuned", "train_window_ragged_retuned",
              "tolerance_nan", "tolerance_inf", "tolerance_bool", "phi_str", "e_max_str",
-             "e_max_nan", "e_max_negative", "target_list", "al_budget_bool",
+             "e_max_nan", "e_max_negative", "target_list", "sigma_hat_twice",
+             "sigma_hat_inherited_above_half", "al_budget_bool",
              "retune_each_step_str", "refresh_threshold_int", "retune_each_step_al",
              "knn_k_above_training_size", "dataset_path_int",
              "dataset_format_int", "dataset_extra_key", "split_extra_key", "seed_negative",
@@ -959,6 +1003,18 @@ class TestCliVerbs:
         blob = {**base_config(tmp_path / "out", scenario="past_testing", seeds=(0,)), key: value}
         assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 2
         assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_float_fault_exit_4(self, tmp_path, capsys):
+        blob = base_config(tmp_path / "out", seeds=(0,))
+        blob["classifier"] = {"kind": "linear_sgd", "learning_rate": 1e308, "l2": 0}
+        # As outside the test suite, a RuntimeWarning alone would not stop the run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_bad_schema_exit_2(self, tmp_path):

@@ -431,14 +431,6 @@ class TestLoading:
             assert back.timestamps == d.timestamps
             np.testing.assert_array_equal(back.features, d.features)
 
-    def test_expected_range_rejection(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("id,timestamp,label,f0\na,2099-01-01,0,1.0\n")
-        # Without a declared range the row loads fine.
-        assert len(load_dataset(str(p))) == 1
-        with pytest.raises(DatasetFormatError, match="line 2.*expected range"):
-            load_dataset(str(p), expected_range=(date(2014, 1, 1), date(2016, 12, 31)))
-
 
 class TestSummarize:
     def test_single_slot_ratio(self):

@@ -61,7 +61,7 @@ class FakeScorer:
 class TestEnforceRatio:
     def test_already_at_target_unchanged(self):
         d = flat_dataset(90, 10)
-        out = enforce_ratio(d, 0.10, "random", seed=0)
+        out = enforce_ratio(d, 0.10, seed=0)
         assert out.ids == d.ids
         # Nothing is cut: every row is selected, and the pool itself comes back uncopied.
         assert ratio_rows(d.labels, 0.10).tolist() == list(range(len(d)))
@@ -70,7 +70,7 @@ class TestEnforceRatio:
     def test_downsample_negatives_oracle(self):
         # Oracle: keep_neg = round(pos * (1 - t) / t) = round(20 * 0.8 / 0.2) = 80.
         d = flat_dataset(180, 20)
-        out = enforce_ratio(d, 0.20, "random", seed=1)
+        out = enforce_ratio(d, 0.20, seed=1)
         assert out.n_positive == 20
         assert out.n_negative == 80
         assert out.positive_ratio == pytest.approx(0.20)
@@ -79,7 +79,7 @@ class TestEnforceRatio:
         # delta below the natural ratio removes positives:
         # keep_pos = round(neg * t / (1 - t)) = round(1000/9) = 111.
         d = flat_dataset(1000, 200)
-        out = enforce_ratio(d, 0.10, "random", seed=2)
+        out = enforce_ratio(d, 0.10, seed=2)
         assert out.n_negative == 1000
         assert out.n_positive == 111
         assert out.positive_ratio == pytest.approx(111 / 1111, abs=1e-12)
@@ -92,7 +92,7 @@ class TestEnforceRatio:
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 5, [0, 0, 0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.9, 1.0: 0.6, 2.0: 0.2, 3.0: 0.3, 4.0: 0.95})
         conf = np.abs(scorer.scores(feats) - 0.5)
-        out = enforce_ratio(d, 0.25, "uncertainty_prioritized", confidence=conf, seed=0)
+        out = enforce_ratio(d, 0.25, confidence=conf, seed=0)
         assert set(out.ids) == {"b", "c", "d", "p"}
 
     def test_uncertainty_tie_broken_by_id(self):
@@ -101,12 +101,19 @@ class TestEnforceRatio:
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 3, [0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.6, 1.0: 0.4, 2.0: 0.9})  # equal confidence 0.1
         conf = np.abs(scorer.scores(feats) - 0.5)
-        out = enforce_ratio(d, 0.5, "uncertainty_prioritized", confidence=conf, seed=0)
+        out = enforce_ratio(d, 0.5, confidence=conf, seed=0)
         assert set(out.ids) == {"a", "p"}
 
     def test_uncertainty_requires_scorer(self):
+        # One scorer confidence per row, or none at all.
         with pytest.raises(ValueError, match="scorer"):
-            enforce_ratio(flat_dataset(10, 2), 0.5, "uncertainty_prioritized", seed=0)
+            enforce_ratio(flat_dataset(10, 2), 0.5, confidence=np.zeros(3), seed=0)
+
+    @pytest.mark.parametrize("ids", [None, ["a"] * 11, ["a"] * 13], ids=["none", "short", "long"])
+    def test_confidence_requires_one_id_per_row(self, ids):
+        labels = np.array([0] * 10 + [1] * 2)
+        with pytest.raises(ValueError, match="one id per row"):
+            ratio_rows(labels, 0.5, confidence=np.zeros(12), ids=ids)
 
     def test_upsampling_rejected(self):
         # A dataset with zero positives cannot reach any positive target.
@@ -115,7 +122,7 @@ class TestEnforceRatio:
             ids, [date(2015, 1, 1)] * 10, [0] * 10, np.zeros((10, 1))
         )
         with pytest.raises(UpsamplingRequiredError):
-            enforce_ratio(d, 0.3, "random", seed=0)
+            enforce_ratio(d, 0.3, seed=0)
 
     def test_never_removes_under_represented_class(self):
         rng = np.random.default_rng(0)
@@ -124,7 +131,7 @@ class TestEnforceRatio:
             n_pos = int(rng.integers(5, 200))
             t = float(rng.uniform(0.05, 0.95))
             d = flat_dataset(n_neg, n_pos)
-            out = enforce_ratio(d, t, "random", seed=trial)
+            out = enforce_ratio(d, t, seed=trial)
             if d.positive_ratio > t:
                 assert out.n_negative == n_neg
             elif d.positive_ratio < t:
@@ -138,24 +145,24 @@ class TestEnforceRatio:
         st.integers(1, 300),
         st.integers(1, 300),
         st.floats(0.01, 0.99),
-        st.sampled_from(["random", "uncertainty_prioritized"]),
+        st.booleans(),
         st.integers(0, 2**31 - 1),
     )
-    def test_ratio_bound_property(self, n_neg, n_pos, target, mode, seed):
+    def test_ratio_bound_property(self, n_neg, n_pos, target, uncertain, seed):
         d = flat_dataset(n_neg, n_pos)
-        conf = np.random.default_rng(seed).uniform(0.0, 0.5, size=len(d))
-        out = enforce_ratio(d, target, mode, confidence=conf, seed=seed)
+        conf = np.random.default_rng(seed).uniform(0.0, 0.5, size=len(d)) if uncertain else None
+        out = enforce_ratio(d, target, confidence=conf, seed=seed)
         assert within_ratio_bound(out, target)
 
     def test_deterministic_given_seed(self):
         d = flat_dataset(150, 30)
-        a = enforce_ratio(d, 0.4, "random", seed=9)
-        b = enforce_ratio(d, 0.4, "random", seed=9)
+        a = enforce_ratio(d, 0.4, seed=9)
+        b = enforce_ratio(d, 0.4, seed=9)
         assert a.ids == b.ids
 
     def test_preserves_input_order(self):
         d = flat_dataset(50, 10)
-        out = enforce_ratio(d, 0.4, "random", seed=3)
+        out = enforce_ratio(d, 0.4, seed=3)
         position = {sid: i for i, sid in enumerate(d.ids)}
         positions = [position[i] for i in out.ids]
         assert positions == sorted(positions)

@@ -140,7 +140,6 @@ class TestTunePhi:
             down = enforce_ratio(
                 proper,
                 phi,
-                "uncertainty_prioritized",
                 confidence=conf,
                 seed=int(derive_rng(7, "tuning", "downsample", j).integers(2**63)),
             )
