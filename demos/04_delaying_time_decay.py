@@ -52,8 +52,8 @@ def main():
     for policy in policies:
         res = run_policy(split, clf, policy, seed=0, scores0=scores0)
         print(
-            f"{policy.label:28s} {res.ledger.labeled:6d} "
-            f"{res.ledger.quarantined:6d}   {res.ledger.aut_f1:.3f}"
+            f"{policy.label:28s} {res.labeled:6d} "
+            f"{res.quarantined:6d}   {res.aut_f1:.3f}"
         )
     print("\nL is known up front for active learning: per-slot ceil(budget * slot size).")
     print("Single seed shown; rank policies on means over several seeds (see the")

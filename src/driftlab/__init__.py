@@ -29,7 +29,6 @@ from .dataset import (
     write_jsonl,
 )
 from .delay import (
-    CostLedger,
     DelayPolicy,
     DelayRunResult,
     run_policy,
@@ -47,7 +46,7 @@ from .metrics import (
     prf1,
     slot_series,
 )
-from .rng import derive_rng, derive_seed, derive_seed_sequence
+from .rng import derive_rng, derive_seed
 from .splits import (
     RatioSpec,
     SplitSpec,
@@ -80,7 +79,6 @@ __all__ = [
     "summarize",
     "write_csv",
     "write_jsonl",
-    "CostLedger",
     "DelayPolicy",
     "DelayRunResult",
     "run_policy",
@@ -97,7 +95,6 @@ __all__ = [
     "slot_series",
     "derive_rng",
     "derive_seed",
-    "derive_seed_sequence",
     "RatioSpec",
     "SplitSpec",
     "TemporalSplit",

@@ -53,6 +53,7 @@ from .config import SCENARIOS, ConfigError, ExperimentConfig, _drift_spec, _sect
 from .dataset import DatasetFormatError, LabeledDataset, load_dataset, write_csv, write_jsonl
 from .delay import ConstraintViolationError, DelayPolicy, DelayRunResult, initial_scores, run_policy
 from .metrics import (
+    METRIC_NAMES,
     Confusion,
     MetricCurve,
     SlotSeries,
@@ -61,6 +62,7 @@ from .metrics import (
     confusion_counts,
     cumulative_estimates,
     kfold_eval,
+    point_estimates,
     prf1,
     stratified_folds,
 )
@@ -349,8 +351,8 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
         res = results[seed, "realistic"]
         baseline: DelayRunResult = res["baseline"]
         curves = []
-        for metric in ("f1", "precision", "recall"):
-            curves.append(baseline.curves[metric])
+        for metric in METRIC_NAMES:
+            curves.append(point_estimates(baseline.series, metric))
             curves.append(cumulative_estimates(baseline.series, metric))
         _write_curves(out / f"decay_seed{seed}.csv", baseline.series, curves)
         for curve in curves:
@@ -361,16 +363,21 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
             _write_tuning(out, seed, res["tuning"])
         if res["delay_runs"]:
             phi_mode = "phi_star" if cfg.tuning is not None else "sigma_hat"
-            pairs = [(phi_mode, r) for r in [baseline] + res["delay_runs"]]
-            _write_delay_summary(out / f"delay_summary_seed{seed}.csv", pairs)
+            runs = [baseline] + res["delay_runs"]
+            _write_delay_summary(out / f"delay_summary_seed{seed}.csv", phi_mode, runs)
             for run in res["delay_runs"]:
                 tag = run.policy.label.replace(":", "_")
                 _write_delay_slots(out / f"delay_{tag}_slots_seed{seed}.csv", run)
-    rows = [
-        [metric, mode, _fmt(np.mean(vals)), _fmt(np.std(vals)), len(vals)]
-        for (metric, mode), vals in sorted(agg.items())
-    ]
-    _write_rows(out / "aggregate.csv", ["metric", "mode", "aut_mean", "aut_std", "n_seeds"], rows)
+    _write_summary(out / "aggregate.csv", ["metric", "mode", "aut_mean", "aut_std", "n_seeds"], agg)
+
+
+def _write_summary(path: Path, header: list[str], groups: dict[tuple, list[float]]) -> None:
+    """One row per group in key order: its key (floats formatted), then mean, std and count."""
+    _write_rows(path, header, [
+        [*(_fmt(k) if isinstance(k, float) else k for k in key),
+         _fmt(np.mean(vals)), _fmt(np.std(vals)), len(vals)]
+        for key, vals in sorted(groups.items())
+    ])
 
 
 def _write_curves(path: Path, series: SlotSeries, curves: list[MetricCurve]) -> None:
@@ -384,18 +391,17 @@ def _write_curves(path: Path, series: SlotSeries, curves: list[MetricCurve]) -> 
     )
 
 
-def _write_delay_summary(path: Path, pairs: list[tuple[str, DelayRunResult]]) -> None:
-    """One row per (phi mode label, run): the run's L, Q and AUT(F1)."""
+def _write_delay_summary(path: Path, phi_mode: str, runs: list[DelayRunResult]) -> None:
+    """One row per run: its policy, how phi was set, and the run's L, Q and AUT(F1)."""
     _write_rows(
         path,
         ["policy", "phi_mode", "L", "Q", "AUT_F1"],
-        [[r.policy.label, mode, r.ledger.labeled, r.ledger.quarantined, _fmt(r.ledger.aut_f1)]
-         for mode, r in pairs],
+        [[r.policy.label, phi_mode, r.labeled, r.quarantined, _fmt(r.aut_f1)] for r in runs],
     )
 
 
 def _write_delay_slots(path: Path, run: DelayRunResult) -> None:
-    f1, precision, recall = (run.curves[m].values for m in ("f1", "precision", "recall"))
+    f1, precision, recall = (point_estimates(run.series, m).values for m in METRIC_NAMES)
     _write_rows(
         path,
         ["slot", "timestamp", "labeled", "rejected", "f1", "precision", "recall"],
@@ -420,12 +426,8 @@ def _write_scalar(key: str, cfg: ExperimentConfig, out: Path, gathered: dict) ->
     """A scenario whose task gives one float per seed, reported as ``key``."""
     by_seed = sorted((seed, v) for (seed, _), v in gathered.items())
     _write_rows(out / f"{cfg.scenario}.csv", ["seed", key], [[s, _fmt(v)] for s, v in by_seed])
-    values = [v for _, v in by_seed]
-    _write_rows(
-        out / "aggregate.csv",
-        ["scenario", "metric", "mean", "std", "n_seeds"],
-        [[cfg.scenario, key, _fmt(np.mean(values)), _fmt(np.std(values)), len(values)]],
-    )
+    header = ["scenario", "metric", "mean", "std", "n_seeds"]
+    _write_summary(out / "aggregate.csv", header, {(cfg.scenario, key): [v for _, v in by_seed]})
 
 
 def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
@@ -440,15 +442,8 @@ def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
         rows.append([row, _fmt(phi), _fmt(delta), seed, _fmt(f1)])
         summary.setdefault((row, phi, delta), []).append(f1)
     _write_rows(out / "bias_grid.csv", ["scenario", "phi", "delta", "seed", "f1"], rows)
-    srows = [
-        [row, _fmt(phi), _fmt(delta), _fmt(np.mean(v)), _fmt(np.std(v)), len(v)]
-        for (row, phi, delta), v in sorted(summary.items())
-    ]
-    _write_rows(
-        out / "bias_grid_summary.csv",
-        ["scenario", "phi", "delta", "mean_f1", "std_f1", "n_seeds"],
-        srows,
-    )
+    header = ["scenario", "phi", "delta", "mean_f1", "std_f1", "n_seeds"]
+    _write_summary(out / "bias_grid_summary.csv", header, summary)
 
 
 # Each scenario's rows, its task ``(cfg, seed, row) -> result`` and its writer
@@ -563,17 +558,17 @@ def _load_config_file(path: str, overrides: argparse.Namespace) -> ExperimentCon
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if getattr(overrides, "seed", None):
+    if not isinstance(blob, dict):
+        raise ConfigError("config root must be an object")
+    # Every flag given overrides its key, falsy or not, and the schema checks it.
+    if getattr(overrides, "seed", None) is not None:
         try:
             blob["seeds"] = [int(s) for s in overrides.seed.split(",")]
         except ValueError:
             raise ConfigError(f"bad --seed list: {overrides.seed!r}") from None
-    if getattr(overrides, "out", None):
-        blob["output_dir"] = overrides.out
-    if getattr(overrides, "scenario", None):
-        blob["scenario"] = overrides.scenario
-    if getattr(overrides, "workers", None):
-        blob["workers"] = overrides.workers
+    for flag, key in (("out", "output_dir"), ("scenario", "scenario"), ("workers", "workers")):
+        if getattr(overrides, flag, None) is not None:
+            blob[key] = getattr(overrides, flag)
     return parse_config(blob)
 
 
@@ -633,7 +628,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    written = emit_plot_data(args.run_dir, args.out)
+    try:
+        written = emit_plot_data(args.run_dir, args.out)
+    except FileNotFoundError as exc:  # no run directory, or no artifacts in it
+        raise ConfigError(str(exc)) from None
     for path in written:
         print(path)
     return EXIT_OK

@@ -55,6 +55,9 @@ class ExperimentConfig:
             )
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be unique")
+        labels = [p.label for p in self.delay_policies]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"delay policies must be unique, got {labels}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("dataset needs exactly one of 'path' or 'synthetic'")
         if self.synthetic is not None and self.dataset_format is not None:

@@ -32,7 +32,6 @@ from .classifiers import Classifier, TrainedModel, score_dataset
 from .dataset import check_fields, concat, rule
 from .metrics import (
     Confusion,
-    MetricCurve,
     SlotSeries,
     aut,
     point_estimates,
@@ -43,7 +42,6 @@ from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
     "DelayPolicy",
-    "CostLedger",
     "DelayRunResult",
     "NoMisclassificationError",
     "ConstraintViolationError",
@@ -89,29 +87,26 @@ class DelayPolicy:
 
 
 @dataclass(frozen=True)
-class CostLedger:
-    """L test objects labeled, Q quarantined, P = AUT(F1) of the run."""
-
-    labeled: int
-    quarantined: int
-    aut_f1: float
-
-    def __post_init__(self) -> None:
-        if self.labeled < 0 or self.quarantined < 0:
-            raise ValueError("costs must be non-negative")
-
-
-@dataclass(frozen=True)
 class DelayRunResult:
     policy: DelayPolicy
-    curves: dict[str, MetricCurve]
     series: SlotSeries
     per_slot_labeled: tuple[int, ...]
     per_slot_rejected: tuple[int, ...]
-    ledger: CostLedger
     tuned_phis: tuple[float, ...] = ()
     threshold: float | None = None
     warnings: tuple[str, ...] = field(default=())
+
+    @property
+    def labeled(self) -> int:
+        return sum(self.per_slot_labeled)
+
+    @property
+    def quarantined(self) -> int:
+        return sum(self.per_slot_rejected)
+
+    @property
+    def aut_f1(self) -> float:
+        return aut(point_estimates(self.series, "f1"))
 
 
 def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int) -> list[int]:
@@ -255,20 +250,11 @@ def run_policy(
                 )
             model = clf.fit(fit_pool, derive_seed(seed, "delay", "fit", i + 1))
 
-    series = SlotSeries(tuple(confusions), split.slot_starts)
-    curves = {m: point_estimates(series, m) for m in ("f1", "precision", "recall")}
-    ledger = CostLedger(
-        labeled=sum(per_slot_labeled),
-        quarantined=sum(per_slot_rejected),
-        aut_f1=aut(curves["f1"]),
-    )
     return DelayRunResult(
         policy=policy,
-        curves=curves,
-        series=series,
+        series=SlotSeries(tuple(confusions), split.slot_starts),
         per_slot_labeled=tuple(per_slot_labeled),
         per_slot_rejected=tuple(per_slot_rejected),
-        ledger=ledger,
         tuned_phis=tuple(tuned_phis),
         threshold=threshold,
         warnings=tuple(run_warnings),

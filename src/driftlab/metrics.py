@@ -29,7 +29,6 @@ __all__ = [
     "Confusion",
     "SlotSeries",
     "MetricCurve",
-    "MetricName",
     "prf1",
     "metric_value",
     "point_estimates",
@@ -44,7 +43,6 @@ __all__ = [
     "stratified_folds",
 ]
 
-MetricName = Literal["f1", "precision", "recall"]
 METRIC_NAMES: tuple[str, ...] = ("f1", "precision", "recall")
 
 

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed_sequence", "derive_rng", "derive_seed"]
+__all__ = ["derive_rng", "derive_seed"]
 
 
 def _fold(label: object) -> int:
@@ -21,14 +21,10 @@ def _fold(label: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def derive_seed_sequence(seed: int, *labels: object) -> np.random.SeedSequence:
-    """SeedSequence of the stream named by ``labels`` under ``seed``."""
-    return np.random.SeedSequence([int(seed)] + [_fold(lab) for lab in labels])
-
-
 def derive_rng(seed: int, *labels: object) -> np.random.Generator:
     """PCG64 generator for the stream named by ``labels`` under ``seed``."""
-    return np.random.default_rng(derive_seed_sequence(seed, *labels))
+    entropy = [int(seed)] + [_fold(lab) for lab in labels]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed: int, *labels: object, bound: int = 2**31) -> int:

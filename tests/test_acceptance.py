@@ -249,7 +249,7 @@ def test_a7_delay_strategy_ordering(capsys):
             ("inc", DelayPolicy("incremental")),
         ]
         for key, policy in policies:
-            means[key].append(run_policy(split, clf, policy, seed=seed).ledger.aut_f1)
+            means[key].append(run_policy(split, clf, policy, seed=seed).aut_f1)
     m = {k: float(np.mean(v)) for k, v in means.items()}
     assert m["inc"] >= m["al25"] >= m["al1"] >= m["none"]
     assert m["inc"] - m["none"] >= 0.05
@@ -273,16 +273,17 @@ def test_a8_rejection_improves_kept_set(capsys):
         none = run_policy(split, clf, DelayPolicy("none"), seed=seed)
         rej = run_policy(split, clf, DelayPolicy("rejection"), seed=seed)
         lifts.append(
-            float(np.mean(rej.curves["f1"].values)) - float(np.mean(none.curves["f1"].values))
+            float(np.mean(point_estimates(rej.series, "f1").values))
+            - float(np.mean(point_estimates(none.series, "f1").values))
         )
         # Q reported exactly: recompute against the same deployed model.
-        assert rej.ledger.quarantined > 0
+        assert rej.quarantined > 0
         model = clf.fit(split.train, int(derive_rng(seed, "delay", "fit", 0).integers(2**31)))
         expected_q = 0
         for slot in split.test_slots:
             s = score_dataset(model, slot)
             expected_q += int((np.maximum(s, 1.0 - s) <= rej.threshold).sum())
-        assert rej.ledger.quarantined == expected_q
+        assert rej.quarantined == expected_q
     assert np.mean(lifts) >= 0.0
     _report(capsys, "A8", f"rejection kept-set lift (+{np.mean(lifts):.3f} F1)", started, 300.0)
 
@@ -299,15 +300,15 @@ def test_a9_cost_bookkeeping(capsys):
         )
         expected = [math.ceil(Fraction(str(budget)) * s) for s in sizes]
         assert res.per_slot_labeled == tuple(expected)
-        assert res.ledger.labeled == sum(expected)
-        assert res.ledger.quarantined == 0
+        assert res.labeled == sum(expected)
+        assert res.quarantined == 0
     inc = run_policy(split, clf, DelayPolicy("incremental"), seed=21)
-    assert inc.ledger.labeled == sum(sizes)
+    assert inc.labeled == sum(sizes)
     none = run_policy(split, clf, DelayPolicy("none"), seed=21)
-    assert none.ledger.labeled == 0 and none.ledger.quarantined == 0
+    assert none.labeled == 0 and none.quarantined == 0
     rej = run_policy(split, clf, DelayPolicy("rejection"), seed=21)
-    assert rej.ledger.labeled == 0
-    assert rej.ledger.quarantined == sum(rej.per_slot_rejected)
+    assert rej.labeled == 0
+    assert rej.quarantined == sum(rej.per_slot_rejected)
     _report(capsys, "A9", "cost bookkeeping (L = sum of per-slot ceilings; Q exact)", started, 60.0)
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import signal
 import warnings
 from dataclasses import fields, replace
@@ -967,6 +968,15 @@ class TestCliVerbs:
              "bad classifier: learning_rate * l2 must be < 2"),
             ("run", lambda cfg: {**cfg, "classifier": {"kind": "linear_sgd", "learning_rate": 1e6}},
              "bad classifier: learning_rate * l2 must be < 2"),
+            ("run", lambda cfg: {**cfg, "delay": {"kind": "active_learning",
+                                                  "al_budget": [0.1, 0.1]}},
+             "delay policies must be unique"),
+            # A flag overrides the file's value even when falsy, and is checked like it.
+            ("run --workers 0", lambda cfg: cfg, "workers must be"),
+            ('run --out ""', lambda cfg: cfg, "output_dir must be"),
+            ('run --seed ""', lambda cfg: cfg, "bad --seed list: ''"),
+            ("run --workers 2", lambda cfg: [cfg], "config root must be an object"),
+            ("run --seed 1", lambda cfg: "x", "config root must be an object"),
         ],
         ids=["manifest_list", "manifest_train_int", "delay_str", "split_origin_int",
              "sgd_epochs_str", "knn_k_str", "months_float", "samples_per_month_float",
@@ -979,7 +989,9 @@ class TestCliVerbs:
              "retune_each_step_str", "refresh_threshold_int", "retune_each_step_al",
              "knn_k_above_training_size", "dataset_path_int",
              "dataset_format_int", "dataset_extra_key", "split_extra_key", "seed_negative",
-             "seed_huge", "sgd_l2_21", "sgd_l2_100", "sgd_learning_rate_huge"],
+             "seed_huge", "sgd_l2_21", "sgd_l2_100", "sgd_learning_rate_huge",
+             "al_budget_repeated", "flag_workers_0", "flag_out_empty", "flag_seed_empty",
+             "root_list_with_flag", "root_str_with_flag"],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, verb, corrupt, message):
         blob = base_config(tmp_path / "out", seeds=(0,))
@@ -990,10 +1002,10 @@ class TestCliVerbs:
             bad.write_text(json.dumps(corrupt(manifest)))
             argv = ["audit", "--manifest", str(bad)]
         else:
-            argv = ["run", "--config", self.write_config(tmp_path, corrupt(blob))]
+            argv = [*shlex.split(verb), "--config", self.write_config(tmp_path, corrupt(blob))]
         assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
-        if verb == "run":
+        if verb.startswith("run"):
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -1095,6 +1107,16 @@ class TestPlotData:
     def test_empty_dir_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no recognized"):
             emit_plot_data(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "run_dir,message", [("nope", "does not exist"), (".", "no recognized")],
+        ids=["missing", "empty"],
+    )
+    def test_bad_run_dir_exit_2(self, tmp_path, capsys, run_dir, message):
+        assert main(["plotdata", "--run-dir", str(tmp_path / run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_delay_series_per_budget(self, tmp_path):
         out = tmp_path / "out"

@@ -19,7 +19,7 @@ from driftlab.delay import (
     _predicted_class_probs,
     run_policy,
 )
-from driftlab.metrics import aut
+from driftlab.metrics import aut, point_estimates
 from driftlab.splits import RatioSpec, SplitSpec, TemporalSplit, time_aware_split
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import TuningConfig, proper_validation_cut
@@ -131,11 +131,11 @@ class TestRunPolicyNone:
     def test_stationary_flat_curve_zero_cost(self):
         split = make_split(seed=1)
         res = run_policy(split, LinearSGDClassifier(epochs=25), DelayPolicy("none"), seed=1)
-        assert res.ledger.labeled == 0
-        assert res.ledger.quarantined == 0
-        f1 = np.array(res.curves["f1"].values)
-        assert f1.std() < 0.12
-        assert res.ledger.aut_f1 == aut(res.curves["f1"])
+        assert res.labeled == 0
+        assert res.quarantined == 0
+        f1 = point_estimates(res.series, "f1")
+        assert np.std(f1.values) < 0.12
+        assert res.aut_f1 == aut(f1)
 
     def test_rejects_biased_split(self):
         split = make_split(seed=2)
@@ -161,11 +161,11 @@ class TestRunPolicyIncremental:
             inc = run_policy(
                 split, LinearSGDClassifier(epochs=25), DelayPolicy("incremental"), seed=seed
             )
-            assert inc.ledger.labeled == sum(map(len, split.test_slots))
+            assert inc.labeled == sum(map(len, split.test_slots))
             assert inc.per_slot_labeled == tuple(len(s) for s in split.test_slots)
-            assert inc.ledger.quarantined == 0
-            auts_none.append(none.ledger.aut_f1)
-            auts_inc.append(inc.ledger.aut_f1)
+            assert inc.quarantined == 0
+            auts_none.append(none.aut_f1)
+            auts_inc.append(inc.aut_f1)
         assert np.mean(auts_inc) >= np.mean(auts_none)
 
     def test_first_slot_scored_by_same_model_as_none(self):
@@ -221,8 +221,8 @@ class TestRunPolicyActiveLearning:
         )
         expected = [math.ceil(Fraction("0.05") * len(s)) for s in split.test_slots]
         assert res.per_slot_labeled == tuple(expected)
-        assert res.ledger.labeled == sum(expected)
-        assert res.ledger.quarantined == 0
+        assert res.labeled == sum(expected)
+        assert res.quarantined == 0
 
     def test_training_pools_nested(self):
         # Instrument fit() to capture every retraining pool: each one must
@@ -262,7 +262,7 @@ class TestRunPolicyActiveLearning:
             al50 = run_policy(
                 split, clf, DelayPolicy("active_learning", al_budget=0.5), seed=seed
             )
-            gains.append(al50.ledger.aut_f1 - none.ledger.aut_f1)
+            gains.append(al50.aut_f1 - none.aut_f1)
         assert np.mean(gains) > 0
 
     def test_full_budget_equals_incremental_costs(self):
@@ -273,7 +273,7 @@ class TestRunPolicyActiveLearning:
             DelayPolicy("active_learning", al_budget=1.0),
             seed=7,
         )
-        assert res.ledger.labeled == sum(map(len, split.test_slots))
+        assert res.labeled == sum(map(len, split.test_slots))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="al_budget"):
@@ -288,8 +288,8 @@ class TestRunPolicyRejection:
         clf = LinearSGDClassifier(epochs=25)
         none = run_policy(split, clf, DelayPolicy("none"), seed=8)
         rej = run_policy(split, clf, DelayPolicy("rejection"), seed=8)
-        assert rej.ledger.labeled == 0
-        assert rej.ledger.quarantined == sum(rej.per_slot_rejected)
+        assert rej.labeled == 0
+        assert rej.quarantined == sum(rej.per_slot_rejected)
         assert rej.threshold is not None
         # Kept + rejected = slot size; confusions shrink by the rejected count.
         for k, slot in enumerate(split.test_slots):
@@ -346,7 +346,7 @@ class TestRunPolicyRejection:
         split = _split(d, spec, RatioSpec(), seed=0)
         res = run_policy(split, LinearSGDClassifier(epochs=25), DelayPolicy("rejection"), seed=0)
         assert res.threshold is None
-        assert res.ledger.quarantined == 0
+        assert res.quarantined == 0
         assert any("rejection disabled" in w for w in res.warnings)
 
     def test_refresh_variant_still_valid_costs(self):
@@ -357,8 +357,8 @@ class TestRunPolicyRejection:
             DelayPolicy("rejection", refresh_threshold=True),
             seed=10,
         )
-        assert rej.ledger.labeled == 0
-        assert rej.ledger.quarantined == sum(rej.per_slot_rejected)
+        assert rej.labeled == 0
+        assert rej.quarantined == sum(rej.per_slot_rejected)
 
 
 class TestRetuneEachStep:
@@ -394,7 +394,7 @@ class TestCsvOutputs:
             seed=12,
         )
         ps = tmp_path / "summary.csv"
-        _write_delay_summary(ps, [("sigma_hat", res)])
+        _write_delay_summary(ps, "sigma_hat", [res])
         lines = ps.read_text().strip().splitlines()
         assert lines[0] == "policy,phi_mode,L,Q,AUT_F1"
         assert lines[1].startswith("active_learning:0.1,sigma_hat,")
