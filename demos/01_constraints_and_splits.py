@@ -18,7 +18,6 @@ from driftlab import (
     SplitSpec,
     TemporalSplit,
     generate,
-    run_all_checks,
     summarize,
     time_aware_split,
 )
@@ -47,33 +46,34 @@ def main():
           f"ratio {split.train.positive_ratio:.3f}, {len(split.test_slots)} test slots")
 
     print("\nvalidators on the constructed split:")
-    for name, verdict in run_all_checks(split).items():
+    for name, verdict in split.verdicts.items():
         print(f"  {name}: {'pass' if verdict.passed else 'FAIL'}")
 
-    # Break each constraint on purpose.
-    from driftlab.dataset import concat
-
+    # Break each constraint on purpose: a split is rows of d, so each broken
+    # split below picks other rows of the same stream.
     leaky = TemporalSplit(
-        concat([split.train, split.test_slots[5].subset([0])]),
-        split.test_slots,
+        d,
+        np.append(split.train_rows, split.slot_rows[5][0]),
+        split.slot_rows,
         split.spec,
         split.ratios,
     )
-    v = run_all_checks(leaky)["C1"]
+    v = leaky.verdicts["C1"]
     print(f"\nfuture sample in training -> C1 {'pass' if v.passed else 'FAIL'}, "
           f"witness {v.witnesses[0]['train_id']} dated {v.witnesses[0]['train_timestamp']}")
 
-    slot = split.test_slots[3]
-    pos = np.flatnonzero(slot.labels == 1)
-    neg = np.flatnonzero(slot.labels == 0)[:1]
-    ninety = slot.subset(np.sort(np.concatenate([pos, neg])))
+    slot = split.slot_rows[3]
+    pos = slot[d.labels[slot] == 1]
+    neg = slot[d.labels[slot] == 0][:1]
+    ninety = np.sort(np.concatenate([pos, neg]))
     unbalanced = TemporalSplit(
-        split.train,
-        tuple(ninety if k == 3 else t for k, t in enumerate(split.test_slots)),
+        d,
+        split.train_rows,
+        tuple(ninety if k == 3 else rows for k, rows in enumerate(split.slot_rows)),
         split.spec,
         split.ratios,
     )
-    v = run_all_checks(unbalanced)["C3"]
+    v = unbalanced.verdicts["C3"]
     bad = [row for row in v.per_slot if not row["pass"]]
     print(f"inflated slot ratio -> C3 {'pass' if v.passed else 'FAIL'}, "
           f"slot {bad[0]['slot']} at ratio {bad[0]['ratio']:.2f} "

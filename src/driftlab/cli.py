@@ -77,7 +77,6 @@ from .splits import (
     enforce_ratio,
     past_testing_pools,
     ratio_rows,
-    run_all_checks,
     split_from_manifest,
     split_to_manifest,
     time_aware_pools,
@@ -133,8 +132,7 @@ def _task_realistic(cfg: ExperimentConfig, seed: int, rows: tuple) -> dict:
         tuning_result = _tune(cfg, d, seed)
         ratios = replace(ratios, phi=tuning_result.phi_star)
     split = time_aware_split(d, cfg.split, ratios, seed)
-    verdicts = run_all_checks(split)
-    failed = sorted(k for k, v in verdicts.items() if not v.passed)
+    failed = sorted(k for k, v in split.verdicts.items() if not v.passed)
     if failed:
         raise ConstraintViolationError(f"seed {seed}: realistic split violates {failed}")
 
@@ -146,7 +144,7 @@ def _task_realistic(cfg: ExperimentConfig, seed: int, rows: tuple) -> dict:
     ]
     return {
         "split_manifest": split_to_manifest(split),
-        "audit": {k: v.as_dict() for k, v in verdicts.items()},
+        "audit": {k: v.as_dict() for k, v in split.verdicts.items()},
         "baseline": baseline,
         "delay_runs": delay_runs,
         "tuning": tuning_result,
@@ -617,7 +615,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             split = _section("manifest", lambda: split_from_manifest(json.load(fh)))
     except FileNotFoundError:
         raise ConfigError(f"manifest not found: {args.manifest}") from None
-    verdicts = run_all_checks(split)
+    verdicts = split.verdicts
     report = {k: v.as_dict() for k, v in verdicts.items()}
     text = json.dumps(report, sort_keys=True, indent=2)
     if out is not None:

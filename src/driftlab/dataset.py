@@ -309,13 +309,16 @@ class LabeledDataset:
 
         One gather per column: the rows already passed this dataset's
         checks, so only what a selection can break is checked. The result
-        must not be empty, and a repeated index raises the ``duplicate
-        sample id`` error.
+        must not be empty, an index outside ``[0, len)`` (negative ones
+        included) raises ``IndexError``, and a repeated index raises the
+        ``duplicate sample id`` error.
         """
         idx = np.asarray(indices, dtype=np.intp)
         if not len(idx):
             raise ValueError("dataset must be non-empty")
         ids = self.ids
+        if idx.min() < 0 or idx.max() >= len(ids):
+            raise IndexError(f"row index out of range for {len(ids)} rows")
         picked = tuple([ids[i] for i in idx.tolist()])
         seen = np.zeros(len(ids), dtype=bool)
         seen[idx] = True

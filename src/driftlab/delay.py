@@ -16,20 +16,21 @@ Four policies over a constraint-respecting split:
   validation cut exposes; rejection never alters the model or a score.
 
 Labels are revealed only after a slot has been scored, so the next
-retraining still satisfies the training-precedes-testing constraint. The
-ground truth plays the human analyst.
+retraining still satisfies the training-precedes-testing constraint C1,
+which every fit checks. The ground truth plays the human analyst.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
 
 from .classifiers import Classifier, TrainedModel, score_dataset
-from .dataset import check_fields, concat, rule
+from .dataset import LabeledDataset, check_fields, concat, rule
 from .metrics import (
     Confusion,
     SlotSeries,
@@ -37,7 +38,7 @@ from .metrics import (
     point_estimates,
 )
 from .rng import derive_seed
-from .splits import TemporalSplit, enforce_ratio, least_confident_first, run_all_checks
+from .splits import TemporalSplit, least_confident_first, ratio_rows
 from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
@@ -138,8 +139,20 @@ def _mistake_q3(wrong: np.ndarray) -> float:
 
 def _al_count(budget: float, slot_size: int) -> int:
     # ceil of the exact decimal product; float multiplication would turn
-    # 0.1 * 30 into 3.0000000000000004 and over-charge the budget.
+    # 0.07 * 100 into 7.000000000000001 and over-charge the budget.
     return math.ceil(Fraction(str(budget)) * slot_size)
+
+
+def _fit(clf: Classifier, train: LabeledDataset, first_day: date, seed: int, *key) -> TrainedModel:
+    """``clf`` fit on ``train`` with ``derive_seed(seed, "delay", *key)``, once C1 holds:
+    every training sample must predate ``first_day``, the first day the model scores."""
+    i = int(np.argmax(train.times))
+    if train.times[i] >= np.datetime64(first_day, "D"):
+        raise ConstraintViolationError(
+            f"C1: training sample {train.ids[i]!r} dated {train.times[i]} does not precede "
+            f"{first_day}, the first day its model scores"
+        )
+    return clf.fit(train, derive_seed(seed, "delay", *key))
 
 
 def initial_scores(split: TemporalSplit, clf: Classifier, seed: int) -> tuple[np.ndarray, ...]:
@@ -148,7 +161,7 @@ def initial_scores(split: TemporalSplit, clf: Classifier, seed: int) -> tuple[np
     Model 0 scores slot 0 under every policy for this seed, and every slot
     under ``none`` and ``rejection``; it is fit once here.
     """
-    model0 = clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
+    model0 = _fit(clf, split.train, split.slot_starts[0], seed, "fit", 0)
     return tuple(score_dataset(model0, slot) for slot in split.test_slots)
 
 
@@ -173,22 +186,21 @@ def run_policy(
     ``retune_each_step`` (incremental only), the training ratio is
     re-derived on the grown pool before every retraining.
     """
-    verdicts = run_all_checks(split)
-    failed = [k for k, v in verdicts.items() if not v.passed]
+    failed = [k for k, v in split.verdicts.items() if not v.passed]
     if failed:
         raise ConstraintViolationError(f"split violates {failed}")
     if cfg is None:
         cfg = TuningConfig(sigma_hat=split.ratios.sigma_hat)
 
-    slots = split.test_slots
+    d, slots, starts = split.d, split.test_slots, split.slot_starts
     n = len(slots)
     run_warnings: list[str] = []
 
     threshold: float | None = None
     wrong_probs_pool: list[float] = []
     if policy.kind == "rejection":
-        proper, val_slots, _ = proper_validation_cut(split.train, split.spec, cfg, seed)
-        thresh_model = clf.fit(proper, derive_seed(seed, "delay", "reject_fit"))
+        proper, val_slots, val_starts = proper_validation_cut(split.train, split.spec, cfg, seed)
+        thresh_model = _fit(clf, proper, val_starts[0], seed, "reject_fit")
         val_pool = concat(val_slots)
         val_probs, val_pred = _predicted_class_probs(score_dataset(thresh_model, val_pool))
         val_wrong = val_probs[val_pred != val_pool.labels]
@@ -198,10 +210,10 @@ def run_policy(
         except NoMisclassificationError:
             run_warnings.append("no validation misclassifications; rejection disabled")
 
-    pool = split.train
+    pool = split.train_rows
     model: TrainedModel | None = None
     if scores0 is None:
-        model = clf.fit(split.train, derive_seed(seed, "delay", "fit", 0))
+        model = _fit(clf, split.train, starts[0], seed, "fit", 0)
 
     confusions: list[Confusion] = []
     per_slot_labeled = [0] * n
@@ -226,33 +238,31 @@ def run_policy(
 
         if policy.kind == "incremental":
             per_slot_labeled[i] = len(slot)
-            pool = concat([pool, slot])
+            pool = np.concatenate([pool, split.slot_rows[i]])
         elif policy.kind == "active_learning":
             count = _al_count(policy.al_budget, len(slot))
             per_slot_labeled[i] = count
-            if count:
-                pool = concat([pool, slot.subset(_most_uncertain(scores, slot.ids, count))])
+            picks = split.slot_rows[i][_most_uncertain(scores, slot.ids, count)]
+            pool = np.concatenate([pool, picks])
 
         retrains = policy.kind in ("incremental", "active_learning")
         if retrains and i < n - 1:
-            fit_pool = pool
+            fit_rows = pool
             if policy.retune_each_step:
                 # The pool now reaches i + 1 slots past the original training window.
                 width = split.spec.slot_width
                 grown = width.scaled(split.spec.train_window.slots_of(width) + i + 1)
                 spec_i = replace(split.spec, train_window=grown)
-                result = tune_phi(pool, clf, cfg, spec_i, derive_seed(seed, "delay", "retune", i))
+                result = tune_phi(d.subset(pool), clf, cfg, spec_i,
+                                  derive_seed(seed, "delay", "retune", i))
                 tuned_phis.append(result.phi_star)
-                fit_pool = enforce_ratio(
-                    pool,
-                    result.phi_star,
-                    seed=derive_seed(seed, "delay", "retune_ratio", i, bound=2**63),
-                )
-            model = clf.fit(fit_pool, derive_seed(seed, "delay", "fit", i + 1))
+                seed_i = derive_seed(seed, "delay", "retune_ratio", i, bound=2**63)
+                fit_rows = pool[ratio_rows(d.labels[pool], result.phi_star, seed=seed_i)]
+            model = _fit(clf, d.subset(fit_rows), starts[i + 1], seed, "fit", i + 1)
 
     return DelayRunResult(
         policy=policy,
-        series=SlotSeries(tuple(confusions), split.slot_starts),
+        series=SlotSeries(tuple(confusions), starts),
         per_slot_labeled=tuple(per_slot_labeled),
         per_slot_rejected=tuple(per_slot_rejected),
         tuned_phis=tuple(tuned_phis),

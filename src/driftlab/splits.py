@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from datetime import date
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -146,18 +147,33 @@ class RatioSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalSplit:
-    train: LabeledDataset
-    test_slots: tuple[LabeledDataset, ...]
+    """A training side and one side per test slot, as rows of one stream ``d``.
+
+    ``train`` and ``test_slots`` are the sides cut from ``d`` once, as the split
+    is built, so bad rows fail here; ``verdicts`` is the C1-C3 audit, run once.
+    """
+
+    d: LabeledDataset
+    train_rows: np.ndarray
+    slot_rows: tuple[np.ndarray, ...]
     spec: SplitSpec
     ratios: RatioSpec
+    train: LabeledDataset = field(init=False, repr=False)
+    test_slots: tuple[LabeledDataset, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.test_slots) != self.spec.n_test_slots:
+        if len(self.slot_rows) != self.spec.n_test_slots:
             raise ValueError(
-                f"expected {self.spec.n_test_slots} test slots, got {len(self.test_slots)}"
+                f"expected {self.spec.n_test_slots} test slots, got {len(self.slot_rows)}"
             )
+        object.__setattr__(self, "train", self.d.subset(self.train_rows))
+        object.__setattr__(self, "test_slots", tuple(map(self.d.subset, self.slot_rows)))
+
+    @cached_property
+    def verdicts(self) -> dict[str, ConstraintVerdict]:
+        return run_all_checks(self)
 
     @property
     def slot_starts(self) -> tuple[date, ...]:
@@ -333,9 +349,9 @@ def time_aware_split(
     their test slots exactly.
     """
     (train, train_seed), tests = time_aware_pools(d, spec, seed)
-    slots = tuple(enforce_ratio(d.subset(rows), ratios.delta, seed=s) for rows, s in tests)
-    train = enforce_ratio(d.subset(train), ratios.phi, seed=train_seed)
-    return TemporalSplit(train, slots, spec, ratios)
+    slots = tuple(rows[ratio_rows(d.labels[rows], ratios.delta, seed=s)] for rows, s in tests)
+    train = train[ratio_rows(d.labels[train], ratios.phi, seed=train_seed)]
+    return TemporalSplit(d, train, slots, spec, ratios)
 
 
 def _require_span(d: LabeledDataset, spec: SplitSpec) -> None:
@@ -392,19 +408,17 @@ def check_c1(split: TemporalSplit) -> ConstraintVerdict:
     The witness pairs the first latest training sample with the first
     earliest test sample, in slot order.
     """
-    train, slots = split.train, split.test_slots
-    i = int(np.argmax(train.times))
-    test_times = np.concatenate([s.times for s in slots])
-    j = int(np.argmin(test_times))
-    passed = bool(train.times[i] < test_times[j])
+    t, train, test = split.d.times, split.train_rows, np.concatenate(split.slot_rows)
+    i, j = train[np.argmax(t[train])], test[np.argmin(t[test])]
+    passed = bool(t[i] < t[j])
     witnesses = ()
     if not passed:
         witnesses = (
             {
-                "train_id": train.ids[i],
-                "train_timestamp": train.times[i].item().isoformat(),
-                "test_id": [sid for s in slots for sid in s.ids][j],
-                "test_timestamp": test_times[j].item().isoformat(),
+                "train_id": split.d.ids[i],
+                "train_timestamp": t[i].item().isoformat(),
+                "test_id": split.d.ids[j],
+                "test_timestamp": t[j].item().isoformat(),
             },
         )
     return ConstraintVerdict("C1", passed, witnesses=witnesses)
@@ -489,18 +503,16 @@ def split_from_manifest(blob: dict) -> TemporalSplit:
     if blob.get("manifest_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {blob.get('manifest_version')!r}")
 
-    def dataset(rows: Sequence[dict]) -> LabeledDataset:
-        return LabeledDataset(
-            [r["id"] for r in rows],
-            [date.fromisoformat(r["timestamp"]) for r in rows],
-            [int(r["label"]) for r in rows],
-            np.zeros((len(rows), 0)),
-        )
-
+    # One row per distinct id: an id listed on two sides is one sample on both.
+    records: dict[str, tuple[date, int]] = {}
+    sides = [blob["train"], *blob["test_slots"]]
+    for r in (r for side in sides for r in side):
+        record = (date.fromisoformat(r["timestamp"]), int(r["label"]))
+        if records.setdefault(str(r["id"]), record) != record:
+            raise ValueError(f"sample id {r['id']!r} has two different records")
+    row = {sid: k for k, sid in enumerate(records)}
+    times, labels = [t for t, _ in records.values()], [y for _, y in records.values()]
+    d = LabeledDataset(list(records), times, labels, np.zeros((len(records), 0)))
+    rows = [np.array([row[str(r["id"])] for r in side], dtype=np.intp) for side in sides]
     ratios = RatioSpec(**{f.name: blob["ratios"][f.name] for f in fields(RatioSpec)})
-    return TemporalSplit(
-        dataset(blob["train"]),
-        tuple(dataset(rows) for rows in blob["test_slots"]),
-        SplitSpec.from_dict(blob["spec"]),
-        ratios,
-    )
+    return TemporalSplit(d, rows[0], tuple(rows[1:]), SplitSpec.from_dict(blob["spec"]), ratios)

@@ -331,17 +331,12 @@ def test_a10_constraint_validators(capsys):
     d = drifting(3, months=12, n=60, velocity=0.1)
     perm = np.random.default_rng(0).permutation(len(d))
     cut = int(len(d) * 2 / 3)
-    train = d.subset(np.sort(perm[:cut]))
-    rest = d.subset(np.sort(perm[cut:]))
+    train_rows, rest = np.sort(perm[:cut]), np.sort(perm[cut:])
     half = len(rest) // 2
-    kf_split = TemporalSplit(
-        train,
-        (rest.subset(range(half)), rest.subset(range(half, len(rest)))),
-        spec(6, 2),
-        RatioSpec(),
-    )
+    kf_split = TemporalSplit(d, train_rows, (rest[:half], rest[half:]), spec(6, 2), RatioSpec())
     v1 = check_c1(kf_split)
     assert not v1.passed
+    train = d.subset(train_rows)
     expect_train = max(range(len(train)), key=lambda i: train.timestamps[i])
     assert v1.witnesses[0]["train_id"] == train.ids[expect_train]
 
@@ -349,28 +344,23 @@ def test_a10_constraint_validators(capsys):
     from driftlab.dataset import add_months
 
     good = time_aware_split(d, spec(6, 6), RatioSpec(), seed=0)
-    slot2 = good.test_slots[2]
-    stamps = list(slot2.timestamps)
-    stamps[0] = add_months(stamps[0], -1)
-    shifted = LabeledDataset(slot2.ids, stamps, slot2.labels, slot2.features)
-    bad_slots = tuple(
-        shifted if k == 2 else s for k, s in enumerate(good.test_slots)
-    )
-    v2 = check_c2(TemporalSplit(good.train, bad_slots, good.spec, good.ratios))
+    moved = good.slot_rows[2][0]
+    stamps = list(d.timestamps)
+    stamps[moved] = add_months(stamps[moved], -1)
+    shifted = LabeledDataset(d.ids, stamps, d.labels, d.features)
+    v2 = check_c2(TemporalSplit(shifted, good.train_rows, good.slot_rows, good.spec, good.ratios))
     assert not v2.passed
-    assert v2.witnesses[0]["id"] == slot2.ids[0]
+    assert v2.witnesses[0]["id"] == d.ids[moved]
     assert v2.witnesses[0]["slot"] == 2
 
     # Violation 3: a ~90%-positive slot (all positives, pos/9 negatives)
     # fails C3 naming that slot.
-    slot1 = good.test_slots[1]
-    pos_idx = np.flatnonzero(slot1.labels == 1)
+    slot1 = good.slot_rows[1]
+    pos_idx = slot1[d.labels[slot1] == 1]
     keep_neg = max(1, round(len(pos_idx) / 9))
-    ninety = slot1.subset(
-        np.sort(np.concatenate([pos_idx, np.flatnonzero(slot1.labels == 0)[:keep_neg]]))
-    )
-    bad_slots3 = tuple(ninety if k == 1 else s for k, s in enumerate(good.test_slots))
-    v3 = check_c3(TemporalSplit(good.train, bad_slots3, good.spec, good.ratios))
+    ninety = np.sort(np.concatenate([pos_idx, slot1[d.labels[slot1] == 0][:keep_neg]]))
+    bad_slots3 = tuple(ninety if k == 1 else s for k, s in enumerate(good.slot_rows))
+    v3 = check_c3(TemporalSplit(d, good.train_rows, bad_slots3, good.spec, good.ratios))
     assert not v3.passed
     failing = [row for row in v3.per_slot if not row["pass"]]
     assert [row["slot"] for row in failing] == [1]

@@ -32,6 +32,7 @@ def test_lists_every_file_it_wrote(tmp_path):
         "bias-grid-s1-w2/out/bias_grid_summary.csv",
         "kfold/out/aggregate.csv",
         "knn-active-learning/out/delay_active_learning_0.2_slots_seed0.csv",
+        "sgd-active-learning/out/delay_summary_seed0.csv",
         "verbs/tune/tuning_seed0.json",
         "verbs/plotdata/plot_delay_curves.csv",
         "verbs/audit.json",

@@ -305,6 +305,14 @@ class TestFitModels:
         assert len(list(models)) == 2
         assert fitted == [(base.subset(r).ids, s) for r, s in zip(rows, [5, 6])]
 
+    @pytest.mark.parametrize("clf", [KNNClassifier(k=3), LinearSGDClassifier(epochs=1)],
+                             ids=["fit_only", "fit_many"])
+    def test_negative_row_rejected_on_both_paths(self, clf):
+        base = blob_dataset(40, 40, seed=4)
+        rows = [np.r_[np.arange(10), -1]]
+        with pytest.raises(IndexError, match="row index out of range for 80 rows"):
+            list(fit_models(clf, base, rows, [0]))
+
 
 class TestKNN:
     def test_query_on_training_point(self):

@@ -801,6 +801,53 @@ class TestCliVerbs:
         bad.write_text(json.dumps(blob))
         assert main(["audit", "--manifest", str(bad)]) == 3
 
+    def odd_manifest(self, tmp_path, edit):
+        """``audit``'s exit code on a run's manifest after ``edit``, and the edited manifest."""
+        out = tmp_path / "out"
+        main(["run", "--config", self.write_config(tmp_path, base_config(out, seeds=(0,)))])
+        blob = json.loads((out / "split_manifest_seed0.json").read_text())
+        edit(blob)
+        bad = tmp_path / "odd_manifest.json"
+        bad.write_text(json.dumps(blob))
+        return main(["audit", "--manifest", str(bad)]), blob
+
+    def test_audit_empty_test_slot_exit_2(self, tmp_path, capsys):
+        code, _ = self.odd_manifest(tmp_path, lambda blob: blob["test_slots"][2].clear())
+        assert code == 2
+        assert capsys.readouterr().err == "config error: bad manifest: dataset must be non-empty\n"
+
+    def test_audit_test_sample_listed_under_train_exit_3(self, tmp_path, capsys):
+        code, blob = self.odd_manifest(
+            tmp_path, lambda blob: blob["train"].append(blob["test_slots"][1][0])
+        )
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["C1"]["witnesses"][0]["train_id"] == blob["train"][-1]["id"]
+
+    def test_audit_id_with_two_records_exit_2(self, tmp_path, capsys):
+        def edit(blob):
+            blob["train"].append(dict(blob["test_slots"][1][0], timestamp="2014-02-03"))
+
+        code, blob = self.odd_manifest(tmp_path, edit)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad manifest: sample id {blob['train'][-1]['id']!r}")
+
+    def test_realistic_run_audits_each_split_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_all_checks = splits.run_all_checks
+
+        def counting(split):
+            calls.append(split)
+            return run_all_checks(split)
+
+        monkeypatch.setattr(splits, "run_all_checks", counting)
+        blob = base_config(tmp_path / "out", seeds=(0, 1),
+                           delay={"kind": "active_learning", "al_budget": [0.05, 0.2]})
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 0
+        assert len(calls) == 2
+        assert len(set(map(id, calls))) == 2
+
     def test_missing_config_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -274,8 +274,12 @@ class TestDerivedDatasets:
         d = data.draw(built_datasets())
         n = len(d)
         idx = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=2 * n))
+        if min(idx) < 0:
+            with pytest.raises(IndexError, match=f"row index out of range for {n} rows"):
+                d.subset(idx)
+            return
         ids = [d.ids[i] for i in idx]
-        if len({i % n for i in idx}) < len(idx):
+        if len(set(idx)) < len(idx):
             message = re.escape(f"duplicate sample id {first_repeat(ids)!r}")
             with pytest.raises(ValueError, match=message):
                 d.subset(idx)
@@ -323,7 +327,14 @@ class TestDerivedDatasets:
         with pytest.raises(ValueError, match="duplicate sample id 's1'"):
             d.subset([1, 2, 1])
         with pytest.raises(ValueError, match="duplicate sample id 's2'"):
-            d.subset([2, 0, -1])
+            d.subset([2, 0, 2])
+
+    @pytest.mark.parametrize("rows", [[-1], [2, 0, -1], [0, 3]])
+    def test_index_outside_the_rows_rejected(self, rows):
+        # A negative index does not wrap to the end, as it would in Python.
+        d = dated_dataset([date(2014, 1, 1), date(2014, 1, 2), date(2014, 1, 3)])
+        with pytest.raises(IndexError, match="row index out of range for 3 rows"):
+            d.subset(rows)
 
     def test_concat_rejects_overlapping_ids(self):
         d = dated_dataset([date(2014, 1, 1), date(2014, 1, 2), date(2014, 1, 3)])

@@ -13,6 +13,7 @@ from driftlab.delay import (
     ConstraintViolationError,
     DelayPolicy,
     NoMisclassificationError,
+    _al_count,
     _mistake_q3,
     initial_scores,
     _most_uncertain,
@@ -20,7 +21,13 @@ from driftlab.delay import (
     run_policy,
 )
 from driftlab.metrics import aut, point_estimates
-from driftlab.splits import RatioSpec, SplitSpec, TemporalSplit, time_aware_split
+from driftlab.splits import (
+    RatioSpec,
+    SplitSpec,
+    TemporalSplit,
+    least_confident_first,
+    time_aware_split,
+)
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import TuningConfig, proper_validation_cut
 
@@ -137,20 +144,63 @@ class TestRunPolicyNone:
         assert np.std(f1.values) < 0.12
         assert res.aut_f1 == aut(f1)
 
+    @pytest.mark.parametrize("broken", ["C2", "C3"])
+    def test_rejects_split_failing_c2_or_c3(self, broken):
+        split = make_split(seed=2)
+        d, slots = split.d, list(split.slot_rows)
+        if broken == "C2":
+            # A sample of slot 4 filed under slot 3.
+            slots[3] = np.append(slots[3], slots[4][0])
+        else:
+            # Slot 1 keeps its positives and one negative.
+            labels = d.labels[slots[1]]
+            slots[1] = np.sort(np.r_[slots[1][labels == 1], slots[1][labels == 0][:1]])
+        bad = TemporalSplit(d, split.train_rows, tuple(slots), split.spec, split.ratios)
+        assert [k for k, v in bad.verdicts.items() if not v.passed] == [broken]
+        with pytest.raises(ConstraintViolationError, match=broken):
+            run_policy(bad, LinearSGDClassifier(epochs=5), DelayPolicy("none"), seed=0)
+
+    def test_model_zero_fit_checks_c1(self):
+        # initial_scores fits model 0 without reading the split's audit.
+        split = make_split(seed=2)
+        leaked = split.slot_rows[3][0]
+        bad = TemporalSplit(split.d, np.append(split.train_rows, leaked), split.slot_rows,
+                            split.spec, split.ratios)
+        with pytest.raises(ConstraintViolationError, match=repr(split.d.ids[leaked])):
+            initial_scores(bad, KNNClassifier(k=3), 0)
+
     def test_rejects_biased_split(self):
         split = make_split(seed=2)
         # Shuffle one future sample into the training set.
-        leak = split.test_slots[3].subset([0])
-        from driftlab.dataset import concat
-
-        bad = TemporalSplit(
-            concat([split.train, leak]), split.test_slots, split.spec, split.ratios
-        )
+        leaky = np.append(split.train_rows, split.slot_rows[3][0])
+        bad = TemporalSplit(split.d, leaky, split.slot_rows, split.spec, split.ratios)
         with pytest.raises(ConstraintViolationError, match="C1"):
             run_policy(bad, LinearSGDClassifier(epochs=5), DelayPolicy("none"), seed=0)
 
 
+def record_fits(split, inner, policy, seed):
+    """The training ids, in order, and the model of every fit ``run_policy`` makes."""
+    pools, models = [], []
+
+    class Recording:
+        def fit(self, train, fit_seed):
+            pools.append(list(train.ids))
+            models.append(inner.fit(train, fit_seed))
+            return models[-1]
+
+    run_policy(split, Recording(), policy, seed=seed)
+    return pools, models
+
+
 class TestRunPolicyIncremental:
+    def test_pool_grows_by_whole_slots_in_slot_order(self):
+        split = make_split(seed=6, velocity=0.3)
+        pools, _ = record_fits(split, KNNClassifier(k=3), DelayPolicy("incremental"), seed=6)
+        assert len(pools) == len(split.test_slots)
+        assert pools[0] == list(split.train.ids)
+        for i, (earlier, later) in enumerate(zip(pools, pools[1:])):
+            assert later == earlier + list(split.test_slots[i].ids)
+
     def test_labels_every_object_and_helps_under_drift(self):
         auts_none, auts_inc = [], []
         for seed in range(3):
@@ -225,29 +275,19 @@ class TestRunPolicyActiveLearning:
         assert res.quarantined == 0
 
     def test_training_pools_nested(self):
-        # Instrument fit() to capture every retraining pool: each one must
-        # contain the previous one plus only current-slot members.
+        # Instrument fit() to capture every retraining pool, in order: each
+        # one is the previous one followed by the current slot's picks,
+        # most uncertain first under the scores of the model that scored it.
         split = make_split(seed=6, velocity=0.3)
-        pools: list[set] = []
-        inner = LinearSGDClassifier(epochs=10)
-
-        class Recording:
-            def fit(self, train, seed):
-                pools.append(set(train.ids))
-                return inner.fit(train, seed)
-
-        res = run_policy(
-            split, Recording(), DelayPolicy("active_learning", al_budget=0.25), seed=6
-        )
-        assert all(c >= 1 for c in res.per_slot_labeled)
+        pools, models = record_fits(split, LinearSGDClassifier(epochs=10),
+                                    DelayPolicy("active_learning", al_budget=0.25), seed=6)
         assert len(pools) == len(split.test_slots)
-        for earlier, later in zip(pools, pools[1:]):
-            assert earlier <= later
-        slot_ids = [set(s.ids) for s in split.test_slots]
         for i, (earlier, later) in enumerate(zip(pools, pools[1:])):
-            added = later - earlier
-            assert added <= slot_ids[i]
-            assert len(added) == res.per_slot_labeled[i]
+            slot = split.test_slots[i]
+            uncertainty = np.abs(score_dataset(models[i], slot) - 0.5)
+            count = math.ceil(Fraction("0.25") * len(slot))
+            picks = least_confident_first(uncertainty, slot.ids)[:count]
+            assert later == earlier + [slot.ids[k] for k in picks]
 
     def test_half_budget_beats_none_on_average(self):
         # Mean AUT(F1) at budget 0.5 exceeds the no-update baseline under
@@ -274,6 +314,11 @@ class TestRunPolicyActiveLearning:
             seed=7,
         )
         assert res.labeled == sum(map(len, split.test_slots))
+
+    def test_count_is_the_exact_decimal_ceiling(self):
+        # As floats, 0.07 * 100 is 7.000000000000001, whose ceiling is 8.
+        assert _al_count(0.07, 100) == 7
+        assert _al_count(0.071, 100) == 8
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="al_budget"):
@@ -334,6 +379,18 @@ class TestRunPolicyRejection:
             s = score_dataset(model, slot)
             p_hat = np.maximum(s, 1.0 - s)
             assert rej.per_slot_rejected[k] == int((p_hat <= rej.threshold).sum())
+
+    def test_probability_equal_to_the_threshold_is_quarantined(self):
+        # kNN probabilities are multiples of 1/k, so the mistakes' Q3 can equal
+        # one of them: such an object counts in Q and not in the confusions.
+        split = make_split(seed=0, velocity=0.3)
+        clf = KNNClassifier(k=3)
+        rej = run_policy(split, clf, DelayPolicy("rejection"), seed=0)
+        p_hats = [np.maximum(s, 1.0 - s) for s in initial_scores(split, clf, 0)]
+        assert any((p == rej.threshold).any() for p in p_hats)
+        for k, p in enumerate(p_hats):
+            assert rej.per_slot_rejected[k] == int((p <= rej.threshold).sum())
+            assert rej.series.confusions[k].total == int((p > rej.threshold).sum())
 
     def test_perfect_validation_falls_back_to_no_rejection(self):
         # A cleanly separable stream: zero validation mistakes, so there is

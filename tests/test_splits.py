@@ -348,20 +348,20 @@ class TestOneSlotGrid:
 
 
 def two_slot_split(train_rows, slot_rows_list, origin=date(2014, 1, 1), w=2):
-    """Hand-build a TemporalSplit from (id, date, label) rows; 1-dim zeros."""
-
-    def ds(rows):
-        return LabeledDataset(
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-            np.zeros((len(rows), 1)),
-        )
-
+    """Hand-build a TemporalSplit from (id, date, label) rows; one stream, 1-dim zeros."""
+    records = [*train_rows, *(r for rows in slot_rows_list for r in rows)]
+    d = LabeledDataset(
+        [r[0] for r in records],
+        [r[1] for r in records],
+        [r[2] for r in records],
+        np.zeros((len(records), 1)),
+    )
+    cuts = np.cumsum([len(train_rows), *map(len, slot_rows_list)])
+    train, *slots = np.split(np.arange(len(records)), cuts[:-1])
     spec = SplitSpec(
         Period(months=w), Period(months=len(slot_rows_list)), Period(months=1), origin
     )
-    return TemporalSplit(ds(train_rows), tuple(ds(r) for r in slot_rows_list), spec, RatioSpec())
+    return TemporalSplit(d, train, tuple(slots), spec, RatioSpec())
 
 
 def within_ratio_bound(d: LabeledDataset, target: float) -> bool:
@@ -459,22 +459,32 @@ class TestCheckC1:
         assert verdict.witnesses[0]["train_id"] == "leaky"
         assert verdict.witnesses[0]["test_id"] == "a"
 
+    def test_last_training_day_on_first_test_day_fails(self):
+        split = two_slot_split(
+            [("tr1", date(2015, 1, 1), 0), ("tr2", date(2014, 1, 5), 1)],
+            [
+                [("b", date(2015, 1, 20), 1), ("a", date(2015, 1, 1), 0)],
+                [("c", date(2015, 2, 10), 0), ("d", date(2015, 2, 11), 1)],
+            ],
+            w=12,
+        )
+        verdict = check_c1(split)
+        assert not verdict.passed
+        assert verdict.witnesses == (
+            {"train_id": "tr1", "train_timestamp": "2015-01-01",
+             "test_id": "a", "test_timestamp": "2015-01-01"},
+        )
+
     def test_shuffled_kfold_style_split_fails(self):
         # Random, time-blind partition of a multi-year dataset.
         d = monthly_dataset(24, 30, 6, seed=10)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(d))
         cut = int(len(d) * 2 / 3)
-        train = d.subset(np.sort(perm[:cut]))
-        rest = d.subset(np.sort(perm[cut:]))
+        train, rest = np.sort(perm[:cut]), np.sort(perm[cut:])
         spec = SplitSpec(Period(months=12), Period(months=2), Period(months=1), date(2014, 1, 1))
         half = len(rest) // 2
-        split = TemporalSplit(
-            train,
-            (rest.subset(range(half)), rest.subset(range(half, len(rest)))),
-            spec,
-            RatioSpec(),
-        )
+        split = TemporalSplit(d, train, (rest[:half], rest[half:]), spec, RatioSpec())
         assert not check_c1(split).passed
 
 
@@ -498,6 +508,19 @@ class TestCheckC2:
         verdict = check_c2(split)
         assert not verdict.passed
         assert verdict.witnesses == ({"slot": 1, "id": "strayed", "timestamp": "2014-03-28"},)
+
+    def test_sample_on_the_next_slots_first_day_fails(self):
+        # Slot 0 is [2014-03-01, 2014-04-01): its right edge is not inside it.
+        split = two_slot_split(
+            [("tr", date(2014, 1, 10), 0), ("tr2", date(2014, 2, 1), 1)],
+            [
+                [("a", date(2014, 3, 1), 0), ("edge", date(2014, 4, 1), 1)],
+                [("c", date(2014, 4, 9), 0), ("d", date(2014, 4, 10), 1)],
+            ],
+        )
+        verdict = check_c2(split)
+        assert not verdict.passed
+        assert verdict.witnesses == ({"slot": 0, "id": "edge", "timestamp": "2014-04-01"},)
 
     def test_disjoint_class_windows_warn_but_pass(self):
         # Positives from week 1, negatives from week 4 of the same slot.
@@ -543,12 +566,12 @@ class TestCheckC2:
 
 
 class TestCheckC3:
-    def make(self, ratios_per_slot):
+    def make(self, ratios_per_slot, size=200):
         slots = []
         for k, r in enumerate(ratios_per_slot):
-            n_pos = int(round(r * 200))
+            n_pos = int(round(r * size))
             rows = [(f"s{k}p{i}", date(2014, 3 + k, 5), 1) for i in range(n_pos)]
-            rows += [(f"s{k}n{i}", date(2014, 3 + k, 6), 0) for i in range(200 - n_pos)]
+            rows += [(f"s{k}n{i}", date(2014, 3 + k, 6), 0) for i in range(size - n_pos)]
             slots.append(rows)
         return two_slot_split(
             [("tr", date(2014, 1, 10), 0), ("tr2", date(2014, 2, 1), 1)], slots
@@ -568,8 +591,15 @@ class TestCheckC3:
         ]
 
     def test_band_edges(self):
-        verdict = check_c3(self.make([0.115, 0.10]))
+        # 8/100 and 12/100 sit exactly on the inclusive edges of 0.10 +/- 0.02.
+        verdict = check_c3(self.make([0.08, 0.12], size=100))
+        assert [row["ratio"] for row in verdict.per_slot] == [0.08, 0.12]
         assert verdict.passed
+
+    def test_just_below_the_band_fails(self):
+        verdict = check_c3(self.make([0.07, 0.10], size=100))
+        assert not verdict.passed
+        assert [row["pass"] for row in verdict.per_slot] == [False, True]
 
     def test_verdict_json_shape(self):
         verdict = check_c3(self.make([0.10, 0.90]))
@@ -591,6 +621,21 @@ class TestManifest:
             assert a.timestamps == b.timestamps
         for k, v in run_all_checks(back).items():
             assert v.passed, k
+
+    def manifest(self):
+        d = monthly_dataset(10, 60, 12, seed=12)
+        spec = SplitSpec(Period(months=4), Period(months=6), Period(months=1), date(2014, 1, 1))
+        return json.loads(json.dumps(split_to_manifest(time_aware_split(d, spec, RatioSpec(), 0))))
+
+    def test_id_on_two_sides_is_one_row(self):
+        blob = self.manifest()
+        leaked = blob["test_slots"][2][0]
+        blob["train"].append(leaked)
+        split = split_from_manifest(blob)
+        assert len(split.d) == len(blob["train"]) + sum(map(len, blob["test_slots"])) - 1
+        (row,) = set(split.train_rows) & set(split.slot_rows[2])
+        assert split.d.ids[row] == leaked["id"]
+        assert split.verdicts["C1"].witnesses[0]["train_id"] == leaked["id"]
 
     def test_split_spec_codec(self):
         spec = SplitSpec(Period(days=90), Period(days=60), Period(days=30), date(2014, 1, 31))

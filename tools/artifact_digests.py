@@ -11,8 +11,8 @@ The calls cover the three benchmark configs at seeds 0 and 1 (bias-grid at
 ``workers`` 1 and 2); bias-grid with one seed at ``workers`` 4, with three
 seeds at ``workers`` 2 and with kNN on a CSV file at ``workers`` 2; the
 ``kfold``, ``past_testing`` and ``disjoint_class_windows`` scenarios; tuned ``rejection`` with
-``refresh_threshold``; ``incremental`` with ``retune_each_step``; kNN active
-learning at two budgets; and the ``tune``, ``plotdata``, ``audit --out`` and
+``refresh_threshold``; ``incremental`` with ``retune_each_step``; kNN and linear SGD
+active learning at two budgets each; and the ``tune``, ``plotdata``, ``audit --out`` and
 ``generate`` verbs. They run in-process through ``driftlab.cli.main`` from
 inside the work directory with relative paths, so no absolute path reaches
 an artifact. Each output line is ``<sha256>  <path>``, the path relative to
@@ -106,6 +106,9 @@ def calls() -> list[list[str]]:
         "incremental-retune": ({"kind": "linear_sgd"},
                                {"kind": "incremental", "retune_each_step": True}),
         "knn-active-learning": ({"kind": "knn", "k": 5},
+                                {"kind": "active_learning", "al_budget": [0.05, 0.2]}),
+        # Two policies share one split, and an SGD model depends on its pool's order.
+        "sgd-active-learning": ({"kind": "linear_sgd"},
                                 {"kind": "active_learning", "al_budget": [0.05, 0.2]}),
     }
     for name, (classifier, delay) in policies.items():
