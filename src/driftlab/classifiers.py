@@ -19,7 +19,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .dataset import LabeledDataset, check_fields, rule
+from .dataset import EmptySlotError, LabeledDataset, check_fields, rule
 from .rng import derive_rng
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class SingleClassTrainingError(ValueError):
+class SingleClassTrainingError(EmptySlotError):
     """Training set contains only one class."""
 
 

@@ -76,7 +76,6 @@ from .splits import (
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
-    ratio_rows,
     split_from_manifest,
     split_to_manifest,
     time_aware_pools,
@@ -205,15 +204,16 @@ def _bias_f1s(cfg: ExperimentConfig, seed: int, rows: tuple, phis: tuple, deltas
     for _, folds in plans:
         for phi in phis:
             for (r, s), _, fit_seed in folds:
-                train_rows.append(r[ratio_rows(d.labels[r], phi, seed=s)])
+                train_rows.append(enforce_ratio(d, phi, r, seed=s))
                 fit_seeds.append(fit_seed)
     models = fit_models(cfg.classifier, d, train_rows, fit_seeds)
     f1s = {}
     for row, folds in plans:
         test_sets = []
         for _, tests, _ in folds:
-            pools = [(d.subset(t), s) for t, s in tests]
-            test_sets.append({q: [enforce_ratio(p, q, seed=s) for p, s in pools] for q in deltas})
+            test_sets.append(
+                {q: [d.subset(enforce_ratio(d, q, t, seed=s)) for t, s in tests] for q in deltas}
+            )
         for phi in phis:
             scores: dict[float, list[float]] = {q: [] for q in deltas}
             for sets in test_sets:

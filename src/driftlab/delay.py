@@ -38,7 +38,7 @@ from .metrics import (
     point_estimates,
 )
 from .rng import derive_seed
-from .splits import TemporalSplit, least_confident_first, ratio_rows
+from .splits import TemporalSplit, enforce_ratio, least_confident_first
 from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
@@ -257,7 +257,7 @@ def run_policy(
                                   derive_seed(seed, "delay", "retune", i))
                 tuned_phis.append(result.phi_star)
                 seed_i = derive_seed(seed, "delay", "retune_ratio", i, bound=2**63)
-                fit_rows = pool[ratio_rows(d.labels[pool], result.phi_star, seed=seed_i)]
+                fit_rows = enforce_ratio(d, result.phi_star, pool, seed=seed_i)
             model = _fit(clf, d.subset(fit_rows), starts[i + 1], seed, "fit", i + 1)
 
     return DelayRunResult(

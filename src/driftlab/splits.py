@@ -53,7 +53,6 @@ __all__ = [
     "disjoint_class_pools",
     "time_aware_split",
     "enforce_ratio",
-    "ratio_rows",
     "least_confident_first",
     "check_c1",
     "check_c2",
@@ -194,27 +193,34 @@ def least_confident_first(confidence: np.ndarray, ids: Sequence[str]) -> list[in
     return sorted(range(len(ids)), key=lambda i: (confidence[i], ids[i]))
 
 
-def ratio_rows(
-    labels: np.ndarray,
+def enforce_ratio(
+    d: LabeledDataset,
     target: float,
+    rows: np.ndarray | None = None,
     confidence: np.ndarray | None = None,
     seed: int = 0,
-    ids: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Ascending positions of the rows :func:`enforce_ratio` keeps of a pool with ``labels``.
+    """The rows of ``d`` kept by downsampling the pool's over-represented class to target.
 
-    ``confidence`` also needs the pool's ``ids``, which break ties between
-    equal confidences. All positions come back when nothing is cut.
+    The pool is ``rows`` of ``d`` when given, else all of ``d``; the kept rows
+    keep the pool's order, and the whole pool comes back when nothing is cut.
+    The under-represented class is kept whole; the retained count of the other
+    class is the half-to-even rounding of the exact solution, so
+    |realized - target| <= 1/len(result). ``confidence`` holds one scorer
+    |score - 0.5| per pool row; given it, :func:`least_confident_first` keeps
+    the rows the scorer is least sure of (ties by id in ``d``), the points that
+    define the decision boundary; without it, retention is a seeded uniform draw.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target ratio must lie in (0, 1), got {target}")
+    pool = np.arange(len(d)) if rows is None else np.asarray(rows)
+    labels = d.labels[pool]
     n = len(labels)
-    if confidence is not None and (np.shape(confidence) != (n,) or ids is None or len(ids) != n):
-        raise ValueError("confidence needs one scorer confidence and one id per row")
+    if confidence is not None and np.shape(confidence) != (n,):
+        raise ValueError("confidence needs one scorer confidence per row")
 
     n_pos = int(np.add.reduce(labels))
     n_neg = n - n_pos
-    everything = np.arange(n)
     # Over-represented class relative to target, by cross-multiplication
     # (avoids dividing and float ratio round-off).
     pos_excess = n_pos * (1.0 - target) - n_neg * target
@@ -227,42 +233,20 @@ def ratio_rows(
             raise UpsamplingRequiredError("no positives: target unreachable by downsampling")
         cut_label, keep_count = 0, _round_half_even(n_pos * (1.0 - target) / target)
     else:
-        return everything
+        return pool
 
     cut_idx = np.flatnonzero(labels == cut_label)
     if keep_count >= len(cut_idx):
-        return everything
+        return pool
     if confidence is None:
         rng = derive_rng(seed, "enforce_ratio")
         kept = rng.choice(cut_idx, size=keep_count, replace=False)
     else:
-        order = least_confident_first(confidence[cut_idx], [ids[i] for i in cut_idx])
+        order = least_confident_first(confidence[cut_idx], [d.ids[i] for i in pool[cut_idx]])
         kept = cut_idx[order[:keep_count]]
     keep_mask = labels != cut_label
     keep_mask[kept] = True
-    return np.flatnonzero(keep_mask)
-
-
-def enforce_ratio(
-    pool: LabeledDataset,
-    target: float,
-    confidence: np.ndarray | None = None,
-    seed: int = 0,
-) -> LabeledDataset:
-    """Downsample the over-represented class until the ratio is closest to target.
-
-    The under-represented class is kept whole; the retained count of the
-    other class is the half-to-even rounding of the exact solution, so
-    |realized - target| <= 1/len(result). Given ``confidence``, the retained
-    samples are those a scorer is least sure about: it holds each pool
-    row's |score - 0.5|, and :func:`least_confident_first` keeps the
-    smallest (ties by ascending id), which keeps the points that define the
-    decision boundary; without it, retention is a seeded uniform draw.
-    Output preserves the pool's original order, and is ``pool`` itself when
-    nothing is cut. :func:`ratio_rows` makes the selection.
-    """
-    rows = ratio_rows(pool.labels, target, confidence, seed, pool.ids)
-    return pool if len(rows) == len(pool) else pool.subset(rows)
+    return pool[keep_mask]
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +254,8 @@ def enforce_ratio(
 # ---------------------------------------------------------------------------
 
 
-# A window before ratio enforcement, as ascending rows of the dataset it was
-# cut from, with the seed that downsamples it; a split's pools are its
-# training side and its test sides.
+# A window before ratio enforcement, as rows of the dataset it was cut from, with
+# the seed that downsamples it; a split's pools are its training side and test sides.
 Side = tuple[np.ndarray, int]
 Pools = tuple[Side, tuple[Side, ...]]
 
@@ -349,8 +332,8 @@ def time_aware_split(
     their test slots exactly.
     """
     (train, train_seed), tests = time_aware_pools(d, spec, seed)
-    slots = tuple(rows[ratio_rows(d.labels[rows], ratios.delta, seed=s)] for rows, s in tests)
-    train = train[ratio_rows(d.labels[train], ratios.phi, seed=train_seed)]
+    train = enforce_ratio(d, ratios.phi, train, seed=train_seed)
+    slots = tuple(enforce_ratio(d, ratios.delta, rows, seed=s) for rows, s in tests)
     return TemporalSplit(d, train, slots, spec, ratios)
 
 
@@ -506,6 +489,9 @@ def split_from_manifest(blob: dict) -> TemporalSplit:
     # One row per distinct id: an id listed on two sides is one sample on both.
     records: dict[str, tuple[date, int]] = {}
     sides = [blob["train"], *blob["test_slots"]]
+    for k, side in enumerate(sides):
+        if not side:
+            raise ValueError(f"test slot {k - 1} is empty" if k else "train is empty")
     for r in (r for side in sides for r in side):
         record = (date.fromisoformat(r["timestamp"]), int(r["label"]))
         if records.setdefault(str(r["id"]), record) != record:

@@ -31,7 +31,7 @@ from .classifiers import Classifier, fit_models, score_rows
 from .dataset import EmptySlotError, LabeledDataset, check_fields, rule, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
-from .splits import SplitSpec, enforce_ratio, ratio_rows, two_class_windows
+from .splits import SplitSpec, enforce_ratio, two_class_windows
 
 __all__ = [
     "TuningConfig",
@@ -134,8 +134,8 @@ def proper_validation_cut(
         raise ValidationWindowError("no samples left before the validation window")
     (proper,) = two_class_windows(train, [first, edges[0]], "proper-training window")
     slots = tuple(
-        enforce_ratio(train.subset(rows), cfg.sigma_hat,
-                      seed=derive_seed(seed, "tuning", "val", k, bound=2**63))
+        train.subset(enforce_ratio(train, cfg.sigma_hat, rows,
+                                   seed=derive_seed(seed, "tuning", "val", k, bound=2**63)))
         for k, rows in enumerate(two_class_windows(train, edges, "validation slot"))
     )
     return train.subset(proper), slots, tuple(edges[:-1])
@@ -169,13 +169,8 @@ def tune_phi(
     grid = cfg.grid()
     kept_rows = []
     for j, phi in enumerate(grid):
-        kept = ratio_rows(
-            proper.labels,
-            phi,
-            confidence=confidence,
-            seed=derive_seed(seed, "tuning", "downsample", j, bound=2**63),
-            ids=proper.ids,
-        )
+        kept = enforce_ratio(proper, phi, confidence=confidence,
+                             seed=derive_seed(seed, "tuning", "downsample", j, bound=2**63))
         n_positive = int(np.add.reduce(proper.labels[kept]))
         if n_positive == 0 or n_positive == len(kept):
             raise EmptySlotError(f"proper-training pool single-class at phi={phi}")

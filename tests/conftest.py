@@ -60,13 +60,18 @@ def monthly_dataset(
     return LabeledDataset(ids, stamps, labels, np.array(feats))
 
 
+def cut(d: LabeledDataset, target: float, **kwargs) -> LabeledDataset:
+    """The samples of ``d`` that :func:`enforce_ratio` keeps, as a dataset."""
+    return d.subset(enforce_ratio(d, target, **kwargs))
+
+
 def downsampled(d, pools, ratios):
     """A pool builder's ``(train, test_sides)`` cut from ``d``: training downsampled to phi,
     each test side to delta, each with its own seed."""
     (train, train_seed), tests = pools
     return (
-        enforce_ratio(d.subset(train), ratios.phi, seed=train_seed),
-        tuple(enforce_ratio(d.subset(rows), ratios.delta, seed=s) for rows, s in tests),
+        cut(d.subset(train), ratios.phi, seed=train_seed),
+        tuple(cut(d.subset(rows), ratios.delta, seed=s) for rows, s in tests),
     )
 
 

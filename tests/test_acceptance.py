@@ -208,12 +208,13 @@ def test_a6_tuning_contract(capsys):
         conf[rows_c] = np.abs(scorer.scores(proper.features[rows_c]) - 0.5)
     rows = []
     for j, phi in enumerate(cfg.grid()):
-        down = enforce_ratio(
+        kept = enforce_ratio(
             proper,
             phi,
             confidence=conf,
             seed=int(derive_rng(17, "tuning", "downsample", j).integers(2**63)),
         )
+        down = proper.subset(kept)
         model = clf.fit(down, int(derive_rng(17, "tuning", "fit", j).integers(2**31)))
         series = slot_series(model, val_slots, starts)
         pooled = Confusion()

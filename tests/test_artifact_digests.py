@@ -1,4 +1,5 @@
-"""``tools/artifact_digests.py`` runs its whole call list and lists every file it wrote."""
+"""``tools/artifact_digests.py`` runs its whole call list, lists every file it wrote, and
+writes the pinned bytes for every kNN output."""
 
 import hashlib
 import os
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Every kNN output is pinned to the bytes in knn_artifact_digests.txt. Linear SGD's
+# weights come from BLAS products, which are not known to match across CPUs.
+PINNED = ("realistic-knn-s0/", "realistic-knn-s1/", "bias-grid-knn/", "knn-active-learning/")
 
 
 def test_lists_every_file_it_wrote(tmp_path):
@@ -25,6 +29,9 @@ def test_lists_every_file_it_wrote(tmp_path):
     assert list(listed) == written
     for name, digest in listed.items():
         assert digest == hashlib.sha256((work / name).read_bytes()).hexdigest()
+    pinned = (ROOT / "tests" / "knn_artifact_digests.txt").read_text(encoding="utf-8")
+    expected = dict(line.split("  ", 1)[::-1] for line in pinned.splitlines())
+    assert {name: d for name, d in listed.items() if name.startswith(PINNED)} == expected
     # One output of each kind of call.
     for name in [
         "realistic-sgd-s1/out/delay_summary_seed1.csv",

@@ -25,7 +25,7 @@ from driftlab.cli import (
     run_experiment,
 )
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
-from driftlab.dataset import load_dataset, write_csv
+from driftlab.dataset import LabeledDataset, load_dataset, write_csv
 from driftlab.delay import ConstraintViolationError, DelayPolicy
 from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
 from driftlab.rng import derive_rng, derive_seed
@@ -34,13 +34,12 @@ from driftlab.splits import (
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
-    ratio_rows,
     time_aware_split,
 )
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import TuningConfig
 
-from conftest import downsampled
+from conftest import cut, downsampled
 
 
 def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
@@ -524,26 +523,29 @@ class TestFitCounts:
         assert dealt == [per_seed, per_seed, per_row]
 
     def test_bias_grid_downsamples_each_side_once(self, tmp_path, monkeypatch):
-        calls = []
+        calls, kept, gathered = [], [], []
+        subset = LabeledDataset.subset
 
-        def counting_enforce_ratio(pool, target, *args, **kwargs):
-            calls.append((pool.ids, target, kwargs["seed"]))
-            return enforce_ratio(pool, target, *args, **kwargs)
+        def counting_enforce_ratio(d, target, rows=None, **kwargs):
+            calls.append((rows.tobytes(), target, kwargs["seed"]))
+            kept.append(enforce_ratio(d, target, rows, **kwargs))
+            return kept[-1]
 
-        def counting_ratio_rows(labels, target, *args, **kwargs):
-            calls.append((labels.tobytes(), target, kwargs["seed"]))
-            return ratio_rows(labels, target, *args, **kwargs)
+        def counting_subset(d, indices):
+            gathered.append(indices)
+            return subset(d, indices)
 
         monkeypatch.setattr(cli, "enforce_ratio", counting_enforce_ratio)
-        monkeypatch.setattr(splits, "enforce_ratio", counting_enforce_ratio)
-        # Training sides are selected as rows; enforce_ratio's own call is not counted.
-        monkeypatch.setattr(cli, "ratio_rows", counting_ratio_rows)
+        monkeypatch.setattr(LabeledDataset, "subset", counting_subset)
         blob = base_config(tmp_path / "out", scenario="bias_grid", seeds=(0, 1))
         assert run_experiment(parse_config(blob)) == 0
         # Per seed, 2 phis + 2 deltas per side: k-fold 4 x (1 + 1), past_testing
         # and realistic 1 + 6 slots, disjoint_class_windows 1 + 1.
         assert len(calls) == 2 * 2 * (4 * 2 + 7 + 7 + 2)
         assert len(set(calls)) == len(calls)
+        # Only the test sides are gathered, each once per delta, as the rows the cut kept.
+        assert len(gathered) == 2 * 2 * (4 + 6 + 6 + 1)
+        assert all(any(rows is k for k in kept) for rows in gathered)
 
 
 class FitOnly:
@@ -593,8 +595,8 @@ def oracle_bias_grid(cfg) -> dict[tuple[str, str, str, str], str]:
                 folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
                 for i, (train_idx, test_idx) in enumerate(folds):
                     train_seed, test_seed = (derive_seed(seed, "bk", s, i) for s in ("tr", "ts"))
-                    train = enforce_ratio(d.subset(train_idx), phi, seed=train_seed)
-                    test = enforce_ratio(d.subset(test_idx), delta, seed=test_seed)
+                    train = cut(d.subset(train_idx), phi, seed=train_seed)
+                    test = cut(d.subset(test_idx), delta, seed=test_seed)
                     kfold.append((train, [test], derive_seed(seed, "bk", "fit", i)))
                 train, slots = downsampled(d, past_testing_pools(d, cfg.split, seed), ratios)
                 disjoint_train, (disjoint_test,) = downsampled(
@@ -814,7 +816,12 @@ class TestCliVerbs:
     def test_audit_empty_test_slot_exit_2(self, tmp_path, capsys):
         code, _ = self.odd_manifest(tmp_path, lambda blob: blob["test_slots"][2].clear())
         assert code == 2
-        assert capsys.readouterr().err == "config error: bad manifest: dataset must be non-empty\n"
+        assert capsys.readouterr().err == "config error: bad manifest: test slot 2 is empty\n"
+
+    def test_audit_empty_train_exit_2(self, tmp_path, capsys):
+        code, _ = self.odd_manifest(tmp_path, lambda blob: blob["train"].clear())
+        assert code == 2
+        assert capsys.readouterr().err == "config error: bad manifest: train is empty\n"
 
     def test_audit_test_sample_listed_under_train_exit_3(self, tmp_path, capsys):
         code, blob = self.odd_manifest(
@@ -952,6 +959,30 @@ class TestCliVerbs:
         bad = tmp_path / "bad_manifest.json"
         bad.write_text(json.dumps(blob))
         assert main(["audit", "--manifest", str(bad)]) == 2
+
+    def test_single_class_training_side_exit_3(self, tmp_path, capsys):
+        # 2 positives and 36 negatives in the 12-month training window; phi 0.9
+        # keeps round(2 * 0.1 / 0.9) = 0 negatives, so linear SGD sees one class.
+        # Each of the 6 test months holds 1 positive and 9 negatives.
+        months = [(m, 1 if m in (0, 6) else 0, 3) for m in range(12)]
+        months += [(m, 1, 9) for m in range(12, 18)]
+        ids, stamps, labels = [], [], []
+        for m, n_pos, n_neg in months:
+            day = date(2014 + m // 12, m % 12 + 1, 10)
+            for i, label in enumerate([1] * n_pos + [0] * n_neg):
+                ids.append(f"m{m:02d}s{i}")
+                stamps.append(day)
+                labels.append(label)
+        feats = np.random.default_rng(0).normal(size=(len(ids), 2))
+        write_csv(LabeledDataset(ids, stamps, labels, feats), str(tmp_path / "data.csv"))
+        blob = base_config(tmp_path / "out", seeds=(0,))
+        blob["dataset"] = {"path": str(tmp_path / "data.csv")}
+        blob["split"].update(train_window="12m", test_window="6m")
+        blob["ratios"]["phi"] = 0.9
+        assert main(["run", "--config", self.write_config(tmp_path, blob)]) == 3
+        err = capsys.readouterr().err
+        assert err == "constraint violation: training set has 2 positives / 0 negatives\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "verb,corrupt,message",

@@ -21,7 +21,6 @@ from driftlab.splits import (
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
-    ratio_rows,
     run_all_checks,
     split_from_manifest,
     split_to_manifest,
@@ -29,7 +28,7 @@ from driftlab.splits import (
     time_aware_split,
 )
 
-from conftest import downsampled, monthly_dataset
+from conftest import cut, downsampled, monthly_dataset
 
 
 def flat_dataset(n_neg, n_pos, day=date(2015, 1, 15)):
@@ -61,16 +60,15 @@ class FakeScorer:
 class TestEnforceRatio:
     def test_already_at_target_unchanged(self):
         d = flat_dataset(90, 10)
-        out = enforce_ratio(d, 0.10, seed=0)
-        assert out.ids == d.ids
-        # Nothing is cut: every row is selected, and the pool itself comes back uncopied.
-        assert ratio_rows(d.labels, 0.10).tolist() == list(range(len(d)))
-        assert out is d
+        # Nothing is cut: every row is selected, of all of d or of the rows given.
+        assert enforce_ratio(d, 0.10, seed=0).tolist() == list(range(len(d)))
+        rows = np.array([95, 3, 40, 99, 7, 12, 60, 22, 33, 50])
+        assert enforce_ratio(d, 0.2, rows=rows, seed=0).tolist() == rows.tolist()
 
     def test_downsample_negatives_oracle(self):
         # Oracle: keep_neg = round(pos * (1 - t) / t) = round(20 * 0.8 / 0.2) = 80.
         d = flat_dataset(180, 20)
-        out = enforce_ratio(d, 0.20, seed=1)
+        out = cut(d, 0.20, seed=1)
         assert out.n_positive == 20
         assert out.n_negative == 80
         assert out.positive_ratio == pytest.approx(0.20)
@@ -79,7 +77,7 @@ class TestEnforceRatio:
         # delta below the natural ratio removes positives:
         # keep_pos = round(neg * t / (1 - t)) = round(1000/9) = 111.
         d = flat_dataset(1000, 200)
-        out = enforce_ratio(d, 0.10, seed=2)
+        out = cut(d, 0.10, seed=2)
         assert out.n_negative == 1000
         assert out.n_positive == 111
         assert out.positive_ratio == pytest.approx(111 / 1111, abs=1e-12)
@@ -92,7 +90,7 @@ class TestEnforceRatio:
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 5, [0, 0, 0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.9, 1.0: 0.6, 2.0: 0.2, 3.0: 0.3, 4.0: 0.95})
         conf = np.abs(scorer.scores(feats) - 0.5)
-        out = enforce_ratio(d, 0.25, confidence=conf, seed=0)
+        out = cut(d, 0.25, confidence=conf, seed=0)
         assert set(out.ids) == {"b", "c", "d", "p"}
 
     def test_uncertainty_tie_broken_by_id(self):
@@ -101,19 +99,28 @@ class TestEnforceRatio:
         d = LabeledDataset(ids, [date(2015, 1, 1)] * 3, [0, 0, 1], feats)
         scorer = FakeScorer({0.0: 0.6, 1.0: 0.4, 2.0: 0.9})  # equal confidence 0.1
         conf = np.abs(scorer.scores(feats) - 0.5)
-        out = enforce_ratio(d, 0.5, confidence=conf, seed=0)
+        out = cut(d, 0.5, confidence=conf, seed=0)
         assert set(out.ids) == {"a", "p"}
+
+    def test_tie_broken_by_id_of_the_row_given(self):
+        # Rows 3 ("n3") and 1 ("n1") tie; the id read from d, not the pool position, decides.
+        d = flat_dataset(4, 1)
+        rows = np.array([3, 1, 4])
+        kept = enforce_ratio(d, 0.5, rows=rows, confidence=np.array([0.1, 0.1, 0.3]), seed=0)
+        assert kept.tolist() == [1, 4]
 
     def test_uncertainty_requires_scorer(self):
         # One scorer confidence per row, or none at all.
         with pytest.raises(ValueError, match="scorer"):
             enforce_ratio(flat_dataset(10, 2), 0.5, confidence=np.zeros(3), seed=0)
 
-    @pytest.mark.parametrize("ids", [None, ["a"] * 11, ["a"] * 13], ids=["none", "short", "long"])
-    def test_confidence_requires_one_id_per_row(self, ids):
-        labels = np.array([0] * 10 + [1] * 2)
-        with pytest.raises(ValueError, match="one id per row"):
-            ratio_rows(labels, 0.5, confidence=np.zeros(12), ids=ids)
+    @pytest.mark.parametrize("n", [11, 13, 20], ids=["short", "long", "whole_stream"])
+    def test_confidence_needs_one_value_per_pool_row(self, n):
+        # The pool is 12 of d's 20 rows; d's own length is no longer the pool's.
+        d = flat_dataset(16, 4)
+        rows = np.arange(2, 14)
+        with pytest.raises(ValueError, match="one scorer confidence per row"):
+            enforce_ratio(d, 0.5, rows=rows, confidence=np.zeros(n), seed=0)
 
     def test_upsampling_rejected(self):
         # A dataset with zero positives cannot reach any positive target.
@@ -131,7 +138,7 @@ class TestEnforceRatio:
             n_pos = int(rng.integers(5, 200))
             t = float(rng.uniform(0.05, 0.95))
             d = flat_dataset(n_neg, n_pos)
-            out = enforce_ratio(d, t, seed=trial)
+            out = cut(d, t, seed=trial)
             if d.positive_ratio > t:
                 assert out.n_negative == n_neg
             elif d.positive_ratio < t:
@@ -151,21 +158,49 @@ class TestEnforceRatio:
     def test_ratio_bound_property(self, n_neg, n_pos, target, uncertain, seed):
         d = flat_dataset(n_neg, n_pos)
         conf = np.random.default_rng(seed).uniform(0.0, 0.5, size=len(d)) if uncertain else None
-        out = enforce_ratio(d, target, confidence=conf, seed=seed)
+        out = cut(d, target, confidence=conf, seed=seed)
         assert within_ratio_bound(out, target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 120),
+        st.floats(0.01, 0.99),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_rows_given_equal_cutting_their_subset(self, n_neg, n_pos, target, uncertain, seed):
+        # Cutting rows r of d picks, bit for bit, r's rows that a cut of d.subset(r) keeps.
+        rng = np.random.default_rng(seed)
+        d = flat_dataset(n_neg, n_pos)
+        r = rng.permutation(len(d))[: int(rng.integers(1, len(d) + 1))]
+        # Few distinct confidences, so the id tie-break decides often.
+        conf = rng.integers(0, 4, size=len(r)) / 8 if uncertain else None
+        try:
+            expected = r[enforce_ratio(d.subset(r), target, confidence=conf, seed=seed)]
+        except UpsamplingRequiredError:
+            with pytest.raises(UpsamplingRequiredError):
+                enforce_ratio(d, target, rows=r, confidence=conf, seed=seed)
+            return
+        got = enforce_ratio(d, target, rows=r, confidence=conf, seed=seed)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+        assert within_ratio_bound(d.subset(got), target)
 
     def test_deterministic_given_seed(self):
         d = flat_dataset(150, 30)
         a = enforce_ratio(d, 0.4, seed=9)
         b = enforce_ratio(d, 0.4, seed=9)
-        assert a.ids == b.ids
+        assert a.tolist() == b.tolist()
 
     def test_preserves_input_order(self):
         d = flat_dataset(50, 10)
-        out = enforce_ratio(d, 0.4, seed=3)
-        position = {sid: i for i, sid in enumerate(d.ids)}
-        positions = [position[i] for i in out.ids]
-        assert positions == sorted(positions)
+        kept = enforce_ratio(d, 0.4, seed=3)
+        assert kept.tolist() == sorted(kept.tolist())
+        # Given rows, the kept ones come back in the order they were given.
+        rows = np.arange(len(d))[::-1]
+        kept = enforce_ratio(d, 0.4, rows=rows, seed=3)
+        assert kept.tolist() == sorted(kept.tolist(), reverse=True)
 
 
 class TestTimeAwareSplit:

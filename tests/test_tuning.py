@@ -5,7 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from driftlab.classifiers import LinearSGDClassifier
+from driftlab.classifiers import LinearSGDClassifier, TrainedModel
 from driftlab.cli import _write_tuning
 from driftlab.dataset import Period
 from driftlab.metrics import Confusion, aut, confusion_counts, error_rate, point_estimates, slot_series
@@ -44,6 +44,17 @@ def spec_for(months=12):
     )
 
 
+class ConstantScore:
+    """A classifier whose every model scores every row 0.7."""
+
+    class Model(TrainedModel):
+        def scores(self, features):
+            return np.full(len(features), 0.7)
+
+    def fit(self, train, seed):
+        return self.Model()
+
+
 class TestTuningConfig:
     def test_default_error_ceilings(self):
         assert TuningConfig(target="f1").e_max == 0.10
@@ -55,6 +66,12 @@ class TestTuningConfig:
         assert grid[0] == pytest.approx(0.10)
         assert grid[-1] == pytest.approx(0.50)
         assert len(grid) == 9
+
+    def test_grid_last_point_is_exactly_half(self):
+        # 0.045 + 13 * 0.035 is 0.5000000000000001; the grid still ends on 0.5.
+        grid = TuningConfig(mu=0.035, sigma_hat=0.045).grid()
+        assert len(grid) == 14
+        assert grid[-1] == 0.5
 
     def test_grid_respects_upper_bound(self):
         grid = TuningConfig(mu=0.07, sigma_hat=0.10).grid()
@@ -137,12 +154,13 @@ class TestTunePhi:
             conf[rows_c] = np.abs(scorer.scores(proper.features[rows_c]) - 0.5)
         rows = []
         for j, phi in enumerate(cfg.grid()):
-            down = enforce_ratio(
+            kept = enforce_ratio(
                 proper,
                 phi,
                 confidence=conf,
                 seed=int(derive_rng(7, "tuning", "downsample", j).integers(2**63)),
             )
+            down = proper.subset(kept)
             model = clf.fit(down, int(derive_rng(7, "tuning", "fit", j).integers(2**31)))
             series = slot_series(model, val_slots, starts)
             area = aut(point_estimates(series, "f1"))
@@ -194,17 +212,13 @@ class TestTunePhi:
             assert not result.constraint_met
 
     def test_selection_prefers_smallest_phi_on_tie(self):
-        # Strict improvement means equal areas keep the earlier grid point.
-        train = drifting_train(4)
-        cfg = TuningConfig(target="f1")
-        result = tune_phi(train, LinearSGDClassifier(epochs=25), cfg, spec_for(), seed=2)
-        areas = [g.aut for g in result.grid]
-        first_best = min(
-            (j for j, a in enumerate(areas) if a == max(areas)),
-        )
-        selected = next(j for j, g in enumerate(result.grid) if g.selected)
-        if result.grid[first_best].error <= cfg.e_max:
-            assert selected <= first_best or areas[selected] == max(areas)
+        # Every model scores 0.7, so every grid point has the same area and the
+        # ceiling 1.0 admits them all: strict improvement keeps the first point.
+        cfg = TuningConfig(target="f1", e_max=1.0)
+        result = tune_phi(drifting_train(4), ConstantScore(), cfg, spec_for(), seed=2)
+        assert len({g.aut for g in result.grid}) == 1
+        assert result.phi_star == cfg.sigma_hat
+        assert [g.selected for g in result.grid] == [True] + [False] * (len(result.grid) - 1)
 
     def test_uses_no_test_period_data(self):
         # The API only ever receives the training window; extending the

@@ -1,0 +1,123 @@
+"""Apply each of a fixed list of one-line mutants and check that the tests kill it.
+
+    python3 tools/mutants.py
+
+Each mutant replaces one piece of text, which must occur exactly once, in
+one file of a copy of this checkout made under a temporary directory; the
+checkout itself is never edited. ``python -m pytest -x -q`` then runs in the
+copy, against the copy's ``src``. A mutant is KILLED when pytest reports a
+failing test and SURVIVED when every test passes; any other pytest exit is
+an ERROR. Prints one line per mutant and exits 1 unless every mutant is
+KILLED. Needs only the standard library besides what the tests need.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, old text, new text, the rule the mutant breaks)
+MUTANTS = [
+    ("al-picks-reversed", "src/driftlab/delay.py",
+     "pool = np.concatenate([pool, picks])",
+     "pool = np.concatenate([pool, picks[::-1]])",
+     "active learning adds its picks most uncertain first"),
+    ("incremental-slot-reversed", "src/driftlab/delay.py",
+     "pool = np.concatenate([pool, split.slot_rows[i]])",
+     "pool = np.concatenate([pool, split.slot_rows[i][::-1]])",
+     "incremental adds each slot's rows in slot order"),
+    ("reject-at-threshold", "src/driftlab/delay.py",
+     "kept = probs > threshold",
+     "kept = probs >= threshold",
+     "a probability equal to the threshold is quarantined"),
+    ("al-count-float", "src/driftlab/delay.py",
+     "return math.ceil(Fraction(str(budget)) * slot_size)",
+     "return math.ceil(budget * slot_size)",
+     "the labeling count is the ceiling of the exact decimal product"),
+    ("c1", "src/driftlab/splits.py",
+     "passed = bool(t[i] < t[j])",
+     "passed = bool(t[i] <= t[j])",
+     "C1: training strictly precedes testing"),
+    ("c2-right-edge", "src/driftlab/splits.py",
+     "outside = (t < edges[k]) | (t >= edges[k + 1])",
+     "outside = (t < edges[k]) | (t > edges[k + 1])",
+     "C2: a slot's window is half-open"),
+    ("c3-low-edge", "src/driftlab/splits.py",
+     "ok = lo <= ratio <= hi",
+     "ok = lo < ratio <= hi",
+     "C3: the band's low edge is inside"),
+    ("c3-high-edge", "src/driftlab/splits.py",
+     "ok = lo <= ratio <= hi",
+     "ok = lo <= ratio < hi",
+     "C3: the band's high edge is inside"),
+    ("delay-fit-c1", "src/driftlab/delay.py",
+     'if train.times[i] >= np.datetime64(first_day, "D"):',
+     "if False:",
+     "C1 holds at every delay fit"),
+    ("subset-negative", "src/driftlab/dataset.py",
+     "if idx.min() < 0 or idx.max() >= len(ids):",
+     "if idx.max() >= len(ids):",
+     "subset rejects a negative row"),
+    ("grid-end", "src/driftlab/tuning.py",
+     "if phi > 0.5 + 1e-9:",
+     "if phi > 0.5:",
+     "the phi grid ends on 0.5 despite float round-off"),
+    ("tie", "src/driftlab/tuning.py",
+     "if area > evaluations[best_j][1] and err <= cfg.e_max:",
+     "if area >= evaluations[best_j][1] and err <= cfg.e_max:",
+     "an equal validation area keeps the smaller phi"),
+]
+
+# Left out of the copy: version control, caches and benchmark work files.
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_work"
+)
+
+
+def mutate(path: Path, old: str, new: str) -> None:
+    text = path.read_text(encoding="utf-8")
+    count = text.count(old)
+    if count != 1:
+        raise ValueError(f"{path.name}: {old!r} occurs {count} times, not once")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def run_mutant(work: Path, file: str, old: str, new: str) -> str:
+    """KILLED, SURVIVED or ERROR for one mutant, applied in a fresh copy inside ``work``."""
+    copy = work / "repo"
+    shutil.copytree(ROOT, copy, ignore=IGNORED)
+    try:
+        mutate(copy / file, old, new)
+        path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        verdicts = {0: "SURVIVED", 1: "KILLED"}
+        return verdicts.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})")
+    finally:
+        shutil.rmtree(copy)
+
+
+def main() -> int:
+    verdicts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, file, old, new, rule in MUTANTS:
+            try:
+                verdict = run_mutant(Path(tmp), file, old, new)
+            except ValueError as exc:
+                verdict = f"ERROR ({exc})"
+            verdicts.append(verdict)
+            print(f"{verdict:8}  {name}: {rule}", flush=True)
+    return 0 if all(v == "KILLED" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
