@@ -133,6 +133,30 @@ class LinearModel(TrainedModel):
         return _sigmoid(np.asarray(features, dtype=float) @ self.w + self.b)
 
 
+def _sgd_steps(w: np.ndarray, b: float, Xp: np.ndarray, yp: np.ndarray,
+               spans: Sequence[tuple[int, int]], learning_rate: float, l2: float) -> float:
+    """One model's updates on the batches ``Xp[s:e]``, ``yp[s:e]`` of ``spans``, in order.
+
+    ``w`` is updated in place and the final bias returned. Each product is
+    ``ndarray.dot``, which makes the BLAS call of ``@`` with less dispatch.
+    """
+    for s, e in spans:
+        Xb = Xp[s:e]
+        m = e - s
+        z = Xb.dot(w)
+        z += b
+        resid = _sigmoid(z)
+        resid -= yp[s:e]
+        grad = Xb.T.dot(resid)
+        grad /= m
+        grad += l2 * w
+        grad *= learning_rate
+        w -= grad
+        # np.mean is this same reduction followed by the same division.
+        b = b - learning_rate * (float(np.add.reduce(resid)) / m)
+    return b
+
+
 @dataclass(frozen=True)
 class LinearSGDClassifier:
     """Logistic regression fit by seeded mini-batch SGD.
@@ -147,8 +171,10 @@ class LinearSGDClassifier:
     step from ``np.mean(resid)``. :meth:`_sgd` changes only where the
     operands live (gathered per epoch or per step, stacked across models)
     and how many numpy calls compute the same values; every update keeps
-    its operations and their order. Tests compare it with that loop by
-    ``==``, and :meth:`fit_many` with :meth:`fit` on each subset.
+    its operations and their order, whether one model takes it in
+    :func:`_sgd_steps` or several take it together in :meth:`_step_many`.
+    Tests compare it with that loop by ``==``, and :meth:`fit_many` with
+    :meth:`fit` on each subset.
     """
 
     learning_rate: float = field(default=0.1, metadata=rule(float, gt=0))
@@ -195,66 +221,66 @@ class LinearSGDClassifier:
     ) -> list[tuple[np.ndarray, float]]:
         """``(w, b)`` of one model per (rows, seed), trained on ``X[rows[k]]``.
 
-        Models are sorted by size, largest first, so at step ``s`` of an
-        epoch the ones with a full batch left form a prefix. A prefix of two
-        or more advances in one stacked step; every other batch (the only
-        model's, or a model's last, partial one) is stepped alone. A lone
-        model gathers its epoch's rows once and steps views of them.
+        One model gathers each epoch's rows once, in shuffled order, and
+        :func:`_sgd_steps` runs the epoch's batches as views of them.
+        Several models are sorted by size, largest first, so at each step
+        of an epoch their batch lengths never grow down the order, and
+        models whose batches have the same length sit next to each other.
+        Each such run of two or more (the full batches, and the equal tails
+        of equal-size models) advances in one :meth:`_step_many`; a batch
+        whose length no other model's shares is gathered and stepped alone.
         """
         if not rows:
             return []
         y = labels.astype(float)
-        bs = self.batch_size
+        bs, lr, l2 = self.batch_size, self.learning_rate, self.l2
+        if len(rows) == 1:
+            (r,), (seed,) = rows, seeds
+            rng = derive_rng(seed, "linear_sgd")
+            spans = [(s, min(s + bs, len(r))) for s in range(0, len(r), bs)]
+            w, b = np.zeros(X.shape[1]), 0.0
+            for _ in range(self.epochs):
+                order = r.take(rng.permutation(len(r)))
+                b = _sgd_steps(w, b, X.take(order, axis=0, mode="clip"),
+                               y.take(order, mode="clip"), spans, lr, l2)
+            return [(w, b)]
+
         by_size = sorted(range(len(rows)), key=lambda k: len(rows[k]), reverse=True)
         sizes = [len(rows[k]) for k in by_size]
+        # Per step: its start and its runs (first, stop, batch length) of models.
+        plan = []
+        for s in range(0, sizes[0], bs):
+            lengths = [min(bs, n - s) for n in sizes if n > s]
+            runs, i = [], 0
+            while i < len(lengths):
+                e = i + 1
+                while e < len(lengths) and lengths[e] == lengths[i]:
+                    e += 1
+                runs.append((i, e, lengths[i]))
+                i = e
+            plan.append((s, runs))
         rngs = [derive_rng(seeds[k], "linear_sgd") for k in by_size]
         W = np.zeros((len(rows), X.shape[1]))
         B = np.zeros(len(rows))
         G = np.zeros((len(rows), sizes[0]), dtype=np.intp)
-        lone = len(rows) == 1
         for _ in range(self.epochs):
             for j, k in enumerate(by_size):
                 np.take(rows[k], rngs[j].permutation(sizes[j]), out=G[j, : sizes[j]])
-            if lone:
-                Xp, yp = X.take(G[0], axis=0, mode="clip"), y.take(G[0], mode="clip")
-            full = len(rows)
-            for s in range(0, sizes[0], bs):
-                while full and sizes[full - 1] < s + bs:
-                    full -= 1
-                if full > 1:
-                    idx = G[:full, s : s + bs]
-                    self._step_many(W[:full], B[:full], X.take(idx, axis=0, mode="clip"),
-                                    y.take(idx, mode="clip"))
-                for j in range(full if full > 1 else 0, len(rows)):
-                    end = min(s + bs, sizes[j])
-                    if end <= s:
-                        break
-                    if lone:
-                        Xb, yb = Xp[s:end], yp[s:end]
+            for s, runs in plan:
+                for i, e, m in runs:
+                    if e - i > 1:
+                        idx = G[i:e, s : s + m]
+                        self._step_many(W[i:e], B[i:e], X.take(idx, axis=0, mode="clip"),
+                                        y.take(idx, mode="clip"))
                     else:
-                        idx = G[j, s:end]
-                        Xb, yb = X.take(idx, axis=0, mode="clip"), y.take(idx, mode="clip")
-                    B[j] = self._step(W[j], float(B[j]), Xb, yb)
+                        idx = G[i, s : s + m]
+                        B[i] = _sgd_steps(W[i], float(B[i]), X.take(idx, axis=0, mode="clip"),
+                                          y.take(idx, mode="clip"), ((0, m),), lr, l2)
         # argsort of the size order is its inverse: model k's position in W.
         return [(W[j], float(B[j])) for j in np.argsort(by_size)]
 
-    def _step(self, w: np.ndarray, b: float, Xb: np.ndarray, yb: np.ndarray) -> float:
-        """One model's update on one batch: ``w`` in place, the new bias returned."""
-        m = len(Xb)
-        z = Xb @ w
-        z += b
-        resid = _sigmoid(z)
-        resid -= yb
-        grad = Xb.T @ resid
-        grad /= m
-        grad += self.l2 * w
-        grad *= self.learning_rate
-        w -= grad
-        # np.mean is this same reduction followed by the same division.
-        return b - self.learning_rate * (float(np.add.reduce(resid)) / m)
-
     def _step_many(self, W: np.ndarray, B: np.ndarray, Xb: np.ndarray, yb: np.ndarray) -> None:
-        """:meth:`_step` for each model ``i`` on batch ``Xb[i]``, with ``W`` and ``B`` in place.
+        """:func:`_sgd_steps` for each model ``i`` on batch ``Xb[i]``, with ``W`` and ``B`` in place.
 
         Each stacked product runs the BLAS call of the one-model step on
         the same operand layout, and the elementwise calls apply the same

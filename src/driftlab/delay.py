@@ -38,7 +38,13 @@ from .metrics import (
     point_estimates,
 )
 from .rng import derive_seed
-from .splits import TemporalSplit, enforce_ratio, least_confident_first
+from .splits import (
+    ConstraintViolationError,
+    TemporalSplit,
+    enforce_ratio,
+    least_confident_first,
+    require_c1,
+)
 from .tuning import TuningConfig, proper_validation_cut, tune_phi
 
 __all__ = [
@@ -55,10 +61,6 @@ POLICY_KINDS = ("none", "incremental", "active_learning", "rejection")
 
 class NoMisclassificationError(ValueError):
     """Validation produced zero mistakes; rejection threshold undefined."""
-
-
-class ConstraintViolationError(ValueError):
-    """A split that must satisfy C1/C2/C3 fails one of them."""
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,7 @@ def _al_count(budget: float, slot_size: int) -> int:
 def _fit(clf: Classifier, train: LabeledDataset, first_day: date, seed: int, *key) -> TrainedModel:
     """``clf`` fit on ``train`` with ``derive_seed(seed, "delay", *key)``, once C1 holds:
     every training sample must predate ``first_day``, the first day the model scores."""
-    i = int(np.argmax(train.times))
-    if train.times[i] >= np.datetime64(first_day, "D"):
-        raise ConstraintViolationError(
-            f"C1: training sample {train.ids[i]!r} dated {train.times[i]} does not precede "
-            f"{first_day}, the first day its model scores"
-        )
+    require_c1(train, first_day)
     return clf.fit(train, derive_seed(seed, "delay", *key))
 
 

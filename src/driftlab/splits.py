@@ -44,6 +44,7 @@ __all__ = [
     "ConstraintVerdict",
     "InsufficientSpanError",
     "EmptySlotError",
+    "ConstraintViolationError",
     "UpsamplingRequiredError",
     "Side",
     "Pools",
@@ -57,6 +58,7 @@ __all__ = [
     "check_c1",
     "check_c2",
     "check_c3",
+    "require_c1",
     "run_all_checks",
     "split_to_manifest",
     "split_from_manifest",
@@ -69,6 +71,10 @@ class InsufficientSpanError(ValueError):
 
 class UpsamplingRequiredError(ValueError):
     """Requested ratio is unreachable by downsampling alone."""
+
+
+class ConstraintViolationError(ValueError):
+    """A split that must satisfy C1/C2/C3 fails one of them."""
 
 
 @dataclass(frozen=True)
@@ -454,6 +460,18 @@ def check_c3(split: TemporalSplit) -> ConstraintVerdict:
 
 def run_all_checks(split: TemporalSplit) -> dict[str, ConstraintVerdict]:
     return {"C1": check_c1(split), "C2": check_c2(split), "C3": check_c3(split)}
+
+
+def require_c1(train: LabeledDataset, first_day: date) -> None:
+    """C1 for one fit: every sample of ``train`` predates ``first_day``, the
+    first day its model scores; else :class:`ConstraintViolationError` names
+    the latest sample."""
+    i = int(np.argmax(train.times))
+    if train.times[i] >= np.datetime64(first_day, "D"):
+        raise ConstraintViolationError(
+            f"C1: training sample {train.ids[i]!r} dated {train.times[i]} does not precede "
+            f"{first_day}, the first day its model scores"
+        )
 
 
 # ---------------------------------------------------------------------------

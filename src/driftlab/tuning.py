@@ -31,7 +31,7 @@ from .classifiers import Classifier, fit_models, score_rows
 from .dataset import EmptySlotError, LabeledDataset, check_fields, rule, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
-from .splits import SplitSpec, enforce_ratio, two_class_windows
+from .splits import SplitSpec, enforce_ratio, require_c1, two_class_windows
 
 __all__ = [
     "TuningConfig",
@@ -155,9 +155,13 @@ def tune_phi(
     ``constraint_met`` records whether the returned point itself satisfies
     the ceiling. Every grid point's training set is a row selection of the
     proper-training pool, and their models are fit in one
-    :func:`~driftlab.classifiers.fit_models` call.
+    :func:`~driftlab.classifiers.fit_models` call. Before any fit,
+    :func:`~driftlab.splits.require_c1` checks that proper training
+    predates the validation tail.
     """
     proper, val_slots, starts = proper_validation_cut(train, spec, cfg, seed)
+    # The scorer and every grid model train on rows of proper.
+    require_c1(proper, starts[0])
     scorer = clf.fit(proper, derive_seed(seed, "tuning", "scorer"))
     # Each class is scored once, as the same row block enforce_ratio would
     # cut from it, and the confidences serve every grid point.

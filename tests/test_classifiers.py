@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import classifiers
 from driftlab.classifiers import (
     _KNN_BLOCK_DISTANCES,
     KNNClassifier,
@@ -13,6 +14,7 @@ from driftlab.classifiers import (
     ModelOutputError,
     SingleClassTrainingError,
     TrainedModel,
+    _sgd_steps,
     _sigmoid,
     fit_models,
     predict_dataset,
@@ -57,7 +59,7 @@ class TestLinearSGD:
             LinearSGDClassifier().fit(d, seed=0)
 
     def test_gradient_matches_finite_differences(self):
-        # One _step moves (w, b) by -learning_rate times the gradient of the
+        # One _sgd_steps span moves (w, b) by -learning_rate times the gradient of the
         # mean logistic loss + (l2/2)||w||^2, checked by central differences.
         def loss(w, b, X, y, l2):
             z = X @ w + b
@@ -72,7 +74,7 @@ class TestLinearSGD:
             b = float(rng.normal())
             clf = LinearSGDClassifier(learning_rate=0.1, l2=0.01)
             w_new = w.copy()
-            b_new = clf._step(w_new, b, X, y)
+            b_new = _sgd_steps(w_new, b, X, y, [(0, n)], clf.learning_rate, clf.l2)
             dw, db = (w - w_new) / clf.learning_rate, (b - b_new) / clf.learning_rate
             eps = 1e-6
             for j in range(d):
@@ -243,6 +245,24 @@ def lockstep_cases(draw):
     return tiny_dataset(X, y), rows, seeds, clf
 
 
+def record_steps(monkeypatch):
+    """Every SGD step taken from now on, as (models stepped together, batch length)."""
+    steps = []
+    one, many = classifiers._sgd_steps, LinearSGDClassifier._step_many
+
+    def sgd_steps(w, b, Xp, yp, spans, *rest):
+        steps.extend((1, e - s) for s, e in spans)
+        return one(w, b, Xp, yp, spans, *rest)
+
+    def step_many(self, W, B, Xb, yb):
+        steps.append((len(W), Xb.shape[1]))
+        many(self, W, B, Xb, yb)
+
+    monkeypatch.setattr(classifiers, "_sgd_steps", sgd_steps)
+    monkeypatch.setattr(LinearSGDClassifier, "_step_many", step_many)
+    return steps
+
+
 class TestFitMany:
     @settings(max_examples=80, deadline=None)
     @given(lockstep_cases())
@@ -271,10 +291,49 @@ class TestFitMany:
         expected = []
         for i in range(models):
             w = W[i].copy()
-            b = clf._step(w, float(B[i]), Xb[i], yb[i])
+            b = _sgd_steps(w, float(B[i]), Xb[i], yb[i], [(0, batch)], clf.learning_rate, clf.l2)
             expected.append((w.tolist(), b))
         clf._step_many(W, B, Xb, yb)
         assert [(w.tolist(), b) for w, b in zip(W, B.tolist())] == expected
+
+    @pytest.mark.parametrize(
+        "shared, expected",
+        [
+            # Three sets of 10 share their one, partial batch; the set of 23 steps alone.
+            (10, {(1, 16), (3, 10), (1, 7)}),
+            # Sets of 16 fill exactly one batch, stacked with the 23-row set's first.
+            (16, {(4, 16), (1, 7)}),
+            # Sets of 37 end on equal tails of 5; the 23-row set's tail of 7 is its own.
+            (37, {(4, 16), (3, 16), (1, 7), (3, 5)}),
+        ],
+        ids=["below", "at", "off_multiple"],
+    )
+    def test_equal_batch_lengths_stack(self, monkeypatch, shared, expected):
+        base = blob_dataset(60, 60, seed=6)
+        rng = np.random.default_rng(shared)
+        # Three sets of one size and one set of 23, each with both classes.
+        rows = [np.r_[rng.choice(60, size=n // 2, replace=False),
+                      60 + rng.choice(60, size=n - n // 2, replace=False)]
+                for n in (shared, 23, shared, shared)]
+        seeds = [4, 5, 6, 7]
+        clf = LinearSGDClassifier(epochs=3, batch_size=16)
+        steps = record_steps(monkeypatch)
+        many = clf.fit_many(base, rows, seeds)
+        assert set(steps) == expected
+        for model, r, seed in zip(many, rows, seeds):
+            one = clf.fit(base.subset(r), seed)
+            assert model.w.tolist() == one.w.tolist()
+            assert model.b == one.b
+
+    def test_equal_size_sets_take_no_one_model_step(self, monkeypatch):
+        # Three 70-row sets at batch_size 16: four full batches and a tail of 6
+        # per epoch, every one of them stepped for all three models at once.
+        base = blob_dataset(120, 120, seed=7)
+        rows = [np.arange(k, 210, 3) for k in range(3)]
+        clf = LinearSGDClassifier(epochs=3, batch_size=16)
+        steps = record_steps(monkeypatch)
+        clf.fit_many(base, rows, [1, 2, 3])
+        assert steps == ([(3, 16)] * 4 + [(3, 6)]) * 3
 
     def test_single_class_row_set_rejected_like_fit(self):
         base = tiny_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1])

@@ -82,6 +82,15 @@ class TestEnforceRatio:
         assert out.n_positive == 111
         assert out.positive_ratio == pytest.approx(111 / 1111, abs=1e-12)
 
+    def test_half_keep_count_rounds_to_even(self):
+        # 10 negatives at target 0.2 keep 10 * 0.2 / 0.8 = 2.5 positives exactly:
+        # half to even keeps 2, not 3.
+        d = flat_dataset(10, 5)
+        assert 10 * 0.2 / (1.0 - 0.2) == 2.5
+        for seed in range(3):
+            out = cut(d, 0.2, seed=seed)
+            assert (out.n_negative, out.n_positive) == (10, 2)
+
     def test_uncertainty_mode_keeps_least_confident(self):
         # Four negatives with confidences {a: .4, b: .1, c: .3, d: .2} plus one
         # positive; target 0.25 keeps the 3 lowest-confidence negatives.
@@ -556,6 +565,19 @@ class TestCheckC2:
         verdict = check_c2(split)
         assert not verdict.passed
         assert verdict.witnesses == ({"slot": 0, "id": "edge", "timestamp": "2014-04-01"},)
+
+    def test_samples_on_their_slots_first_day_pass(self):
+        # Each slot's left edge is inside it: [2014-03-01, 2014-04-01), [2014-04-01, ...).
+        split = two_slot_split(
+            [("tr", date(2014, 1, 10), 0), ("tr2", date(2014, 2, 1), 1)],
+            [
+                [("a", date(2014, 3, 1), 0), ("b", date(2014, 3, 9), 1)],
+                [("c", date(2014, 4, 1), 0), ("d", date(2014, 4, 1), 1)],
+            ],
+        )
+        verdict = check_c2(split)
+        assert verdict.passed
+        assert verdict.witnesses == ()
 
     def test_disjoint_class_windows_warn_but_pass(self):
         # Positives from week 1, negatives from week 4 of the same slot.

@@ -10,7 +10,8 @@ from driftlab.cli import _write_tuning
 from driftlab.dataset import Period
 from driftlab.metrics import Confusion, aut, confusion_counts, error_rate, point_estimates, slot_series
 from driftlab.rng import derive_rng
-from driftlab.splits import SplitSpec, enforce_ratio
+from driftlab import tuning
+from driftlab.splits import ConstraintViolationError, SplitSpec, enforce_ratio
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import (
     TuningConfig,
@@ -219,6 +220,21 @@ class TestTunePhi:
         assert len({g.aut for g in result.grid}) == 1
         assert result.phi_star == cfg.sigma_hat
         assert [g.selected for g in result.grid] == [True] + [False] * (len(result.grid) - 1)
+
+    def test_fits_check_c1_against_the_validation_start(self, monkeypatch):
+        # A proper-training pool that reaches into the validation tail is refused
+        # before any fit, naming its latest sample.
+        train = drifting_train(6)
+        cut_proper = tuning.proper_validation_cut
+
+        def leaky_cut(train, spec, cfg, seed):
+            _, slots, starts = cut_proper(train, spec, cfg, seed)
+            return train, slots, starts
+
+        monkeypatch.setattr(tuning, "proper_validation_cut", leaky_cut)
+        latest = train.ids[int(np.argmax(train.times))]
+        with pytest.raises(ConstraintViolationError, match=f"C1: training sample {latest!r}"):
+            tune_phi(train, LinearSGDClassifier(epochs=2), TuningConfig(), spec_for(), seed=0)
 
     def test_uses_no_test_period_data(self):
         # The API only ever receives the training window; extending the

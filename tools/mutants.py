@@ -48,6 +48,14 @@ MUTANTS = [
      "outside = (t < edges[k]) | (t >= edges[k + 1])",
      "outside = (t < edges[k]) | (t > edges[k + 1])",
      "C2: a slot's window is half-open"),
+    ("c2-left-edge", "src/driftlab/splits.py",
+     "outside = (t < edges[k]) | (t >= edges[k + 1])",
+     "outside = (t <= edges[k]) | (t >= edges[k + 1])",
+     "C2: a slot's first day is inside its window"),
+    ("round-half-even", "src/driftlab/splits.py",
+     "return int(np.rint(x))",
+     "return int(x + 0.5)",
+     "enforce_ratio rounds an exact half keep count to even"),
     ("c3-low-edge", "src/driftlab/splits.py",
      "ok = lo <= ratio <= hi",
      "ok = lo < ratio <= hi",
@@ -57,9 +65,21 @@ MUTANTS = [
      "ok = lo <= ratio < hi",
      "C3: the band's high edge is inside"),
     ("delay-fit-c1", "src/driftlab/delay.py",
-     'if train.times[i] >= np.datetime64(first_day, "D"):',
-     "if False:",
+     "require_c1(train, first_day)",
+     "pass",
      "C1 holds at every delay fit"),
+    ("tune-fit-c1", "src/driftlab/tuning.py",
+     "require_c1(proper, starts[0])",
+     "pass",
+     "C1 holds at the tuning scorer and grid fits"),
+    ("sgd-unequal-lengths-stack", "src/driftlab/classifiers.py",
+     "while e < len(lengths) and lengths[e] == lengths[i]:",
+     "while e < len(lengths) and lengths[e] <= lengths[i]:",
+     "lockstep SGD stacks only batches of equal length"),
+    ("sgd-one-permutation", "src/driftlab/classifiers.py",
+     "order = r.take(rng.permutation(len(r)))",
+     'order = r.take(derive_rng(seed, "linear_sgd").permutation(len(r)))',
+     "one-model SGD reshuffles its rows every epoch"),
     ("subset-negative", "src/driftlab/dataset.py",
      "if idx.min() < 0 or idx.max() >= len(ids):",
      "if idx.max() >= len(ids):",
