@@ -17,7 +17,7 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -591,8 +591,7 @@ def write_jsonl(d: LabeledDataset, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     """Per-slot class counts plus the overall positive ratio."""
 
     slot_starts: tuple[date, ...]

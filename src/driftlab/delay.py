@@ -22,10 +22,9 @@ which every fit checks. The ground truth plays the human analyst.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from datetime import date
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +64,8 @@ class NoMisclassificationError(ValueError):
 
 @dataclass(frozen=True)
 class DelayPolicy:
+    """How a deployed model is kept current across the test slots."""
+
     kind: str = field(default="none", metadata=rule(POLICY_KINDS))
     al_budget: float | None = field(default=None, metadata=rule(float, gt=0, le=1, optional=True))
     retune_each_step: bool = field(default=False, metadata=rule(bool))
@@ -89,15 +90,14 @@ class DelayPolicy:
         return self.kind
 
 
-@dataclass(frozen=True)
-class DelayRunResult:
+class DelayRunResult(NamedTuple):
     policy: DelayPolicy
     series: SlotSeries
     per_slot_labeled: tuple[int, ...]
     per_slot_rejected: tuple[int, ...]
     tuned_phis: tuple[float, ...] = ()
     threshold: float | None = None
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
     @property
     def labeled(self) -> int:
@@ -140,9 +140,13 @@ def _mistake_q3(wrong: np.ndarray) -> float:
 
 
 def _al_count(budget: float, slot_size: int) -> int:
-    # ceil of the exact decimal product; float multiplication would turn
-    # 0.07 * 100 into 7.000000000000001 and over-charge the budget.
-    return math.ceil(Fraction(str(budget)) * slot_size)
+    # ceil of the exact decimal product, in integers: repr(budget) reads
+    # digits * 10**-scale (scale >= 0 for a budget <= 1). Float multiplication
+    # would turn 0.07 * 100 into 7.000000000000001 and over-charge the budget.
+    mantissa, _, exponent = repr(float(budget)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    scale = len(frac) - int(exponent or 0)
+    return -(-int(whole + frac) * slot_size // 10**scale)
 
 
 def _fit(clf: Classifier, train: LabeledDataset, first_day: date, seed: int, *key) -> TrainedModel:

@@ -15,9 +15,9 @@ class before reading zeros as model failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,16 +53,15 @@ def _check_metric(metric: str) -> str:
     return m
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
+class Confusion(namedtuple("Confusion", "tp fp tn fn")):
+    """The four cells of a binary confusion matrix, each non-negative."""
 
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+    __slots__ = ()
+
+    def __new__(cls, tp: int = 0, fp: int = 0, tn: int = 0, fn: int = 0) -> Confusion:
+        if min(tp, fp, tn, fn) < 0:
             raise ValueError("confusion counts must be non-negative")
+        return super().__new__(cls, tp, fp, tn, fn)
 
     def __add__(self, other: "Confusion") -> "Confusion":
         return Confusion(
@@ -107,20 +106,21 @@ def error_rate(c: Confusion, target: str) -> float:
     return c.fn / (c.tp + c.fn) if c.tp + c.fn else 0.0
 
 
-@dataclass(frozen=True)
-class SlotSeries:
+class SlotSeries(namedtuple("SlotSeries", "confusions slot_starts")):
     """Per-slot confusions in time order; needs >= 2 slots for any area."""
 
-    confusions: tuple[Confusion, ...]
-    slot_starts: tuple[date, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.confusions) != len(self.slot_starts):
+    def __new__(
+        cls, confusions: tuple[Confusion, ...], slot_starts: tuple[date, ...]
+    ) -> SlotSeries:
+        if len(confusions) != len(slot_starts):
             raise ValueError("confusions and slot_starts lengths disagree")
-        if len(self.confusions) < 2:
+        if len(confusions) < 2:
             raise ValueError("a slot series needs at least 2 slots")
-        if any(a >= b for a, b in zip(self.slot_starts, self.slot_starts[1:])):
+        if any(a >= b for a, b in zip(slot_starts, slot_starts[1:])):
             raise ValueError("slot_starts must be strictly increasing")
+        return super().__new__(cls, confusions, slot_starts)
 
     @property
     def n_slots(self) -> int:
@@ -133,18 +133,20 @@ class SlotSeries:
         return total
 
 
-@dataclass(frozen=True)
-class MetricCurve:
-    metric: str
-    mode: Literal["point", "cumulative"]
-    values: tuple[float, ...]
+class MetricCurve(namedtuple("MetricCurve", "metric mode values")):
+    """One metric's per-slot values, each in [0, 1]; ``metric`` is stored lower-case."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "metric", _check_metric(self.metric))
-        if self.mode not in ("point", "cumulative"):
-            raise ValueError(f"mode must be point|cumulative, got {self.mode!r}")
-        if any(not (0.0 <= v <= 1.0) for v in self.values):
+    __slots__ = ()
+
+    def __new__(
+        cls, metric: str, mode: Literal["point", "cumulative"], values: tuple[float, ...]
+    ) -> MetricCurve:
+        metric = _check_metric(metric)
+        if mode not in ("point", "cumulative"):
+            raise ValueError(f"mode must be point|cumulative, got {mode!r}")
+        if any(not (0.0 <= v <= 1.0) for v in values):
             raise ValueError("curve values must lie in [0, 1]")
+        return super().__new__(cls, metric, mode, values)
 
     @property
     def area_label(self) -> str:
@@ -201,11 +203,10 @@ class StratificationError(ValueError):
     """A class has fewer samples than there are folds."""
 
 
-@dataclass(frozen=True)
-class KFoldResult:
+class KFoldResult(NamedTuple):
     mean_f1: float
     std_f1: float
-    fold_f1: tuple[float, ...] = field(repr=False)
+    fold_f1: tuple[float, ...]
 
 
 def stratified_folds(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,12 +152,12 @@ class RatioSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class TemporalSplit:
     """A training side and one side per test slot, as rows of one stream ``d``.
 
     ``train`` and ``test_slots`` are the sides cut from ``d`` once, as the split
     is built, so bad rows fail here; ``verdicts`` is the C1-C3 audit, run once.
+    A split is immutable and compares by identity.
     """
 
     d: LabeledDataset
@@ -165,16 +165,21 @@ class TemporalSplit:
     slot_rows: tuple[np.ndarray, ...]
     spec: SplitSpec
     ratios: RatioSpec
-    train: LabeledDataset = field(init=False, repr=False)
-    test_slots: tuple[LabeledDataset, ...] = field(init=False, repr=False)
+    train: LabeledDataset
+    test_slots: tuple[LabeledDataset, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.slot_rows) != self.spec.n_test_slots:
-            raise ValueError(
-                f"expected {self.spec.n_test_slots} test slots, got {len(self.slot_rows)}"
-            )
-        object.__setattr__(self, "train", self.d.subset(self.train_rows))
-        object.__setattr__(self, "test_slots", tuple(map(self.d.subset, self.slot_rows)))
+    def __init__(self, d, train_rows, slot_rows, spec, ratios) -> None:
+        if len(slot_rows) != spec.n_test_slots:
+            raise ValueError(f"expected {spec.n_test_slots} test slots, got {len(slot_rows)}")
+        vars(self).update(
+            d=d, train_rows=train_rows, slot_rows=slot_rows, spec=spec, ratios=ratios,
+            train=d.subset(train_rows), test_slots=tuple(map(d.subset, slot_rows)),
+        )
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def verdicts(self) -> dict[str, ConstraintVerdict]:
@@ -373,8 +378,7 @@ def two_class_windows(d: LabeledDataset, edges: Sequence[date], what: str) -> li
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
+class ConstraintVerdict(NamedTuple):
     constraint: str
     passed: bool
     witnesses: tuple[dict, ...] = ()

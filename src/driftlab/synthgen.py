@@ -31,6 +31,8 @@ __all__ = ["DriftSpec", "generate"]
 
 @dataclass(frozen=True)
 class DriftSpec:
+    """The synthetic stream's size, class mix, drift and start date."""
+
     # Each integer's cap bounds a stream's size; the real bounds keep every
     # feature, and the drift angle drift_velocity * month / (3 * spread), finite.
     months: int = field(metadata=rule(int, gt=0, le=1_200))

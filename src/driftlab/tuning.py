@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class ValidationWindowError(ValueError):
 
 @dataclass(frozen=True)
 class TuningConfig:
+    """The phi grid's step, the tuned metric and its error ceiling."""
+
     mu: float = field(default=0.05, metadata=rule(float, gt=0, le=0.5))
     target: str = field(default="f1", metadata=rule(tuple(DEFAULT_E_MAX)))
     # An error rate's ceiling; None takes the target's DEFAULT_E_MAX.
@@ -76,16 +79,14 @@ class TuningConfig:
         return tuple(phis)
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     phi: float
     aut: float
     error: float
     selected: bool
 
 
-@dataclass(frozen=True)
-class TuningResult:
+class TuningResult(NamedTuple):
     phi_star: float
     best_aut: float
     achieved_error: float
@@ -100,7 +101,7 @@ class TuningResult:
             "achieved_error": self.achieved_error,
             "constraint_met": self.constraint_met,
             "target": self.target,
-            "grid": [vars(g) for g in self.grid],
+            "grid": [g._asdict() for g in self.grid],
         }
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier, score_dataset
 from driftlab.cli import _write_delay_slots, _write_delay_summary
@@ -319,6 +321,15 @@ class TestRunPolicyActiveLearning:
         # As floats, 0.07 * 100 is 7.000000000000001, whose ceiling is 8.
         assert _al_count(0.07, 100) == 7
         assert _al_count(0.071, 100) == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.integers(1, 100_000))
+    @example(1e-05, 100_000)
+    @example(1e-05, 99_999)
+    @example(0.07, 100)
+    @example(1.0, 100_000)
+    def test_count_is_the_ceiling_of_the_fraction(self, budget, slot_size):
+        assert _al_count(budget, slot_size) == math.ceil(Fraction(repr(budget)) * slot_size)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="al_budget"):

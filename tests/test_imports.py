@@ -53,6 +53,14 @@ def test_a_serial_run_skips_the_pool_and_masked_arrays(tmp_path):
     assert loaded_after(run, tmp_path, POOL + ("numpy.ma",)) == []
 
 
+def test_neither_the_cli_nor_an_active_learning_run_loads_fractions(tmp_path):
+    # The labeling count is an exact decimal ceiling taken in integers.
+    watched = ("fractions", "decimal")
+    assert loaded_after("import driftlab.cli", tmp_path, watched) == []
+    run = run_config(tmp_path, delay={"kind": "active_learning", "al_budget": [0.07, 1e-05]})
+    assert loaded_after(run, tmp_path, watched) == []
+
+
 def test_a_forked_bias_grid_run_skips_the_pool(tmp_path):
     run = run_config(tmp_path, scenario="bias_grid", seeds=[0, 1], workers=2)
     assert loaded_after(run, tmp_path, POOL) == []

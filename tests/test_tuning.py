@@ -99,6 +99,14 @@ class TestProperValidationCut:
         for slot in val_slots:
             assert abs(slot.positive_ratio - 0.10) <= 1.0 / len(slot) + 1e-12
 
+    def test_tail_length_is_rounded_down(self):
+        # 0.3 of 12 slots is 3.6 -> 3 validation months, Oct-Dec.
+        cfg = TuningConfig(validation_fraction=0.3)
+        proper, val_slots, starts = proper_validation_cut(drifting_train(0), spec_for(), cfg, 0)
+        assert len(val_slots) == 3
+        assert starts[0] == date(2014, 10, 1)
+        assert max(proper.timestamps) < date(2014, 10, 1)
+
     def test_too_short_window(self):
         train = drifting_train(1, months=3)
         with pytest.raises(ValidationWindowError):

@@ -5,8 +5,11 @@
 Each mutant replaces one piece of text, which must occur exactly once, in
 one file of a copy of this checkout made under a temporary directory; the
 checkout itself is never edited. ``python -m pytest -x -q`` then runs in the
-copy, against the copy's ``src``. A mutant is KILLED when pytest reports a
-failing test and SURVIVED when every test passes; any other pytest exit is
+copy, against the copy's ``src``: first on the mutated module's own test
+file, ``tests/test_<stem>.py`` when there is one, and on the whole suite only
+if that file passes, so a mutant costs a whole suite run only when its own
+tests miss it. A mutant is KILLED when pytest reports a failing test and
+SURVIVED when every test of the whole suite passes; any other pytest exit is
 an ERROR. Prints one line per mutant and exits 1 unless every mutant is
 KILLED. Needs only the standard library besides what the tests need.
 """
@@ -37,9 +40,13 @@ MUTANTS = [
      "kept = probs >= threshold",
      "a probability equal to the threshold is quarantined"),
     ("al-count-float", "src/driftlab/delay.py",
-     "return math.ceil(Fraction(str(budget)) * slot_size)",
-     "return math.ceil(budget * slot_size)",
+     "return -(-int(whole + frac) * slot_size // 10**scale)",
+     "return -int(-budget * slot_size // 1)",
      "the labeling count is the ceiling of the exact decimal product"),
+    ("incremental-last-slot-unlabeled", "src/driftlab/delay.py",
+     "per_slot_labeled[i] = len(slot)",
+     "per_slot_labeled[i] = len(slot) if i < n - 1 else 0",
+     "incremental labels every test slot, the last one included"),
     ("c1", "src/driftlab/splits.py",
      "passed = bool(t[i] < t[j])",
      "passed = bool(t[i] <= t[j])",
@@ -80,10 +87,18 @@ MUTANTS = [
      "order = r.take(rng.permutation(len(r)))",
      'order = r.take(derive_rng(seed, "linear_sgd").permutation(len(r)))',
      "one-model SGD reshuffles its rows every epoch"),
+    ("knn-id-tie-descending", "src/driftlab/classifiers.py",
+     "order = np.lexsort((self._id_rank[col], exact, row))",
+     "order = np.lexsort((-self._id_rank[col], exact, row))",
+     "a kNN distance tie goes to the smaller id"),
     ("subset-negative", "src/driftlab/dataset.py",
      "if idx.min() < 0 or idx.max() >= len(ids):",
      "if idx.max() >= len(ids):",
      "subset rejects a negative row"),
+    ("validation-tail-rounded", "src/driftlab/tuning.py",
+     "n_val = int(n_slots * cfg.validation_fraction)",
+     "n_val = round(n_slots * cfg.validation_fraction)",
+     "the validation tail is floor(n_slots * validation_fraction) slots"),
     ("grid-end", "src/driftlab/tuning.py",
      "if phi > 0.5 + 1e-9:",
      "if phi > 0.5:",
@@ -116,10 +131,15 @@ def run_mutant(work: Path, file: str, old: str, new: str) -> str:
         mutate(copy / file, old, new)
         path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        own = Path("tests") / f"test_{Path(file).stem}.py"
+        # The module's own test file, then (if it passes) the whole suite.
+        for tests in [[str(own)], []] if (copy / own).exists() else [[]]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            if proc.returncode != 0:
+                break
         verdicts = {0: "SURVIVED", 1: "KILLED"}
         return verdicts.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})")
     finally:
