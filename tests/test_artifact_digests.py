@@ -10,7 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Every kNN output is pinned to the bytes in knn_artifact_digests.txt. Linear SGD's
 # weights come from BLAS products, which are not known to match across CPUs.
-PINNED = ("realistic-knn-s0/", "realistic-knn-s1/", "bias-grid-knn/", "knn-active-learning/")
+PINNED = (
+    "realistic-knn-s0/", "realistic-knn-s1/", "bias-grid-knn/", "knn-kfold/",
+    "knn-active-learning/",
+)
 
 
 def test_lists_every_file_it_wrote(tmp_path):

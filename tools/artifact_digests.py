@@ -10,13 +10,15 @@ against each source tree and diffing the two listings:
 The calls cover the three benchmark configs at seeds 0 and 1 (bias-grid at
 ``workers`` 1 and 2); bias-grid with one seed at ``workers`` 4, with three
 seeds at ``workers`` 2 and with kNN on a CSV file at ``workers`` 2; the
-``kfold``, ``past_testing`` and ``disjoint_class_windows`` scenarios; tuned ``rejection`` with
-``refresh_threshold``; ``incremental`` with ``retune_each_step``; kNN and linear SGD
-active learning at two budgets each; and the ``tune``, ``plotdata``, ``audit --out`` and
-``generate`` verbs. They run in-process through ``driftlab.cli.main`` from
-inside the work directory with relative paths, so no absolute path reaches
-an artifact. Each output line is ``<sha256>  <path>``, the path relative to
-the work directory, for every file in it (the configs written here too).
+``kfold``, ``past_testing`` and ``disjoint_class_windows`` scenarios, and
+``kfold`` with kNN at ``workers`` 2; tuned ``rejection`` with
+``refresh_threshold``; ``incremental`` with ``retune_each_step``; kNN and
+linear SGD active learning at two budgets each; and the ``tune``,
+``plotdata``, ``audit --out`` and ``generate`` verbs. They run in-process
+through ``driftlab.cli.main`` from inside the work directory with relative
+paths, so no absolute path reaches an artifact. Each output line is
+``<sha256>  <path>``, the path relative to the work directory, for every
+file in it (the configs written here too).
 
 ``--dir DIR`` works in DIR, which must not exist, and keeps it; by default a
 temporary directory is used and removed. Exits 1, naming the call, when a
@@ -100,6 +102,9 @@ def calls() -> list[list[str]]:
     for scenario in ("kfold", "past_testing", "disjoint_class_windows"):
         cfg = _config(scenario, dataset=SMALL, split=SMALL_SPLIT, scenario=scenario, seeds=[0, 1])
         out.append(["run", "--config", cfg])
+    cfg = _config("knn-kfold", dataset=SMALL, split=SMALL_SPLIT, scenario="kfold",
+                  classifier={"kind": "knn", "k": 5}, seeds=[0, 1], workers=2)
+    out.append(["run", "--config", cfg])
     policies = {
         "rejection-refresh": ({"kind": "linear_sgd"},
                               {"kind": "rejection", "refresh_threshold": True}),
