@@ -41,7 +41,6 @@ from .metrics import (
     confusion_counts,
     cumulative_estimates,
     error_rate,
-    kfold_eval,
     point_estimates,
     prf1,
     slot_series,
@@ -89,7 +88,6 @@ __all__ = [
     "confusion_counts",
     "cumulative_estimates",
     "error_rate",
-    "kfold_eval",
     "point_estimates",
     "prf1",
     "slot_series",

@@ -25,11 +25,11 @@ rows: all four when the seeds deal evenly over the workers
 each window once, downsamples each training side once per phi and each
 test side once per delta, and fits every model of its rows in one
 lockstep call; ``past_testing`` and ``disjoint_class_windows`` are the
-same task on their one row with the single configured cell. The
-standalone ``realistic`` scenario runs the full pipeline (tuning, audit,
-decay curves, delay policies) and standalone ``kfold`` reports
-:func:`kfold_eval`, which keeps each fold's natural class ratio where the
-bias row enforces (phi, delta) per fold.
+same task on their one row with the single configured cell, and so is
+``kfold`` on a row of its own, whose sides carry no downsampling seed and
+so keep each fold's class ratio where the bias row enforces (phi, delta).
+The standalone ``realistic`` scenario runs the full pipeline (tuning,
+audit, decay curves, delay policies).
 
 Every byte written is a pure function of (config, seeds): tasks fan out
 over forked processes but results are merged and written in sorted order,
@@ -64,7 +64,6 @@ from .metrics import (
     aut,
     confusion_counts,
     cumulative_estimates,
-    kfold_eval,
     point_estimates,
     prf1,
     stratified_folds,
@@ -153,22 +152,26 @@ def _task_realistic(cfg: ExperimentConfig, seed: int, rows: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # The bias table. Each row turns (dataset, config, seed) into folds of (train
 # side, test sides, fit seed); a side is rows of the seed's stream with their
-# downsampling seed. A cell scores the mean over folds of the F1 pooled
-# across the fold's test sets.
+# downsampling seed, or None to keep its own class ratio. A cell scores the
+# mean over folds of the F1 pooled across the fold's test sets.
 # ---------------------------------------------------------------------------
 
 
-def _kfold_row(d: LabeledDataset, cfg: ExperimentConfig, seed: int):
-    """Time-blind stratified k-fold."""
-    folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, "bias_kfold"))
-    return [
-        (
-            (train_idx, derive_seed(seed, "bk", "tr", i)),
-            [(test_idx, derive_seed(seed, "bk", "ts", i))],
-            derive_seed(seed, "bk", "fit", i),
-        )
-        for i, (train_idx, test_idx) in enumerate(folds)
-    ]
+def _kfold_row(stream: str, label: str, *, downsample: bool):
+    """Time-blind stratified k-fold: the folds drawn from the ``stream`` seed
+    stream, the fit seeds (and, when ``downsample``, each side's seed) from ``label``."""
+
+    def row(d: LabeledDataset, cfg: ExperimentConfig, seed: int):
+        def side(rows, part, i):
+            return rows, derive_seed(seed, label, part, i) if downsample else None
+
+        folds = stratified_folds(d.labels, cfg.kfold_k, derive_rng(seed, stream))
+        return [
+            (side(train, "tr", i), [side(test, "ts", i)], derive_seed(seed, label, "fit", i))
+            for i, (train, test) in enumerate(folds)
+        ]
+
+    return row
 
 
 def _windowed_row(pools, label: str):
@@ -182,11 +185,13 @@ def _windowed_row(pools, label: str):
 
 
 BIAS_GRID_ROWS = {
-    "kfold": _kfold_row,
+    "kfold": _kfold_row("bias_kfold", "bk", downsample=True),
     "past_testing": _windowed_row(past_testing_pools, "past"),
     "disjoint_class_windows": _windowed_row(disjoint_class_pools, "disjoint"),
     "realistic": _windowed_row(time_aware_pools, "realistic"),
 }
+# The ``kfold`` scenario's row: its own folds, each side at its own class ratio.
+_ROWS = {**BIAS_GRID_ROWS, "kfold_natural": _kfold_row("kfold", "kfold", downsample=False)}
 
 
 def _bias_f1s(cfg: ExperimentConfig, seed: int, rows: tuple, phis: tuple, deltas: tuple) -> dict:
@@ -196,24 +201,26 @@ def _bias_f1s(cfg: ExperimentConfig, seed: int, rows: tuple, phis: tuple, deltas
     Each training side is downsampled once per phi, and every model of
     every row is fit in one :func:`~driftlab.classifiers.fit_models` call
     over the seed's stream. Only then, one row at a time, is each test side
-    downsampled once per delta and scored by each of its fold's models.
+    downsampled once per delta and scored by each of its fold's models. A
+    side without a downsampling seed is used whole at every phi and delta.
     """
     d = _dataset_for_seed(cfg, seed)
-    plans = [(row, BIAS_GRID_ROWS[row](d, cfg, seed)) for row in rows]
+    plans = [(row, _ROWS[row](d, cfg, seed)) for row in rows]
     train_rows, fit_seeds = [], []
     for _, folds in plans:
         for phi in phis:
             for (r, s), _, fit_seed in folds:
-                train_rows.append(enforce_ratio(d, phi, r, seed=s))
+                train_rows.append(r if s is None else enforce_ratio(d, phi, r, seed=s))
                 fit_seeds.append(fit_seed)
     models = fit_models(cfg.classifier, d, train_rows, fit_seeds)
     f1s = {}
     for row, folds in plans:
         test_sets = []
         for _, tests, _ in folds:
-            test_sets.append(
-                {q: [d.subset(enforce_ratio(d, q, t, seed=s)) for t, s in tests] for q in deltas}
-            )
+            test_sets.append({
+                q: [d.subset(t if s is None else enforce_ratio(d, q, t, seed=s)) for t, s in tests]
+                for q in deltas
+            })
         for phi in phis:
             scores: dict[float, list[float]] = {q: [] for q in deltas}
             for sets in test_sets:
@@ -230,10 +237,6 @@ def _task_bias_cell(cfg: ExperimentConfig, seed: int, rows: tuple) -> float:
     """The one row's F1 at the configured (phi, delta) cell."""
     (f1,) = _bias_f1s(cfg, seed, rows, (cfg.ratios.phi,), (cfg.ratios.delta,)).values()
     return f1
-
-
-def _task_kfold(cfg: ExperimentConfig, seed: int, rows: tuple) -> float:
-    return kfold_eval(_dataset_for_seed(cfg, seed), cfg.classifier, cfg.kfold_k, seed).mean_f1
 
 
 def _execute_task(payload):
@@ -462,7 +465,7 @@ def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
 # when called, so a wrapper set on the module (bench/tracing.py) is the one run.
 _SCENARIOS = {
     "realistic": (("realistic",), _task_realistic, lambda *a: _write_realistic_artifacts(*a)),
-    "kfold": (("kfold",), _task_kfold, partial(_write_scalar, "mean_f1")),
+    "kfold": (("kfold_natural",), _task_bias_cell, partial(_write_scalar, "mean_f1")),
     "past_testing": (("past_testing",), _task_bias_cell, partial(_write_scalar, "pooled_f1")),
     "disjoint_class_windows": (
         ("disjoint_class_windows",), _task_bias_cell, partial(_write_scalar, "pooled_f1")
@@ -559,7 +562,6 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
     if not src.is_dir():
         raise FileNotFoundError(f"run directory {run_dir} does not exist")
     dst = Path(out_dir) if out_dir else src
-    dst.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     for pattern, name, header, row_of in _PLOT_TABLES:
         files = sorted(src.glob(pattern))
@@ -569,6 +571,8 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
         for f in files:
             with open(f, newline="", encoding="utf-8") as fh:
                 rows += [r for r in (row_of(f.stem, rec) for rec in csv.DictReader(fh)) if r]
+        # Made only now, so a run directory without artifacts leaves no output directory.
+        dst.mkdir(parents=True, exist_ok=True)
         _write_rows(dst / name, header, rows)
         written.append(str(dst / name))
     if not written:

@@ -62,8 +62,8 @@ class ExperimentConfig:
             raise ValueError("dataset needs exactly one of 'path' or 'synthetic'")
         if self.synthetic is not None and self.dataset_format is not None:
             raise ValueError("dataset 'format' applies to a 'path' only, not to 'synthetic'")
-        if self.scenario == "bias_grid" and self.delay_policies:
-            raise ValueError("bias_grid does not combine with a delay policy")
+        if self.scenario != "realistic" and self.delay_policies:
+            raise ValueError(f"{self.scenario} does not combine with a delay policy")
         if self.tuning is not None and self.tuning.sigma_hat != self.ratios.sigma_hat:
             raise ValueError(
                 f"tuning.sigma_hat {self.tuning.sigma_hat} differs from "

@@ -1,4 +1,4 @@
-"""Confusion accounting, per-slot estimates, AUT, error rates, k-fold baseline.
+"""Confusion accounting, per-slot estimates, AUT, error rates, stratified folds.
 
 Performance over time is represented as a curve of per-slot metric values
 and condensed into a single number by the normalized trapezoid area
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from datetime import date
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, TrainedModel, fit_models, predict_dataset
+from .classifiers import TrainedModel, predict_dataset
 from .dataset import LabeledDataset
-from .rng import derive_rng, derive_seed
 
 __all__ = [
     "Confusion",
@@ -37,8 +36,6 @@ __all__ = [
     "error_rate",
     "confusion_counts",
     "slot_series",
-    "kfold_eval",
-    "KFoldResult",
     "StratificationError",
     "stratified_folds",
 ]
@@ -195,18 +192,12 @@ def slot_series(
 
 
 # ---------------------------------------------------------------------------
-# k-fold baseline (deliberately time-blind, for bias demonstrations)
+# Stratified folds: the time-blind k-fold baseline of the bias table (see cli)
 # ---------------------------------------------------------------------------
 
 
 class StratificationError(ValueError):
     """A class has fewer samples than there are folds."""
-
-
-class KFoldResult(NamedTuple):
-    mean_f1: float
-    std_f1: float
-    fold_f1: tuple[float, ...]
 
 
 def stratified_folds(
@@ -235,24 +226,3 @@ def stratified_folds(
         mask[test_idx] = False
         folds.append((np.flatnonzero(mask), np.sort(test_idx)))
     return folds
-
-
-def kfold_eval(d: LabeledDataset, clf: Classifier, k: int, seed: int) -> KFoldResult:
-    """Seeded stratified k-fold F1, ignoring timestamps.
-
-    This estimator violates the temporal constraints on purpose; it exists
-    as the biased baseline that time-aware evaluation is compared against.
-    Stratification keeps the class mix even so the comparison isolates
-    temporal bias from sampling noise.
-    """
-    folds = stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
-    models = fit_models(
-        clf, d, [train_idx for train_idx, _ in folds],
-        [derive_seed(seed, "kfold", "fit", i) for i in range(k)],
-    )
-    scores = [
-        prf1(confusion_counts(model, d.subset(test_idx)))[2]
-        for model, (_, test_idx) in zip(models, folds)
-    ]
-    arr = np.array(scores)
-    return KFoldResult(float(arr.mean()), float(arr.std()), tuple(scores))

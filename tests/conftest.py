@@ -4,7 +4,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from driftlab.classifiers import fit_models
 from driftlab.dataset import LabeledDataset, add_months
+from driftlab.metrics import confusion_counts, prf1, stratified_folds
+from driftlab.rng import derive_rng, derive_seed
 from driftlab.splits import enforce_ratio
 
 
@@ -73,6 +76,15 @@ def downsampled(d, pools, ratios):
         cut(d.subset(train), ratios.phi, seed=train_seed),
         tuple(cut(d.subset(rows), ratios.delta, seed=s) for rows, s in tests),
     )
+
+
+def kfold_f1s(d: LabeledDataset, clf, k: int, seed: int) -> list[float]:
+    """Each fold's F1 of the seeded, time-blind stratified k-fold on ``d``, every
+    fold at its own class ratio: the folds the ``kfold`` scenario averages."""
+    folds = stratified_folds(d.labels, k, derive_rng(seed, "kfold"))
+    fit_seeds = [derive_seed(seed, "kfold", "fit", i) for i in range(k)]
+    models = fit_models(clf, d, [train for train, _ in folds], fit_seeds)
+    return [prf1(confusion_counts(m, d.subset(test)))[2] for m, (_, test) in zip(models, folds)]
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from driftlab.metrics import (
     aut,
     confusion_counts,
     error_rate,
-    kfold_eval,
     point_estimates,
     prf1,
     slot_series,
@@ -43,6 +42,8 @@ from driftlab.splits import (
 )
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import TuningConfig, proper_validation_cut, tune_phi
+
+from conftest import kfold_f1s
 
 
 def _report(capsys, name: str, detail: str, started: float, budget: float) -> None:
@@ -158,11 +159,11 @@ def _kfold_vs_realistic_gap(velocity, churn, seeds=5):
     clf = KNNClassifier(k=5)
     for seed in range(seeds):
         d = drifting(seed, months=18, n=150, velocity=velocity, churn=churn)
-        kf = kfold_eval(d, clf, 10, seed)
+        kfold_f1 = float(np.mean(kfold_f1s(d, clf, 10, seed)))
         split = time_aware_split(d, spec(6, 12), RatioSpec(), seed=seed)
         model = clf.fit(split.train, int(derive_rng(seed, "a5", "fit").integers(2**31)))
         series = slot_series(model, split.test_slots, split.slot_starts)
-        gaps.append(kf.mean_f1 - aut(point_estimates(series, "f1")))
+        gaps.append(kfold_f1 - aut(point_estimates(series, "f1")))
     return float(np.mean(gaps))
 
 

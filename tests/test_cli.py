@@ -39,7 +39,7 @@ from driftlab.splits import (
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import TuningConfig
 
-from conftest import cut, downsampled
+from conftest import cut, downsampled, kfold_f1s
 
 
 def base_config(out, scenario="realistic", seeds=(0, 1), **extra):
@@ -120,11 +120,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(blob)
 
-    def test_bias_grid_rejects_delay(self, tmp_path):
-        blob = base_config(tmp_path / "out", scenario="bias_grid")
-        blob["delay"] = {"kind": "incremental"}
-        with pytest.raises(ConfigError, match="bias_grid"):
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "realistic"])
+    def test_rejects_delay_outside_realistic(self, tmp_path, capsys, scenario):
+        # Only realistic runs delay policies; elsewhere the section would be ignored.
+        blob = base_config(tmp_path / "out", scenario=scenario)
+        blob["delay"] = {"kind": "rejection"}
+        with pytest.raises(ConfigError, match=f"^{scenario} does not combine"):
             parse_config(blob)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(blob))
+        assert main(["run", "--config", str(path)]) == 2
+        assert scenario in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_budget_list_expands_policies(self, tmp_path):
         blob = base_config(tmp_path / "out")
@@ -643,6 +650,37 @@ class TestBiasGridOracle:
                 for r in csv.DictReader(fh)
             }
         assert got == oracle_bias_grid(cfg)
+
+
+class TestKFoldOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "classifier",
+        [{"kind": "linear_sgd", "epochs": 15}, {"kind": "knn", "k": 5}],
+        ids=["sgd", "knn"],
+    )
+    def test_scores_equal_the_fold_loop(self, tmp_path, classifier, workers):
+        # phi and delta are far from the stream's own ratio, and k-fold ignores both.
+        out = tmp_path / "out"
+        blob = base_config(out, scenario="kfold", seeds=(3, 0), classifier=classifier,
+                           workers=workers, ratios={"sigma_hat": 0.1, "phi": 0.5, "delta": 0.5})
+        cfg = parse_config(blob)
+        assert run_experiment(cfg) == 0
+        means = {
+            seed: float(np.mean(kfold_f1s(
+                generate(cfg.synthetic, seed=derive_seed(seed, "dataset")),
+                cfg.classifier, cfg.kfold_k, seed,
+            )))
+            for seed in (0, 3)
+        }
+        assert (out / "kfold.csv").read_text().splitlines() == [
+            "seed,mean_f1", *(f"{seed},{mean!r}" for seed, mean in means.items())
+        ]
+        values = list(means.values())
+        assert (out / "aggregate.csv").read_text().splitlines() == [
+            "scenario,metric,mean,std,n_seeds",
+            f"kfold,mean_f1,{float(np.mean(values))!r},{float(np.std(values))!r},2",
+        ]
 
 
 class TestDeterminism:
@@ -1248,6 +1286,13 @@ class TestPlotData:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_failure_leaves_no_output_directory(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        out = tmp_path / "plots" / "out"
+        assert main(["plotdata", "--run-dir", str(tmp_path / "run"), "--out", str(out)]) == 2
+        assert "no recognized" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
 
     def test_delay_series_per_budget(self, tmp_path):
         out = tmp_path / "out"

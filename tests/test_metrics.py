@@ -9,14 +9,13 @@ from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
 from driftlab.cli import _write_curves
 from driftlab.metrics import (
     Confusion,
-    KFoldResult,
     MetricCurve,
     SlotSeries,
+    StratificationError,
     aut,
     confusion_counts,
     cumulative_estimates,
     error_rate,
-    kfold_eval,
     metric_value,
     point_estimates,
     prf1,
@@ -24,7 +23,7 @@ from driftlab.metrics import (
     stratified_folds,
 )
 
-from conftest import blob_dataset
+from conftest import blob_dataset, kfold_f1s
 
 
 def series_from(confusions):
@@ -212,10 +211,12 @@ class TestSpatialTestingBiasMechanics:
 
 
 class TestKFold:
+    """The time-blind baseline: stratified folds, one fit per fold, and each fold's F1
+    (``kfold_f1s``, whose mean the ``kfold`` scenario reports)."""
+
     def test_perfectly_separable(self):
         d = blob_dataset(80, 40, seed=1, pos_center=(8.0, 8.0), spread=0.3)
-        res = kfold_eval(d, LinearSGDClassifier(), k=5, seed=0)
-        assert res.mean_f1 == 1.0
+        assert kfold_f1s(d, LinearSGDClassifier(), k=5, seed=0) == [1.0] * 5
 
     def test_no_signal_near_half(self):
         # Labels independent of features, balanced: F1 ~ 0.5 on average.
@@ -230,13 +231,13 @@ class TestKFold:
             d = LabeledDataset(
                 [f"s{i}" for i in range(200)], [_date(2014, 1, 1)] * 200, y, X
             )
-            means.append(kfold_eval(d, KNNClassifier(k=5), k=5, seed=seed).mean_f1)
+            means.append(np.mean(kfold_f1s(d, KNNClassifier(k=5), k=5, seed=seed)))
         assert abs(float(np.mean(means)) - 0.5) < 0.1
 
     def test_stratification_required(self):
         d = blob_dataset(50, 3, seed=4)
-        with pytest.raises(ValueError, match="stratify"):
-            kfold_eval(d, LinearSGDClassifier(), k=5, seed=0)
+        with pytest.raises(StratificationError, match="stratify"):
+            kfold_f1s(d, LinearSGDClassifier(), k=5, seed=0)
 
     def test_stratified_folds_deal_each_class_evenly(self):
         labels = np.array([1] * 7 + [0] * 23)
@@ -250,9 +251,9 @@ class TestKFold:
 
     def test_deterministic(self):
         d = blob_dataset(60, 30, seed=6)
-        a = kfold_eval(d, LinearSGDClassifier(), k=4, seed=3)
-        b = kfold_eval(d, LinearSGDClassifier(), k=4, seed=3)
-        assert a == b
+        a = kfold_f1s(d, LinearSGDClassifier(), k=4, seed=3)
+        b = kfold_f1s(d, LinearSGDClassifier(), k=4, seed=3)
+        assert a == b and len(a) == 4
 
 
 class TestCsv:

@@ -107,6 +107,14 @@ MUTANTS = [
      "if area > evaluations[best_j][1] and err <= cfg.e_max:",
      "if area >= evaluations[best_j][1] and err <= cfg.e_max:",
      "an equal validation area keeps the smaller phi"),
+    ("kfold-scenario-bias-folds", "src/driftlab/cli.py",
+     '_kfold_row("kfold", "kfold", downsample=False)',
+     '_kfold_row("bias_kfold", "kfold", downsample=False)',
+     "the kfold scenario draws its folds from its own stream, not the bias row's"),
+    ("seedless-test-side-downsampled", "src/driftlab/cli.py",
+     "d.subset(t if s is None else enforce_ratio(d, q, t, seed=s))",
+     "d.subset(enforce_ratio(d, q, t, seed=s))",
+     "a test side without a downsampling seed keeps its own class ratio"),
 ]
 
 # Left out of the copy: version control, caches and benchmark work files.
