@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # weights come from BLAS products, which are not known to match across CPUs.
 PINNED = (
     "realistic-knn-s0/", "realistic-knn-s1/", "bias-grid-knn/", "knn-kfold/",
-    "knn-active-learning/",
+    "knn-active-learning/", "knn-rejection-refresh/", "knn-incremental-retune/",
 )
 
 

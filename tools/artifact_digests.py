@@ -12,7 +12,8 @@ The calls cover the three benchmark configs at seeds 0 and 1 (bias-grid at
 seeds at ``workers`` 2 and with kNN on a CSV file at ``workers`` 2; the
 ``kfold``, ``past_testing`` and ``disjoint_class_windows`` scenarios, and
 ``kfold`` with kNN at ``workers`` 2; tuned ``rejection`` with
-``refresh_threshold``; ``incremental`` with ``retune_each_step``; kNN and
+``refresh_threshold`` and ``incremental`` with ``retune_each_step``, each
+with linear SGD and with kNN (at seeds 0 and 1); kNN and
 linear SGD active learning at two budgets each; and the ``tune``,
 ``plotdata``, ``audit --out`` and ``generate`` verbs. They run in-process
 through ``driftlab.cli.main`` from inside the work directory with relative
@@ -119,6 +120,13 @@ def calls() -> list[list[str]]:
     for name, (classifier, delay) in policies.items():
         cfg = _config(name, dataset=SMALL, split=SMALL_SPLIT, classifier=classifier,
                       tuning=TUNING, delay=delay, seeds=[0])
+        out.append(["run", "--config", cfg])
+    # The same two rare branches with kNN, whose bytes are pinned, under a ceiling
+    # that some phi meets, so each retune can pick a phi of its own.
+    for name, delay in (("knn-rejection-refresh", policies["rejection-refresh"][1]),
+                        ("knn-incremental-retune", policies["incremental-retune"][1])):
+        cfg = _config(name, dataset=SMALL, split=SMALL_SPLIT, classifier={"kind": "knn", "k": 5},
+                      tuning={"mu": 0.1}, delay=delay, seeds=[0, 1])
         out.append(["run", "--config", cfg])
     run = "realistic-sgd-s0"
     Path("verbs").mkdir()

@@ -115,6 +115,20 @@ MUTANTS = [
      "d.subset(t if s is None else enforce_ratio(d, q, t, seed=s))",
      "d.subset(enforce_ratio(d, q, t, seed=s))",
      "a test side without a downsampling seed keeps its own class ratio"),
+    ("refresh-reads-kept-mistakes", "src/driftlab/delay.py",
+     "probs[(~kept) & (pred != slot.labels)]",
+     "probs[pred != slot.labels]",
+     "a refreshed threshold learns only from quarantined mistakes "
+     "(pinned call knn-rejection-refresh)"),
+    ("retune-window-one-short", "src/driftlab/delay.py",
+     "slots_of(width) + i + 1",
+     "slots_of(width) + i",
+     "retune i tunes over the training window grown by i + 1 slots "
+     "(pinned call knn-incremental-retune)"),
+    ("retune-seed-shared", "src/driftlab/delay.py",
+     '"delay", "retune", i)',
+     '"delay", "retune", 0)',
+     "each retune draws from its own seed stream (pinned call knn-incremental-retune)"),
 ]
 
 # Left out of the copy: version control, caches and benchmark work files.
