@@ -2,7 +2,7 @@
 
 A classifier is anything with ``fit(train, seed) -> TrainedModel``; a
 trained model maps feature rows to posterior probabilities of the positive
-class in [0, 1]. Predicted label is 1 iff score >= 0.5 (ties go positive).
+class in [0, 1], labeled by :func:`predicted_labels`.
 A classifier may also offer ``fit_many(base, rows, seeds)``, equal bit for
 bit to one ``fit`` per ``base.subset(rows[k])``; :func:`fit_models` uses it
 when present and falls back to ``fit`` otherwise.
@@ -34,6 +34,7 @@ __all__ = [
     "ModelOutputError",
     "score_rows",
     "score_dataset",
+    "predicted_labels",
     "predict_dataset",
     "fit_models",
 ]
@@ -89,8 +90,13 @@ def score_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:
     return score_rows(model, d.features)
 
 
+def predicted_labels(scores) -> np.ndarray:
+    """The one label rule: 1 iff the score is >= 0.5, so a tie goes positive."""
+    return (np.asarray(scores) >= 0.5).astype(np.int64)
+
+
 def predict_dataset(model: TrainedModel, d: LabeledDataset) -> np.ndarray:
-    return (score_dataset(model, d) >= 0.5).astype(np.int64)
+    return predicted_labels(score_dataset(model, d))
 
 
 def _require_both_classes(labels: np.ndarray) -> None:

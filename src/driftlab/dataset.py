@@ -295,10 +295,6 @@ class LabeledDataset:
         return int(self.labels.sum())
 
     @property
-    def n_negative(self) -> int:
-        return len(self) - self.n_positive
-
-    @property
     def positive_ratio(self) -> float:
         return self.n_positive / len(self)
 
@@ -603,15 +599,6 @@ class DatasetSummary(NamedTuple):
     @property
     def n_slots(self) -> int:
         return len(self.slot_starts)
-
-    @property
-    def slots_missing_class(self) -> list[int]:
-        """Slots with no positives or no negatives (regenerate, don't score)."""
-        return [
-            k
-            for k in range(self.n_slots)
-            if self.pos_counts[k] == 0 or self.neg_counts[k] == 0
-        ]
 
 
 def summarize(d: LabeledDataset, slot_width: Period) -> DatasetSummary:

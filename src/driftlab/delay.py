@@ -13,7 +13,8 @@ Four policies over a constraint-respecting split:
   probability falls at or below a threshold are quarantined: excluded
   from the confusions, counted in Q. The threshold is the third quartile
   of the predicted-class probabilities of the mistakes a held-out-time
-  validation cut exposes; rejection never alters the model or a score.
+  validation cut exposes (with no mistake, the run warns and quarantines
+  nothing); rejection never alters the model or a score.
 
 Labels are revealed only after a slot has been scored, so the next
 retraining still satisfies the training-precedes-testing constraint C1,
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifiers import Classifier, TrainedModel, score_dataset
+from .classifiers import Classifier, TrainedModel, predicted_labels, score_dataset
 from .dataset import LabeledDataset, check_fields, concat, rule
 from .metrics import (
     Confusion,
@@ -49,17 +50,12 @@ from .tuning import TuningConfig, proper_validation_cut, tune_phi
 __all__ = [
     "DelayPolicy",
     "DelayRunResult",
-    "NoMisclassificationError",
     "ConstraintViolationError",
     "initial_scores",
     "run_policy",
 ]
 
 POLICY_KINDS = ("none", "incremental", "active_learning", "rejection")
-
-
-class NoMisclassificationError(ValueError):
-    """Validation produced zero mistakes; rejection threshold undefined."""
 
 
 @dataclass(frozen=True)
@@ -124,18 +120,11 @@ def _most_uncertain(scores: np.ndarray, ids: tuple[str, ...], budget_count: int)
     return least_confident_first(np.abs(scores - 0.5), ids)[:budget_count]
 
 
-def _predicted_class_probs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted-class probability and predicted label of each score."""
-    pred = (s >= 0.5).astype(np.int64)
-    return np.maximum(s, 1.0 - s), pred
-
-
-def _mistake_q3(wrong: np.ndarray) -> float:
-    """Q3 (linear interpolation) of the mistakes' predicted-class probabilities."""
+def _mistake_q3(wrong: np.ndarray) -> float | None:
+    """Q3 (linear interpolation) of the mistakes' predicted-class probabilities,
+    or None when there is no mistake to take it from."""
     if len(wrong) == 0:
-        raise NoMisclassificationError(
-            "no misclassified validation sample; rejection threshold undefined"
-        )
+        return None
     return float(np.quantile(wrong, 0.75, method="linear"))
 
 
@@ -157,11 +146,16 @@ def _fit(clf: Classifier, train: LabeledDataset, first_day: date, seed: int, *ke
 
 
 def initial_scores(split: TemporalSplit, clf: Classifier, seed: int) -> tuple[np.ndarray, ...]:
-    """Model 0's scores of every test slot, in slot order.
+    """Model 0's scores of every test slot, in slot order, once the split passes its audit.
 
-    Model 0 scores slot 0 under every policy for this seed, and every slot
-    under ``none`` and ``rejection``; it is fit once here.
+    This is the delay loop's one gate: a failed C1-C3 verdict of the split
+    raises :class:`ConstraintViolationError` before any model is fit. Model 0
+    scores slot 0 under every policy for this seed, and every slot under
+    ``none`` and ``rejection``; it is fit once here.
     """
+    failed = sorted(k for k, v in split.verdicts.items() if not v.passed)
+    if failed:
+        raise ConstraintViolationError(f"seed {seed}: realistic split violates {failed}")
     model0 = _fit(clf, split.train, split.slot_starts[0], seed, "fit", 0)
     return tuple(score_dataset(model0, slot) for slot in split.test_slots)
 
@@ -179,17 +173,16 @@ def run_policy(
     The model that scores slot 0 is identical across policies for the same
     seed, so rejection's kept-set metrics are directly comparable with the
     ``none`` baseline. Its slot scores are ``scores0``, the result of
-    :func:`initial_scores` for the same (split, clf, seed); a caller running
-    several policies computes them once and passes them to each run. Until a
-    policy retrains, slot i reads ``scores0[i]``; when they are omitted,
-    model 0 is fit here and scores each slot it serves as the loop reaches
-    it. Each retrained model scores its one slot once. With
-    ``retune_each_step`` (incremental only), the training ratio is
-    re-derived on the grown pool before every retraining.
+    :func:`initial_scores` for the same (split, clf, seed), which also audits
+    the split; a caller running several policies computes them once and
+    passes them to each run, and when they are omitted they are computed
+    here first. Until a policy retrains, slot i reads ``scores0[i]``; each
+    retrained model scores its one slot once. With ``retune_each_step``
+    (incremental only), the training ratio is re-derived on the grown pool
+    before every retraining.
     """
-    failed = [k for k, v in split.verdicts.items() if not v.passed]
-    if failed:
-        raise ConstraintViolationError(f"split violates {failed}")
+    if scores0 is None:
+        scores0 = initial_scores(split, clf, seed)
     if cfg is None:
         cfg = TuningConfig(sigma_hat=split.ratios.sigma_hat)
 
@@ -198,23 +191,19 @@ def run_policy(
     run_warnings: list[str] = []
 
     threshold: float | None = None
-    wrong_probs_pool: list[float] = []
     if policy.kind == "rejection":
         proper, val_slots, val_starts = proper_validation_cut(split.train, split.spec, cfg, seed)
         thresh_model = _fit(clf, proper, val_starts[0], seed, "reject_fit")
         val_pool = concat(val_slots)
-        val_probs, val_pred = _predicted_class_probs(score_dataset(thresh_model, val_pool))
-        val_wrong = val_probs[val_pred != val_pool.labels]
-        try:
-            threshold = _mistake_q3(val_wrong)
-            wrong_probs_pool = [float(v) for v in val_wrong]
-        except NoMisclassificationError:
+        s = score_dataset(thresh_model, val_pool)
+        val_wrong = np.maximum(s, 1.0 - s)[predicted_labels(s) != val_pool.labels]
+        threshold = _mistake_q3(val_wrong)
+        wrong_probs_pool = val_wrong.tolist()
+        if threshold is None:
             run_warnings.append("no validation misclassifications; rejection disabled")
 
     pool = split.train_rows
-    model: TrainedModel | None = None
-    if scores0 is None:
-        model = _fit(clf, split.train, starts[0], seed, "fit", 0)
+    model: TrainedModel | None = None  # the latest retrain
 
     confusions: list[Confusion] = []
     per_slot_labeled = [0] * n
@@ -223,16 +212,16 @@ def run_policy(
 
     for i, slot in enumerate(slots):
         scores = scores0[i] if model is None else score_dataset(model, slot)
-        probs, pred = _predicted_class_probs(scores)
+        pred = predicted_labels(scores)
         if policy.kind == "rejection" and threshold is not None:
+            probs = np.maximum(scores, 1.0 - scores)
             kept = probs > threshold
             per_slot_rejected[i] = int((~kept).sum())
             confusions.append(Confusion.from_predictions(slot.labels[kept], pred[kept]))
             if policy.refresh_threshold:
                 # Quarantined objects get inspected (that is what Q pays
                 # for), so their outcomes may refresh the quantile.
-                newly_wrong = probs[(~kept) & (pred != slot.labels)]
-                wrong_probs_pool.extend(float(v) for v in newly_wrong)
+                wrong_probs_pool += probs[(~kept) & (pred != slot.labels)].tolist()
                 threshold = _mistake_q3(np.array(wrong_probs_pool))
         else:
             confusions.append(Confusion.from_predictions(slot.labels, pred))

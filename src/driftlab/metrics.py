@@ -9,8 +9,9 @@ trend-smoothing only (their area is reported as AUT_cml, never plain AUT).
 
 Degenerate-slot conventions are total and conservative: any metric whose
 denominator is empty is 0, never 1, so missing data can only deflate a
-score. Use :func:`driftlab.dataset.summarize` to find slots that lack a
-class before reading zeros as model failure.
+score. The ``pos_counts`` and ``neg_counts`` of
+:func:`driftlab.dataset.summarize` show which slots lack a class, before a
+zero is read as model failure.
 """
 
 from __future__ import annotations

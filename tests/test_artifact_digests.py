@@ -2,6 +2,7 @@
 writes the pinned bytes for every kNN output."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,3 +49,15 @@ def test_lists_every_file_it_wrote(tmp_path):
         "verbs/audit.json",
     ]:
         assert name in listed
+
+
+def test_listing_sorts_by_posix_path(tmp_path):
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name in ("x/f", "x-y/f"):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_bytes(name.encode())
+    # "-" sorts before "/", while the path part "x" sorts before "x-y".
+    assert [line.split("  ", 1)[1] for line in tool.digests(tmp_path)] == ["x-y/f", "x/f"]

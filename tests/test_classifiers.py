@@ -18,6 +18,7 @@ from driftlab.classifiers import (
     _sigmoid,
     fit_models,
     predict_dataset,
+    predicted_labels,
     score_dataset,
 )
 from driftlab.dataset import LabeledDataset
@@ -585,3 +586,10 @@ class TestScoreGuard:
         out = np.array([0.0, 0.5, 1.0])
         np.testing.assert_array_equal(score_dataset(StubModel(out), self.d), out)
 
+
+class TestPredictedLabels:
+    def test_a_tie_at_one_half_goes_positive(self):
+        # 0.5 - 2**-53 is the largest double below 0.5.
+        labels = predicted_labels([0.0, 0.5 - 2**-53, 0.5, 1.0])
+        assert labels.tolist() == [0, 0, 1, 1]
+        assert labels.dtype == np.int64

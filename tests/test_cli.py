@@ -133,6 +133,31 @@ class TestParseConfig:
         assert scenario in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "realistic"])
+    def test_run_rejects_tuning_outside_realistic(self, tmp_path, capsys, scenario):
+        # Only realistic tunes phi; elsewhere run would ignore the section.
+        blob = base_config(tmp_path / "out", scenario=scenario, tuning={"mu": 0.1})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(blob))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"{scenario} does not use a tuning section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_flag_drops_a_tuned_config_out_of_realistic(self, tmp_path, capsys):
+        tuning = {"mu": 0.1, "validation_fraction": 0.34}
+        blob = base_config(tmp_path / "out", seeds=(0,), tuning=tuning)
+        blob["split"]["train_window"] = "8m"
+        blob["dataset"]["synthetic"]["months"] = 14
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(blob))
+        assert main(["run", "--config", str(path), "--scenario", "kfold"]) == 2
+        assert "kfold does not use a tuning section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # The tune verb still reads the section, whatever the scenario.
+        path.write_text(json.dumps({**blob, "scenario": "kfold"}))
+        assert main(["tune", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "tuning_seed0.csv").is_file()
+
     def test_budget_list_expands_policies(self, tmp_path):
         blob = base_config(tmp_path / "out")
         blob["delay"] = {"kind": "active_learning", "al_budget": [0.01, 0.25]}

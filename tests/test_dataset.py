@@ -596,7 +596,7 @@ class TestSummarize:
             ]
         )
         s = summarize(d, Period(months=1))
-        assert s.slots_missing_class == [0]
+        assert (s.pos_counts.tolist(), s.neg_counts.tolist()) == ([0, 1], [1, 1])
 
     @given(rows=st.lists(st.tuples(DAYS, st.integers(0, 1)), min_size=1, max_size=60), width=WIDTHS)
     @settings(max_examples=200, deadline=None)

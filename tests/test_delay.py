@@ -8,18 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftlab.classifiers import KNNClassifier, LinearSGDClassifier, score_dataset
+from driftlab.classifiers import (
+    KNNClassifier,
+    LinearSGDClassifier,
+    predicted_labels,
+    score_dataset,
+)
 from driftlab.cli import _write_delay_slots, _write_delay_summary
 from driftlab.dataset import LabeledDataset, Period
 from driftlab.delay import (
     ConstraintViolationError,
     DelayPolicy,
-    NoMisclassificationError,
     _al_count,
+    _fit,
     _mistake_q3,
     initial_scores,
     _most_uncertain,
-    _predicted_class_probs,
     run_policy,
 )
 from driftlab.metrics import aut, point_estimates
@@ -62,6 +66,19 @@ class FixedScoreModel:
 
     def scores(self, features):
         return np.array([self.table[float(f[0])] for f in features])
+
+
+class ConstantClassifier:
+    """Every model it fits scores every row ``score``."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def fit(self, train, seed):
+        return self
+
+    def scores(self, features):
+        return np.full(len(features), self.score)
 
 
 def slot_of(score_table, labels=None):
@@ -112,8 +129,8 @@ class TestSelectUncertain:
 
 def rejection_threshold(model, validation):
     """Q3 of the mistakes' predicted-class probabilities, as run_policy computes it."""
-    probs, pred = _predicted_class_probs(score_dataset(model, validation))
-    return _mistake_q3(probs[pred != validation.labels])
+    s = score_dataset(model, validation)
+    return _mistake_q3(np.maximum(s, 1.0 - s)[predicted_labels(s) != validation.labels])
 
 
 class TestRejectionThreshold:
@@ -130,10 +147,9 @@ class TestRejectionThreshold:
         # Only "a" is wrong; threshold equals its predicted-class prob.
         assert rejection_threshold(model, d) == pytest.approx(0.8)
 
-    def test_all_correct_raises(self):
+    def test_all_correct_gives_no_threshold(self):
         d, model = slot_of({"a": 0.9, "b": 0.1}, labels=[1, 0])
-        with pytest.raises(NoMisclassificationError):
-            rejection_threshold(model, d)
+        assert rejection_threshold(model, d) is None
 
 
 class TestRunPolicyNone:
@@ -145,6 +161,13 @@ class TestRunPolicyNone:
         f1 = point_estimates(res.series, "f1")
         assert np.std(f1.values) < 0.12
         assert res.aut_f1 == aut(f1)
+
+    def test_score_of_one_half_counts_as_positive(self):
+        split = make_split(seed=1)
+        res = run_policy(split, ConstantClassifier(0.5), DelayPolicy("none"), seed=1)
+        for slot, c in zip(split.test_slots, res.series.confusions):
+            n_pos = slot.n_positive
+            assert (c.tp, c.fp, c.tn, c.fn) == (n_pos, len(slot) - n_pos, 0, 0)
 
     @pytest.mark.parametrize("broken", ["C2", "C3"])
     def test_rejects_split_failing_c2_or_c3(self, broken):
@@ -163,13 +186,28 @@ class TestRunPolicyNone:
             run_policy(bad, LinearSGDClassifier(epochs=5), DelayPolicy("none"), seed=0)
 
     def test_model_zero_fit_checks_c1(self):
-        # initial_scores fits model 0 without reading the split's audit.
+        # initial_scores audits the split before it fits model 0.
         split = make_split(seed=2)
         leaked = split.slot_rows[3][0]
         bad = TemporalSplit(split.d, np.append(split.train_rows, leaked), split.slot_rows,
                             split.spec, split.ratios)
+        fits = []
+
+        class Recording:
+            def fit(self, train, seed):
+                fits.append(seed)
+
+        with pytest.raises(ConstraintViolationError,
+                           match=r"^seed 0: realistic split violates \['C1'\]$"):
+            initial_scores(bad, Recording(), 0)
+        assert fits == []
+
+    def test_every_delay_fit_checks_c1(self):
+        split = make_split(seed=2)
+        leaked = split.slot_rows[3][0]
+        train = split.d.subset(np.append(split.train_rows, leaked))
         with pytest.raises(ConstraintViolationError, match=repr(split.d.ids[leaked])):
-            initial_scores(bad, KNNClassifier(k=3), 0)
+            _fit(KNNClassifier(k=3), train, split.slot_starts[0], 0, "fit", 0)
 
     def test_rejects_biased_split(self):
         split = make_split(seed=2)
@@ -229,14 +267,16 @@ class TestRunPolicyIncremental:
 
 
 class TestRunPolicyScoresEachSlotOnce:
-    """Without ``scores0``, model 0 scores only the slots it serves."""
+    """Without ``scores0``, model 0 scores every slot once, through
+    :func:`initial_scores`, and each retrained model scores its one slot once."""
 
     @pytest.mark.parametrize(
-        "policy",
-        [DelayPolicy("none"), DelayPolicy("incremental"), DelayPolicy("active_learning", 0.1)],
+        "policy,expected",
+        [(DelayPolicy("none"), 12), (DelayPolicy("incremental"), 12 + 11),
+         (DelayPolicy("active_learning", 0.1), 12 + 11)],
         ids=["none", "incremental", "active_learning"],
     )
-    def test_one_scores_call_per_slot(self, policy):
+    def test_one_scores_call_per_slot(self, policy, expected):
         split = make_split(seed=2, velocity=0.3)
         assert len(split.test_slots) == 12
         inner = KNNClassifier(k=3)
@@ -255,7 +295,7 @@ class TestRunPolicyScoresEachSlotOnce:
                 return model
 
         res = run_policy(split, Counting(), policy, seed=3)
-        assert len(calls) == 12
+        assert len(calls) == expected
         shared = run_policy(split, inner, policy, seed=3, scores0=initial_scores(split, inner, 3))
         assert res.series == shared.series
         assert res.per_slot_labeled == shared.per_slot_labeled

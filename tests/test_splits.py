@@ -70,7 +70,7 @@ class TestEnforceRatio:
         d = flat_dataset(180, 20)
         out = cut(d, 0.20, seed=1)
         assert out.n_positive == 20
-        assert out.n_negative == 80
+        assert len(out) - out.n_positive == 80
         assert out.positive_ratio == pytest.approx(0.20)
 
     def test_downsample_positives_oracle(self):
@@ -78,7 +78,7 @@ class TestEnforceRatio:
         # keep_pos = round(neg * t / (1 - t)) = round(1000/9) = 111.
         d = flat_dataset(1000, 200)
         out = cut(d, 0.10, seed=2)
-        assert out.n_negative == 1000
+        assert len(out) - out.n_positive == 1000
         assert out.n_positive == 111
         assert out.positive_ratio == pytest.approx(111 / 1111, abs=1e-12)
 
@@ -89,7 +89,7 @@ class TestEnforceRatio:
         assert 10 * 0.2 / (1.0 - 0.2) == 2.5
         for seed in range(3):
             out = cut(d, 0.2, seed=seed)
-            assert (out.n_negative, out.n_positive) == (10, 2)
+            assert (len(out) - out.n_positive, out.n_positive) == (10, 2)
 
     def test_uncertainty_mode_keeps_least_confident(self):
         # Four negatives with confidences {a: .4, b: .1, c: .3, d: .2} plus one
@@ -149,7 +149,7 @@ class TestEnforceRatio:
             d = flat_dataset(n_neg, n_pos)
             out = cut(d, t, seed=trial)
             if d.positive_ratio > t:
-                assert out.n_negative == n_neg
+                assert len(out) - out.n_positive == n_neg
             elif d.positive_ratio < t:
                 assert out.n_positive == n_pos
             # Subset property and the rounding bound.
@@ -236,7 +236,7 @@ class TestTimeAwareSplit:
         spec = SplitSpec(Period(months=3), Period(months=2), Period(months=1), date(2014, 1, 1))
         split = time_aware_split(d, spec, RatioSpec(), seed=0)
         for slot in split.test_slots:
-            assert slot.n_negative == 1000
+            assert len(slot) - slot.n_positive == 1000
             assert slot.n_positive == 111
 
     def test_insufficient_span(self):

@@ -140,12 +140,10 @@ def calls() -> list[list[str]]:
 
 
 def digests(root: Path) -> list[str]:
-    """``<sha256>  <relative path>`` of every file under ``root``, sorted by path."""
-    paths = sorted(p for p in root.rglob("*") if p.is_file())
-    return [
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}"
-        for p in paths
-    ]
+    """``<sha256>  <relative path>`` of every file under ``root``, sorted by that path
+    as a posix string (so ``x-y/f`` comes before ``x/f``)."""
+    names = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256((root / n).read_bytes()).hexdigest()}  {n}" for n in names]
 
 
 def run_all(work: Path) -> int:

@@ -129,6 +129,10 @@ MUTANTS = [
      '"delay", "retune", i)',
      '"delay", "retune", 0)',
      "each retune draws from its own seed stream (pinned call knn-incremental-retune)"),
+    ("label-tie-negative", "src/driftlab/classifiers.py",
+     "np.asarray(scores) >= 0.5",
+     "np.asarray(scores) > 0.5",
+     "a score of exactly 0.5 predicts the positive class"),
 ]
 
 # Left out of the copy: version control, caches and benchmark work files.
