@@ -11,9 +11,12 @@ where a :class:`Period` width is either a number of calendar months
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
@@ -407,15 +410,42 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     ``format`` is inferred from the file suffix when omitted. Malformed
     rows, non-finite features included, raise :class:`DatasetFormatError`
     naming the 1-based line number.
+
+    A regular file's parsed columns are kept beside it in the sidecar
+    ``<path>.driftlab-cache``, keyed by the SHA-256 of the cache version, the
+    format and the file's bytes. A later load of the same bytes reads the
+    sidecar instead of parsing; it skips only the text-syntax checks, which the
+    key fixes, and runs every check on the data again. A missing, stale,
+    unreadable or corrupt sidecar means a parse, and a sidecar that cannot be
+    written is left out.
     """
     if format is None:
         format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
+    side = f"{path}{_CACHE_SUFFIX}"
+    regular = os.path.isfile(path)
+    if regular and (cached := _read_cache(path, side, format)) is not None:
+        return _checked(*cached)
     loader = _load_csv if format == "csv" else _load_jsonl
-    ids, stamps, labels, rows = loader(path)
+    digest = _key_hash(format)
+    # The key is hashed from the very bytes the parser reads.
+    with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+        io.BufferedReader(_Hashing(raw, digest), _HASH_CHUNK),
+        encoding="utf-8", newline="" if format == "csv" else None,
+    ) as text:
+        columns = loader(text)
+    d = _checked(*columns)
+    if regular:
+        _write_cache(side, _cache_blob(digest.digest(), columns[0], d))
+    return d
+
+
+def _checked(lines, ids, stamps, labels, features) -> LabeledDataset:
+    """The dataset of these columns, after every check that depends on the data
+    rather than on its text; ``lines`` holds each sample's first line in the file."""
     seen: dict[str, int] = {}
-    for lineno, sid in ids:
+    for lineno, sid in zip(lines, ids):
         if sid in seen:
             raise DatasetFormatError(
                 f"line {lineno}: duplicate id {sid!r} (first seen line {seen[sid]})"
@@ -423,10 +453,10 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
         seen[sid] = lineno
     if not ids:
         raise DatasetFormatError("dataset file contains no samples")
-    features = np.asarray(rows, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
-        raise DatasetFormatError(f"line {ids[bad[0]][0]}: non-finite feature value")
+        raise DatasetFormatError(f"line {lines[bad[0]]}: non-finite feature value")
     # With every |feature| <= B, a squared distance between two rows sums
     # dim terms (t_i - q_i)^2 <= (2B)^2, so it is at most 4 * dim * B^2. At
     # B = sqrt(max_float / (4 * (dim + 1))) that is max_float * dim / (dim + 1),
@@ -437,8 +467,107 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     bound = math.sqrt(np.finfo(np.float64).max / (4 * (features.shape[1] + 1)))
     bad = np.flatnonzero(np.maximum(features.max(axis=1), -features.min(axis=1)) > bound)
     if len(bad):
-        raise DatasetFormatError(f"line {ids[bad[0]][0]}: |feature| exceeds {bound:.6g}")
-    return LabeledDataset([s for _, s in ids], stamps, labels, features)
+        raise DatasetFormatError(f"line {lines[bad[0]]}: |feature| exceeds {bound:.6g}")
+    return LabeledDataset(ids, stamps, labels, features)
+
+
+# ---------------------------------------------------------------------------
+# The parse cache. A sidecar is key (32 bytes), SHA-256 of the payload (32),
+# payload. The payload is little-endian int64 n and dim, then n int64 each of
+# first line, id length in code points, day (since 1970-01-01) and label,
+# then n * dim float64 features row by row, then the ids, joined, in UTF-8.
+# ---------------------------------------------------------------------------
+
+_CACHE_SUFFIX = ".driftlab-cache"
+_CACHE_VERSION = "driftlab-cache 1"
+_HASH_CHUNK = 1 << 20
+
+
+def _key_hash(format: str):
+    """A SHA-256 hash fed the cache version and ``format``; the file's bytes follow."""
+    return hashlib.sha256(f"{_CACHE_VERSION}\0{format}\0".encode())
+
+
+class _Hashing(io.RawIOBase):
+    """A raw binary reader that feeds every byte read from ``raw`` to ``digest``."""
+
+    def __init__(self, raw, digest) -> None:
+        self.raw, self.digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _cache_key(path: str, format: str) -> bytes:
+    """The sidecar key of ``path``'s current bytes read as ``format``."""
+    digest = _key_hash(format)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _cache_blob(key: bytes, lines: Sequence[int], d: LabeledDataset) -> bytes:
+    """The sidecar bytes of ``d`` parsed from the file whose key is ``key``."""
+    payload = b"".join([
+        np.array([len(d), d.dimensionality], "<i8").tobytes(),
+        np.array([lines, [len(sid) for sid in d.ids]], "<i8").tobytes(),
+        d.times.astype("<M8[D]").tobytes(),
+        d.labels.astype("<i8").tobytes(),
+        d.features.astype("<f8").tobytes(),
+        # A JSONL id may hold a lone surrogate ("\ud800"); it round-trips.
+        "".join(d.ids).encode("utf-8", "surrogatepass"),
+    ])
+    return key + hashlib.sha256(payload).digest() + payload
+
+
+def _write_cache(side: str, blob: bytes) -> None:
+    """Write ``blob`` to ``side`` through a temporary file of this process; a
+    failure leaves no file and is not an error, since the cache is optional."""
+    tmp = f"{side}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, side)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _read_cache(path: str, side: str, format: str):
+    """``_checked``'s arguments from a sidecar made for the current bytes of
+    ``path`` read as ``format``, or None when there is no such valid sidecar."""
+    try:
+        with open(side, "rb") as fh:
+            blob = fh.read()
+        key = _cache_key(path, format)
+    except OSError:
+        return None
+    payload = memoryview(blob)[64:]
+    if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:
+        return None
+    try:
+        n, dim = np.frombuffer(payload, "<i8", 2).tolist()
+        start = 16 + 8 * n * (4 + dim)
+        if min(n, dim) < 1 or start > len(payload):
+            return None
+        lines, sizes, days, labels = np.frombuffer(payload, "<i8", 4 * n, 16).reshape(4, n)
+        features = np.frombuffer(payload, "<f8", n * dim, 16 + 32 * n).reshape(n, dim)
+        ends = np.cumsum(sizes).tolist()
+        text = bytes(payload[start:]).decode("utf-8", "surrogatepass")
+        if sizes.min() < 0 or ends[-1] != len(text):
+            return None
+        ids = [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    except ValueError:  # a UTF-8 error
+        return None
+    return lines.tolist(), ids, days.view("<M8[D]"), labels, features
 
 
 # CSV feature cells are converted this many rows at a time, so the strings
@@ -446,70 +575,75 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
 _CSV_CHUNK_ROWS = 1024
 
 
-def _load_csv(path):
-    ids: list[tuple[int, str]] = []
+def _load_csv(fh):
+    """``_checked``'s columns from CSV text ``fh``; each sample is numbered by
+    the physical line its record starts on, since a quoted id may span lines."""
+    lines: list[int] = []
+    ids: list[str] = []
     stamps: list[date] = []
     labels: list[int] = []
     blocks: list[np.ndarray] = []
     cells: list[list[str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file: missing header") from None
-        if header[:3] != ["id", "timestamp", "label"]:
-            raise DatasetFormatError(
-                f"line 1: header must start with id,timestamp,label; got {header[:3]}"
-            )
-        dim = len(header) - 3
-        if dim < 1:
-            raise DatasetFormatError("line 1: header declares no feature columns")
-        expected_feats = [f"f{i}" for i in range(dim)]
-        if header[3:] != expected_feats:
-            raise DatasetFormatError(f"line 1: feature columns must be f0..f{dim - 1}")
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3 + dim:
-                    raise DatasetFormatError(
-                        f"line {lineno}: feature dimensionality mismatch: expected "
-                        f"{dim} features, got {len(row) - 3}"
-                    )
-                t = _parse_date(row[1], lineno)
-                ids.append((lineno, row[0]))
-                cells.append(row[3:])
-                stamps.append(t)
-                labels.append(_parse_label(row[2], lineno))
-                if len(cells) == _CSV_CHUNK_ROWS:
-                    blocks.append(_float_cells(ids, cells))
-                    cells = []
-        except (ValueError, csv.Error):
-            # A line's features are checked before its label and before any
-            # later line, so a non-numeric cell already read is reported first.
-            _per_cell_floats(ids, cells)
-            raise
-    blocks.append(_float_cells(ids, cells).reshape(-1, dim))
-    return ids, stamps, labels, np.concatenate(blocks)
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("empty file: missing header") from None
+    if header[:3] != ["id", "timestamp", "label"]:
+        raise DatasetFormatError(
+            f"line 1: header must start with id,timestamp,label; got {header[:3]}"
+        )
+    dim = len(header) - 3
+    if dim < 1:
+        raise DatasetFormatError("line 1: header declares no feature columns")
+    expected_feats = [f"f{i}" for i in range(dim)]
+    if header[3:] != expected_feats:
+        raise DatasetFormatError(f"line 1: feature columns must be f0..f{dim - 1}")
+    next_line = reader.line_num + 1
+    try:
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != 3 + dim:
+                raise DatasetFormatError(
+                    f"line {lineno}: feature dimensionality mismatch: expected "
+                    f"{dim} features, got {len(row) - 3}"
+                )
+            t = _parse_date(row[1], lineno)
+            lines.append(lineno)
+            ids.append(row[0])
+            cells.append(row[3:])
+            stamps.append(t)
+            labels.append(_parse_label(row[2], lineno))
+            if len(cells) == _CSV_CHUNK_ROWS:
+                blocks.append(_float_cells(lines, cells))
+                cells = []
+    except (ValueError, csv.Error):
+        # A line's features are checked before its label and before any
+        # later line, so a non-numeric cell already read is reported first.
+        _per_cell_floats(lines, cells)
+        raise
+    blocks.append(_float_cells(lines, cells).reshape(-1, dim))
+    return lines, ids, stamps, labels, np.concatenate(blocks)
 
 
-def _float_cells(ids: list[tuple[int, str]], cells: list[list[str]]) -> np.ndarray:
+def _float_cells(lines: list[int], cells: list[list[str]]) -> np.ndarray:
     """The feature cells as float64, each parsed as ``float()`` parses it.
 
-    ``cells`` holds the features of the last ``len(cells)`` rows of ``ids``.
+    ``cells`` holds the features of the rows on the last ``len(cells)`` of ``lines``.
     One numpy conversion does the work; only when it fails does the
     per-cell loop run, to name the first non-numeric line.
     """
     try:
         return np.array(cells, dtype=np.float64)
     except ValueError:
-        return np.array(_per_cell_floats(ids, cells), dtype=np.float64)
+        return np.array(_per_cell_floats(lines, cells), dtype=np.float64)
 
 
-def _per_cell_floats(ids: list[tuple[int, str]], cells: list[list[str]]) -> list[list[float]]:
+def _per_cell_floats(lines: list[int], cells: list[list[str]]) -> list[list[float]]:
     rows = []
-    for (lineno, _), row in zip(ids[len(ids) - len(cells) :], cells):
+    for lineno, row in zip(lines[len(lines) - len(cells) :], cells):
         try:
             rows.append([float(v) for v in row])
         except ValueError:
@@ -517,46 +651,48 @@ def _per_cell_floats(ids: list[tuple[int, str]], cells: list[list[str]]) -> list
     return rows
 
 
-def _load_jsonl(path):
-    ids: list[tuple[int, str]] = []
+def _load_jsonl(fh):
+    """``_checked``'s columns from JSONL text ``fh``."""
+    lines: list[int] = []
+    ids: list[str] = []
     stamps: list[date] = []
     labels: list[int] = []
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            missing = {"id", "timestamp", "label", "features"} - set(obj)
-            if missing:
-                raise DatasetFormatError(f"line {lineno}: missing keys {sorted(missing)}")
-            feats = obj["features"]
-            if not isinstance(feats, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
-            ):
-                raise DatasetFormatError(f"line {lineno}: features must be a numeric array")
-            if dim is None:
-                dim = len(feats)
-                if dim < 1:
-                    raise DatasetFormatError(f"line {lineno}: empty feature array")
-            elif len(feats) != dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: feature dimensionality mismatch: expected "
-                    f"{dim} features, got {len(feats)}"
-                )
-            t = _parse_date(str(obj["timestamp"]), lineno)
-            ids.append((lineno, str(obj["id"])))
-            stamps.append(t)
-            labels.append(_parse_label(obj["label"], lineno))
-            try:
-                rows.append([float(v) for v in feats])
-            except OverflowError:  # an integer beyond float range
-                raise DatasetFormatError(f"line {lineno}: non-finite feature value") from None
-    return ids, stamps, labels, rows
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        missing = {"id", "timestamp", "label", "features"} - set(obj)
+        if missing:
+            raise DatasetFormatError(f"line {lineno}: missing keys {sorted(missing)}")
+        feats = obj["features"]
+        if not isinstance(feats, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
+        ):
+            raise DatasetFormatError(f"line {lineno}: features must be a numeric array")
+        if dim is None:
+            dim = len(feats)
+            if dim < 1:
+                raise DatasetFormatError(f"line {lineno}: empty feature array")
+        elif len(feats) != dim:
+            raise DatasetFormatError(
+                f"line {lineno}: feature dimensionality mismatch: expected "
+                f"{dim} features, got {len(feats)}"
+            )
+        t = _parse_date(str(obj["timestamp"]), lineno)
+        lines.append(lineno)
+        ids.append(str(obj["id"]))
+        stamps.append(t)
+        labels.append(_parse_label(obj["label"], lineno))
+        try:
+            rows.append([float(v) for v in feats])
+        except OverflowError:  # an integer beyond float range
+            raise DatasetFormatError(f"line {lineno}: non-finite feature value") from None
+    return lines, ids, stamps, labels, rows
 
 
 def iso_dates(times: np.ndarray) -> list[str]:

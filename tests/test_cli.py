@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import cli, splits
+from driftlab import cli, dataset, splits
 from driftlab.cli import (
     SCENARIOS,
     ConfigError,
@@ -724,6 +724,28 @@ class TestDeterminism:
         run_experiment(parse_config(blob1))
         run_experiment(parse_config(blob2))
         assert dir_digest(tmp_path / "w1") == dir_digest(tmp_path / "w8")
+
+    @pytest.mark.parametrize("scenario,workers", [("realistic", 1), ("bias_grid", 2)])
+    def test_parse_cache_is_transparent(self, tmp_path, monkeypatch, scenario, workers):
+        # The cold run parses and writes the sidecar (at workers 2, two processes
+        # load the file at once); the warm run reads it, in every process.
+        data = tmp_path / "data" / "d.csv"
+        data.parent.mkdir()
+        write_csv(generate(DriftSpec(months=12, samples_per_month=80), seed=0), str(data))
+        blob = base_config(tmp_path / "cold", scenario=scenario, seeds=(0, 1), workers=workers)
+        blob["dataset"] = {"path": str(data), "format": "csv"}
+        blob["classifier"] = {"kind": "knn", "k": 3}
+        assert run_experiment(parse_config(blob)) == 0
+        assert sorted(os.listdir(data.parent)) == ["d.csv", "d.csv.driftlab-cache"]
+        sidecar = (data.parent / "d.csv.driftlab-cache").read_bytes()
+
+        def no_parse(fh):
+            raise AssertionError("parsed a file whose sidecar is valid")
+
+        monkeypatch.setattr(dataset, "_load_csv", no_parse)
+        assert run_experiment(parse_config({**blob, "output_dir": str(tmp_path / "warm")})) == 0
+        assert dir_digest(tmp_path / "cold") == dir_digest(tmp_path / "warm")
+        assert (data.parent / "d.csv.driftlab-cache").read_bytes() == sidecar
 
 
 def staged_tasks(outcomes: dict):

@@ -1,7 +1,9 @@
 import calendar
 import csv
 import json
+import os
 import re
+import threading
 from datetime import date, timedelta
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from driftlab import dataset
 from driftlab.classifiers import KNNModel
+from driftlab.cli import _fan_out
 from driftlab.dataset import (
     DatasetFormatError,
     EmptySlotError,
@@ -494,6 +497,23 @@ class TestLoading:
         with pytest.raises(DatasetFormatError, match=f"^line {lineno}: non-numeric feature value$"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize(
+        "last,error",
+        [
+            ("d,2014-01-03,0,x", "line 5: non-numeric feature value"),
+            ("c,2014-01-03,0,3.0", "line 5: duplicate id 'c' (first seen line 4)"),
+            ("d,2014-01-03,0", "line 5: feature dimensionality mismatch"),
+            ("d,2014-13-03,0,3.0", "line 5: unparseable timestamp"),
+        ],
+    )
+    def test_csv_error_names_the_physical_line(self, tmp_path, last, error):
+        # The first record's quoted id spans lines 2-3, so the third record is on line 5.
+        p = tmp_path / "d.csv"
+        p.write_text('id,timestamp,label,f0\n"a\nb",2014-01-01,0,1.0\nc,2014-01-02,1,2.0\n'
+                     + last + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(error)}"):
+            load_dataset(str(p))
+
     def test_jsonl_matches_csv(self, tmp_path):
         # Cross-format round-trip oracle: identical content, field by field.
         rows = [
@@ -536,6 +556,186 @@ class TestLoading:
             assert back.ids == d.ids
             assert back.timestamps == d.timestamps
             np.testing.assert_array_equal(back.features, d.features)
+
+
+def parse_counter(monkeypatch):
+    """Count the parses ``load_dataset`` makes, of either format."""
+    calls = []
+    for name in ("_load_csv", "_load_jsonl"):
+        def counted(fh, _parse=getattr(dataset, name)):
+            calls.append(fh)
+            return _parse(fh)
+        monkeypatch.setattr(dataset, name, counted)
+    return calls
+
+
+# Ids that need quoting in a CSV, or that are not ASCII.
+AWKWARD_IDS = ["plain", "com,ma", 'quo"te', "new\nline", "na\u00efve \u2603 \u65e5\u672c", " "]
+
+
+class TestParseCache:
+    """``load_dataset`` keeps a file's parsed columns in ``<path>.driftlab-cache``."""
+
+    @staticmethod
+    def written(tmp_path, fmt, ids=AWKWARD_IDS):
+        d = make_dataset([(sid, f"2014-0{1 + i % 9}-1{i % 10}", i % 2, [i / 3, -1e-300, 1e150])
+                          for i, sid in enumerate(ids)])
+        p = tmp_path / f"d.{fmt}"
+        (write_csv if fmt == "csv" else write_jsonl)(d, str(p))
+        return d, p
+
+    @staticmethod
+    def sidecar(p):
+        return p.parent / (p.name + dataset._CACHE_SUFFIX)
+
+    @pytest.mark.parametrize(
+        "fmt,ids",
+        [("csv", AWKWARD_IDS), ("jsonl", AWKWARD_IDS),
+         # JSON can escape a lone surrogate, which UTF-8 cannot encode.
+         ("jsonl", AWKWARD_IDS + ["\ud800"])],
+    )
+    def test_hit_equals_miss(self, tmp_path, monkeypatch, fmt, ids):
+        made, p = self.written(tmp_path, fmt, ids)
+        parses = parse_counter(monkeypatch)
+        miss = load_dataset(str(p))
+        assert len(parses) == 1 and self.sidecar(p).is_file()
+        hit = load_dataset(str(p))
+        assert len(parses) == 1
+        assert_same_dataset(hit, miss)
+        assert_same_dataset(miss, made)
+
+    def test_sidecar_bytes_are_fixed(self, tmp_path):
+        _, p = self.written(tmp_path, "csv")
+        load_dataset(str(p))
+        first = self.sidecar(p).read_bytes()
+        self.sidecar(p).unlink()
+        load_dataset(str(p))
+        assert self.sidecar(p).read_bytes() == first
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv" + dataset._CACHE_SUFFIX]
+
+    def test_one_changed_byte_misses(self, tmp_path, monkeypatch):
+        _, p = self.written(tmp_path, "csv")
+        load_dataset(str(p))
+        old = self.sidecar(p).read_bytes()
+        text = p.read_bytes()
+        at = text.index(b",0.0,")
+        p.write_bytes(text[:at + 1] + b"5" + text[at + 2:])
+        parses = parse_counter(monkeypatch)
+        assert load_dataset(str(p)).features[0, 0] == 5.0
+        assert len(parses) == 1
+        assert self.sidecar(p).read_bytes() != old
+        assert load_dataset(str(p)).features[0, 0] == 5.0
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("first,then", [("csv", "jsonl"), ("jsonl", "csv")])
+    def test_formats_never_share_an_entry(self, tmp_path, first, then):
+        # The same bytes read as the other format are parsed as that format.
+        _, p = self.written(tmp_path, first)
+        load_dataset(str(p), first)
+        error = "invalid JSON" if then == "jsonl" else "header must start with"
+        with pytest.raises(DatasetFormatError, match=error):
+            load_dataset(str(p), then)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda b: b[:0], lambda b: b[:31], lambda b: b[:64], lambda b: b[:-1],
+         lambda b: b + b"x"]
+        + [lambda b, i=i: b[:i % len(b)] + bytes([b[i] ^ 1]) + b[i % len(b) + 1:]
+           # the key, the payload digest, n, a line number, a feature, the last id
+           for i in (0, 40, 64, 80 + 8, 80 + 32 * 6 + 8, -1)],
+        ids=["empty", "key-cut", "header-only", "last-byte-cut", "byte-added", "key-flip",
+             "digest-flip", "n-flip", "line-flip", "feature-flip", "id-flip"],
+    )
+    def test_damaged_sidecar_reparses_and_is_rewritten(self, tmp_path, monkeypatch, damage):
+        made, p = self.written(tmp_path, "csv")
+        load_dataset(str(p))
+        good = self.sidecar(p).read_bytes()
+        self.sidecar(p).write_bytes(damage(good))
+        parses = parse_counter(monkeypatch)
+        assert_same_dataset(load_dataset(str(p)), made)
+        assert len(parses) == 1
+        assert self.sidecar(p).read_bytes() == good
+
+    def test_concurrent_cold_loads_agree(self, tmp_path):
+        # More processes than cores load one uncached file at once. Whichever
+        # finishes last, each load returns the file's columns and one whole,
+        # canonical sidecar remains.
+        _, p = self.written(tmp_path, "csv")
+
+        def load(_):
+            d = load_dataset(str(p))
+            return d.ids, d.times.tobytes(), d.labels.tobytes(), d.features.tobytes()
+
+        want = load(None)
+        canonical = self.sidecar(p).read_bytes()
+        self.sidecar(p).unlink()
+        assert _fan_out(load, list(range(8)), 8) == [want] * 8
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv" + dataset._CACHE_SUFFIX]
+        assert self.sidecar(p).read_bytes() == canonical
+
+    def test_read_only_directory_loads_and_writes_nothing(self, tmp_path, monkeypatch):
+        made, p = self.written(tmp_path, "csv")
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # Permission bits do not bind this user (root): refuse writes as
+                # they would be refused to anyone else.
+                def read_only_open(file, mode="r", *args, **kw):
+                    if "w" in mode:
+                        raise PermissionError(13, "Permission denied", str(file))
+                    return open(file, mode, *args, **kw)
+
+                monkeypatch.setattr(dataset, "open", read_only_open, raising=False)
+            assert_same_dataset(load_dataset(str(p)), made)
+        finally:
+            tmp_path.chmod(0o755)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_non_regular_file_is_parsed_and_not_cached(self, tmp_path):
+        made, p = self.written(tmp_path, "csv")
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(p.read_bytes()))
+        writer.start()
+        try:
+            assert_same_dataset(load_dataset(str(fifo)), made)
+        finally:
+            writer.join()
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "fifo.csv"]
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("d.csv", "id,timestamp,label,f0\na,2014-01-01,0,1.0\nb,2014-01-02,1,x\n"),
+            ("d.csv", "id,timestamp,label,f0\na,2014-01-01,0,1.0\na,2014-01-02,1,2.0\n"),
+            ("d.csv", "id,timestamp,label,f0\na,2014-01-01,0,1.0\nb,2014-01-02,1,inf\n"),
+            ("d.csv", "id,timestamp,label,f0\n"),
+            ("d.jsonl", '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1]}\n{'),
+        ],
+    )
+    def test_malformed_file_raises_and_leaves_no_sidecar(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        for _ in range(2):
+            with pytest.raises(DatasetFormatError):
+                load_dataset(str(p))
+            assert os.listdir(tmp_path) == [name]
+
+    def test_over_bound_sidecar_raises_like_the_parse(self, tmp_path):
+        # A sidecar whose digests hold still gets every data check on a hit.
+        big = np.nextafter(LOAD_BOUND_3, np.inf)
+        rows = [("a", "2014-01-01", 0, [1.0] * 3), ("b", "2014-01-02", 1, [2.0] * 3),
+                ("c", "2014-01-03", 0, [1.0, -big, 1.0])]
+        p = tmp_path / "d.csv"
+        write_csv(make_dataset(rows), str(p))
+        with pytest.raises(DatasetFormatError) as parsed:
+            load_dataset(str(p))
+        assert str(parsed.value).startswith("line 4: |feature| exceeds")
+        key = dataset._cache_key(str(p), "csv")
+        self.sidecar(p).write_bytes(dataset._cache_blob(key, [2, 3, 4], make_dataset(rows)))
+        with pytest.raises(DatasetFormatError) as hit:
+            load_dataset(str(p))
+        assert str(hit.value) == str(parsed.value)
 
 
 class TestSummarize:

@@ -19,7 +19,9 @@ linear SGD active learning at two budgets each; and the ``tune``,
 through ``driftlab.cli.main`` from inside the work directory with relative
 paths, so no absolute path reaches an artifact. Each output line is
 ``<sha256>  <path>``, the path relative to the work directory, for every
-file in it (the configs written here too).
+file in it (the configs written here too, and the parse-cache sidecar
+``input.csv.driftlab-cache`` that ``load_dataset`` writes beside each CSV
+input).
 
 ``--dir DIR`` works in DIR, which must not exist, and keeps it; by default a
 temporary directory is used and removed. Exits 1, naming the call, when a

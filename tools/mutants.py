@@ -133,6 +133,16 @@ MUTANTS = [
      "np.asarray(scores) >= 0.5",
      "np.asarray(scores) > 0.5",
      "a score of exactly 0.5 predicts the positive class"),
+    ("cache-key-ignores-format", "src/driftlab/dataset.py",
+     'f"{_CACHE_VERSION}\\0{format}\\0"',
+     'f"{_CACHE_VERSION}\\0"',
+     "a file read as csv and as jsonl never shares a sidecar entry "
+     "(test_formats_never_share_an_entry)"),
+    ("cache-hit-skips-payload-digest", "src/driftlab/dataset.py",
+     "if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:",
+     "if blob[:32] != key:",
+     "a sidecar whose payload digest fails is parsed again and rewritten "
+     "(test_damaged_sidecar_reparses_and_is_rewritten)"),
 ]
 
 # Left out of the copy: version control, caches and benchmark work files.
