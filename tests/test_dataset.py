@@ -604,15 +604,6 @@ class TestParseCache:
         assert_same_dataset(hit, miss)
         assert_same_dataset(miss, made)
 
-    def test_sidecar_bytes_are_fixed(self, tmp_path):
-        _, p = self.written(tmp_path, "csv")
-        load_dataset(str(p))
-        first = self.sidecar(p).read_bytes()
-        self.sidecar(p).unlink()
-        load_dataset(str(p))
-        assert self.sidecar(p).read_bytes() == first
-        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv" + dataset._CACHE_SUFFIX]
-
     def test_one_changed_byte_misses(self, tmp_path, monkeypatch):
         _, p = self.written(tmp_path, "csv")
         load_dataset(str(p))
