@@ -490,6 +490,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     groups = [rows] if len(cfg.seeds) % cfg.workers == 0 else [(row,) for row in rows]
     tasks = [(seed, group) for group in groups for seed in cfg.seeds]
     try:
+        if cfg.dataset_path is not None:
+            # Read here, so forked workers share the columns instead of each reading the file.
+            _dataset_for_seed(cfg, cfg.seeds[0])
         gathered = dict(_fan_out(_execute_task, [(cfg, t) for t in tasks], cfg.workers))
     finally:
         _dataset.cache_clear()

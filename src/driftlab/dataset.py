@@ -391,11 +391,18 @@ def _raise_duplicate(ids: Sequence[str]):
 # ---------------------------------------------------------------------------
 
 
+# From Python 3.11 on, date.fromisoformat alone also takes 20140101 and
+# 2014-W02-3; the shape check makes every interpreter accept the same dates.
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_date(text: str, lineno: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise DatasetFormatError(f"line {lineno}: unparseable timestamp {text!r}") from None
+    if _ISO_DAY.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:  # a month or day out of range
+            pass
+    raise DatasetFormatError(f"line {lineno}: unparseable timestamp {text!r}")
 
 
 def _parse_label(text: object, lineno: int) -> int:
@@ -437,7 +444,7 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
         columns = loader(text)
     d = _checked(*columns)
     if regular:
-        _write_cache(side, _cache_blob(digest.digest(), columns[0], d))
+        _write_cache(side, digest.digest(), columns[0], d)
     return d
 
 
@@ -479,7 +486,10 @@ def _checked(lines, ids, stamps, labels, features) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 _CACHE_SUFFIX = ".driftlab-cache"
-_CACHE_VERSION = "driftlab-cache 1"
+# A hit trusts that the parse would accept the file and return these columns,
+# so a change to the parse code or the layout bumps this version (a tier-1
+# test pins a digest of the parse code to it).
+_CACHE_VERSION = "driftlab-cache 2"
 _HASH_CHUNK = 1 << 20
 
 
@@ -512,27 +522,33 @@ def _cache_key(path: str, format: str) -> bytes:
     return digest.digest()
 
 
-def _cache_blob(key: bytes, lines: Sequence[int], d: LabeledDataset) -> bytes:
-    """The sidecar bytes of ``d`` parsed from the file whose key is ``key``."""
-    payload = b"".join([
-        np.array([len(d), d.dimensionality], "<i8").tobytes(),
-        np.array([lines, [len(sid) for sid in d.ids]], "<i8").tobytes(),
-        d.times.astype("<M8[D]").tobytes(),
-        d.labels.astype("<i8").tobytes(),
-        d.features.astype("<f8").tobytes(),
+def _write_cache(side: str, key: bytes, lines: Sequence[int], d: LabeledDataset) -> None:
+    """Write the sidecar of ``d``, parsed from the file whose key is ``key``.
+
+    Each part goes from its array straight to a temporary file of this call
+    and to the payload digest, so no copy of the features is made; the header
+    is written last, then the file is renamed into place. A failure leaves no
+    file and is not an error, since the cache is optional.
+    """
+    parts = [
+        np.array([len(d), d.dimensionality], "<i8"),
+        np.array([lines, [len(sid) for sid in d.ids]], "<i8"),
+        d.times.astype("<M8[D]", copy=False).view("<i8"),
+        d.labels.astype("<i8", copy=False),
+        np.ascontiguousarray(d.features, "<f8"),
         # A JSONL id may hold a lone surrogate ("\ud800"); it round-trips.
         "".join(d.ids).encode("utf-8", "surrogatepass"),
-    ])
-    return key + hashlib.sha256(payload).digest() + payload
-
-
-def _write_cache(side: str, blob: bytes) -> None:
-    """Write ``blob`` to ``side`` through a temporary file of this process; a
-    failure leaves no file and is not an error, since the cache is optional."""
-    tmp = f"{side}.{os.getpid()}.tmp"
+    ]
+    payload = hashlib.sha256()
+    tmp = f"{side}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.write(bytes(64))
+            for part in parts:
+                payload.update(part)
+                fh.write(part)
+            fh.seek(0)
+            fh.write(key + payload.digest())
         os.replace(tmp, side)
     except OSError:
         try:

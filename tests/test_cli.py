@@ -727,15 +727,25 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("scenario,workers", [("realistic", 1), ("bias_grid", 2)])
     def test_parse_cache_is_transparent(self, tmp_path, monkeypatch, scenario, workers):
-        # The cold run parses and writes the sidecar (at workers 2, two processes
-        # load the file at once); the warm run reads it, in every process.
+        # The cold run parses once and writes the sidecar (at workers 2, before
+        # forking, so the workers read nothing); the warm run reads the sidecar.
         data = tmp_path / "data" / "d.csv"
         data.parent.mkdir()
         write_csv(generate(DriftSpec(months=12, samples_per_month=80), seed=0), str(data))
         blob = base_config(tmp_path / "cold", scenario=scenario, seeds=(0, 1), workers=workers)
         blob["dataset"] = {"path": str(data), "format": "csv"}
         blob["classifier"] = {"kind": "knn", "k": 3}
-        assert run_experiment(parse_config(blob)) == 0
+        parses = tmp_path / "parses"
+
+        def counted(fh, _parse=dataset._load_csv):
+            with open(parses, "a") as log:  # a file, so forked workers' parses count too
+                log.write(f"{os.getpid()}\n")
+            return _parse(fh)
+
+        with monkeypatch.context() as m:
+            m.setattr(dataset, "_load_csv", counted)
+            assert run_experiment(parse_config(blob)) == 0
+        assert parses.read_text() == f"{os.getpid()}\n"
         assert sorted(os.listdir(data.parent)) == ["d.csv", "d.csv.driftlab-cache"]
         sidecar = (data.parent / "d.csv.driftlab-cache").read_bytes()
 

@@ -1,5 +1,7 @@
 import calendar
 import csv
+import hashlib
+import inspect
 import json
 import os
 import re
@@ -379,6 +381,25 @@ class TestLoading:
         with pytest.raises(DatasetFormatError, match="line 2.*timestamp"):
             load_dataset(str(p))
 
+    # Python 3.11's date.fromisoformat takes the basic and week forms; 3.10's does not.
+    @pytest.mark.parametrize(
+        "stamp", ["20140101", "2014-W02-3", "2014W023", "2014-1-01",
+                  "2014-01-01 ", "\uff12014-01-01"],
+    )
+    @pytest.mark.parametrize("name", ["d.csv", "d.jsonl"])
+    def test_timestamp_is_an_iso_day(self, tmp_path, name, stamp):
+        p = tmp_path / name
+        if name == "d.csv":
+            p.write_text(f"id,timestamp,label,f0\nz,2014-01-01,0,1.0\na,{stamp},0,1.0\n")
+        else:
+            p.write_text("".join(json.dumps({"id": i, "timestamp": t, "label": 0, "features": [1]})
+                                 + "\n" for i, t in [("z", "2014-01-01"), ("a", stamp)]))
+        lineno = 3 if name == "d.csv" else 2
+        with pytest.raises(DatasetFormatError,
+                           match=f"^line {lineno}: unparseable timestamp {re.escape(repr(stamp))}$"):
+            load_dataset(str(p))
+        assert os.listdir(tmp_path) == [name]
+
     def test_csv_duplicate_id_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id,timestamp,label,f0\na,2014-01-01,0,1.0\na,2014-01-02,1,2.0\n")
@@ -573,6 +594,28 @@ def parse_counter(monkeypatch):
 AWKWARD_IDS = ["plain", "com,ma", 'quo"te', "new\nline", "na\u00efve \u2603 \u65e5\u672c", " "]
 
 
+# A hit skips the text checks, trusting that the parse code which wrote the
+# sidecar would accept the file and return the same columns. So an edit to the
+# parse code (or to the sidecar layout) must bump dataset._CACHE_VERSION, which
+# is in every key; then re-pin the digest here. tools/mutants.py leaves this
+# test out, since it fails on every edit to the code it pins.
+PARSE_CODE_DIGEST = ("driftlab-cache 2",
+                     "3fb0fadce55968776da171e0bed61d5bd62ba74b0c077eff6eed701622b70b00")
+
+
+def test_parse_code_edits_bump_the_cache_version():
+    code = [inspect.getsource(f) for f in (
+        dataset.load_dataset, dataset._parse_date, dataset._parse_label, dataset._load_csv,
+        dataset._float_cells, dataset._per_cell_floats, dataset._load_jsonl,
+        dataset._write_cache, dataset._read_cache,
+    )]
+    code.append(dataset._ISO_DAY.pattern)
+    digest = hashlib.sha256("\0".join(code).encode()).hexdigest()
+    assert (dataset._CACHE_VERSION, digest) == PARSE_CODE_DIGEST, (
+        "the parse code or the sidecar layout changed: bump dataset._CACHE_VERSION "
+        "and re-pin PARSE_CODE_DIGEST")
+
+
 class TestParseCache:
     """``load_dataset`` keeps a file's parsed columns in ``<path>.driftlab-cache``."""
 
@@ -723,7 +766,7 @@ class TestParseCache:
             load_dataset(str(p))
         assert str(parsed.value).startswith("line 4: |feature| exceeds")
         key = dataset._cache_key(str(p), "csv")
-        self.sidecar(p).write_bytes(dataset._cache_blob(key, [2, 3, 4], make_dataset(rows)))
+        dataset._write_cache(str(self.sidecar(p)), key, [2, 3, 4], make_dataset(rows))
         with pytest.raises(DatasetFormatError) as hit:
             load_dataset(str(p))
         assert str(hit.value) == str(parsed.value)
