@@ -391,13 +391,11 @@ def _raise_duplicate(ids: Sequence[str]):
 # ---------------------------------------------------------------------------
 
 
-# From Python 3.11 on, date.fromisoformat alone also takes 20140101 and
-# 2014-W02-3; the shape check makes every interpreter accept the same dates.
-_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
 def _parse_date(text: str, lineno: int) -> date:
-    if _ISO_DAY.fullmatch(text):
+    # From Python 3.11 on, date.fromisoformat alone also takes 20140101 and
+    # 2014-W02-3. Ten characters with "-" at 4 and 7 leave it only YYYY-MM-DD
+    # (ASCII digits) to accept, so every interpreter accepts the same dates.
+    if len(text) == 10 and text[4] == "-" == text[7]:
         try:
             return date.fromisoformat(text)
         except ValueError:  # a month or day out of range
