@@ -114,6 +114,8 @@ def _dataset(synthetic: DriftSpec | None, path: str | None, fmt: str | None, see
         return load_dataset(path, fmt)
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"cannot read dataset file {path}: {exc.strerror}") from None
 
 
 def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:

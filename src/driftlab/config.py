@@ -9,10 +9,9 @@ violation raises :class:`ConfigError`, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import date
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
-from .dataset import check_fields, rule
+from .dataset import _parse_date, check_fields, rule
 from .delay import DelayPolicy
 from .splits import RatioSpec, SplitSpec
 from .synthgen import DriftSpec
@@ -93,10 +92,10 @@ def _section(name: str, build):
 
 
 def _drift_spec(**fields) -> DriftSpec:
-    """A DriftSpec whose ``start`` may be an ISO date string."""
+    """A DriftSpec whose ``start`` may be a ``YYYY-MM-DD`` string."""
     if isinstance(fields.get("start"), str):
         try:
-            fields["start"] = date.fromisoformat(fields["start"])
+            fields["start"] = _parse_date(fields["start"])
         except ValueError:
             pass  # DriftSpec rejects the string by name
     return DriftSpec(**fields)

@@ -98,7 +98,8 @@ class Period:
 # values it accepts, and checks them all with one check_fields call.
 # ---------------------------------------------------------------------------
 
-_NOUNS = {int: "integer", float: "number", bool: "boolean", str: "non-empty string", date: "date"}
+_NOUNS = {int: "integer", float: "number", bool: "boolean", str: "non-empty string",
+          date: "YYYY-MM-DD date"}
 
 
 class _Rule:
@@ -387,11 +388,14 @@ def _raise_duplicate(ids: Sequence[str]):
 # ---------------------------------------------------------------------------
 # Ingestion. CSV schema: header id,timestamp,label,f0,...,f{n-1}; dates are
 # YYYY-MM-DD; labels 0|1; features decimal numerals. JSONL: one object per
-# line with keys id, timestamp, label, features. Both UTF-8.
+# line with keys id, timestamp, label, features. Both UTF-8. The day and label
+# rules below are also the ones for every other date and label read from
+# outside: configs, generate --start and split manifests.
 # ---------------------------------------------------------------------------
 
 
-def _parse_date(text: str, lineno: int) -> date:
+def _parse_date(text: str) -> date:
+    """The day ``text`` names, which must be written ``YYYY-MM-DD``."""
     # From Python 3.11 on, date.fromisoformat alone also takes 20140101 and
     # 2014-W02-3. Ten characters with "-" at 4 and 7 leave it only YYYY-MM-DD
     # (ASCII digits) to accept, so every interpreter accepts the same dates.
@@ -400,13 +404,14 @@ def _parse_date(text: str, lineno: int) -> date:
             return date.fromisoformat(text)
         except ValueError:  # a month or day out of range
             pass
-    raise DatasetFormatError(f"line {lineno}: unparseable timestamp {text!r}")
+    raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
 
 
-def _parse_label(text: object, lineno: int) -> int:
-    if text in ("0", "1", 0, 1):
-        return int(text)
-    raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {text!r}")
+def _parse_label(value: object) -> int:
+    """The label ``value`` names, which must be 0 or 1 (or the text of one)."""
+    if value in ("0", "1", 0, 1):
+        return int(value)
+    raise ValueError(f"label must be 0 or 1, got {value!r}")
 
 
 def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
@@ -435,11 +440,14 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     loader = _load_csv if format == "csv" else _load_jsonl
     digest = _key_hash(format)
     # The key is hashed from the very bytes the parser reads.
-    with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-        io.BufferedReader(_Hashing(raw, digest), _HASH_CHUNK),
-        encoding="utf-8", newline="" if format == "csv" else None,
-    ) as text:
-        columns = loader(text)
+    try:
+        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+            io.BufferedReader(_Hashing(raw, digest), _HASH_CHUNK),
+            encoding="utf-8", newline="" if format == "csv" else None,
+        ) as text:
+            columns = _columns(*loader(text))
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"file is not UTF-8 text ({exc.reason})") from None
     d = _checked(*columns)
     if regular:
         _write_cache(side, digest.digest(), columns[0], d)
@@ -456,8 +464,6 @@ def _checked(lines, ids, stamps, labels, features) -> LabeledDataset:
                 f"line {lineno}: duplicate id {sid!r} (first seen line {seen[sid]})"
             )
         seen[sid] = lineno
-    if not ids:
-        raise DatasetFormatError("dataset file contains no samples")
     features = np.asarray(features, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
@@ -584,20 +590,14 @@ def _read_cache(path: str, side: str, format: str):
     return lines.tolist(), ids, days.view("<M8[D]"), labels, features
 
 
-# CSV feature cells are converted this many rows at a time, so the strings
-# held at once stay few however long the file is.
+# Feature cells are converted this many rows at a time, so the cells held at
+# once stay few however long the file is.
 _CSV_CHUNK_ROWS = 1024
 
 
 def _load_csv(fh):
-    """``_checked``'s columns from CSV text ``fh``; each sample is numbered by
-    the physical line its record starts on, since a quoted id may span lines."""
-    lines: list[int] = []
-    ids: list[str] = []
-    stamps: list[date] = []
-    labels: list[int] = []
-    blocks: list[np.ndarray] = []
-    cells: list[list[str]] = []
+    """The feature count CSV text ``fh``'s header declares, and its records, each
+    numbered by the physical line it starts on (a quoted id may span lines)."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -610,103 +610,100 @@ def _load_csv(fh):
     dim = len(header) - 3
     if dim < 1:
         raise DatasetFormatError("line 1: header declares no feature columns")
-    expected_feats = [f"f{i}" for i in range(dim)]
-    if header[3:] != expected_feats:
+    if header[3:] != [f"f{i}" for i in range(dim)]:
         raise DatasetFormatError(f"line 1: feature columns must be f0..f{dim - 1}")
+    return dim, _csv_records(reader)
+
+
+def _csv_records(reader):
     next_line = reader.line_num + 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
+        if row:
+            row += [""] * (3 - len(row))  # no label, so no features: the count check names it
+            yield lineno, row[0], row[1], row[2], row[3:]
+
+
+def _load_jsonl(fh):
+    """No declared feature count, and the records of JSONL text ``fh``."""
+    return None, (_jsonl_record(n, line) for n, line in enumerate(fh, start=1) if line.strip())
+
+
+def _jsonl_record(lineno: int, line: str):
     try:
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != 3 + dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: feature dimensionality mismatch: expected "
-                    f"{dim} features, got {len(row) - 3}"
-                )
-            t = _parse_date(row[1], lineno)
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"line {lineno}: not a JSON object")
+    missing = {"id", "timestamp", "label", "features"} - set(obj)
+    if missing:
+        raise DatasetFormatError(f"line {lineno}: missing keys {sorted(missing)}")
+    feats = obj["features"]
+    if not (isinstance(feats, list) and feats and all(type(v) in (int, float) for v in feats)):
+        raise DatasetFormatError(f"line {lineno}: features must be a non-empty numeric array")
+    return lineno, str(obj["id"]), str(obj["timestamp"]), obj["label"], feats
+
+
+def _columns(dim: int | None, records):
+    """``_checked``'s columns from ``records``, each ``(line, id, timestamp text,
+    label, feature cells)``; ``dim`` is the declared feature count, or None to
+    take the first record's. Within a line the feature count is checked first,
+    then the timestamp, the feature cells and the label."""
+    lines, ids, stamps, labels, blocks, cells = [], [], [], [], [], []
+    try:
+        for lineno, sid, ts, label, feats in records:
+            if dim is None:
+                dim = len(feats)
+            if len(feats) != dim:
+                raise DatasetFormatError(f"line {lineno}: feature dimensionality mismatch: "
+                                         f"expected {dim} features, got {len(feats)}")
+            try:
+                t = _parse_date(ts)
+            except ValueError:
+                raise DatasetFormatError(f"line {lineno}: unparseable timestamp {ts!r}") from None
             lines.append(lineno)
-            ids.append(row[0])
-            cells.append(row[3:])
+            ids.append(sid)
             stamps.append(t)
-            labels.append(_parse_label(row[2], lineno))
+            cells.append(feats)
+            try:
+                labels.append(_parse_label(label))
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {lineno}: {exc}") from None
             if len(cells) == _CSV_CHUNK_ROWS:
                 blocks.append(_float_cells(lines, cells))
                 cells = []
     except (ValueError, csv.Error):
         # A line's features are checked before its label and before any
-        # later line, so a non-numeric cell already read is reported first.
+        # later line, so a bad cell already read is reported first.
         _per_cell_floats(lines, cells)
         raise
+    if not lines:
+        raise DatasetFormatError("dataset file contains no samples")
     blocks.append(_float_cells(lines, cells).reshape(-1, dim))
     return lines, ids, stamps, labels, np.concatenate(blocks)
 
 
-def _float_cells(lines: list[int], cells: list[list[str]]) -> np.ndarray:
-    """The feature cells as float64, each parsed as ``float()`` parses it.
-
-    ``cells`` holds the features of the rows on the last ``len(cells)`` of ``lines``.
-    One numpy conversion does the work; only when it fails does the
-    per-cell loop run, to name the first non-numeric line.
-    """
+def _float_cells(lines: list[int], cells: list[list]) -> np.ndarray:
+    """The feature cells as float64, each parsed as ``float()`` parses it; ``cells``
+    holds the rows on the last ``len(cells)`` of ``lines``. Only when the one numpy
+    conversion fails does the per-cell loop run, to name the first bad line."""
     try:
         return np.array(cells, dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):
         return np.array(_per_cell_floats(lines, cells), dtype=np.float64)
 
 
-def _per_cell_floats(lines: list[int], cells: list[list[str]]) -> list[list[float]]:
+def _per_cell_floats(lines: list[int], cells: list[list]) -> list[list[float]]:
     rows = []
     for lineno, row in zip(lines[len(lines) - len(cells) :], cells):
         try:
             rows.append([float(v) for v in row])
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric feature value") from None
-    return rows
-
-
-def _load_jsonl(fh):
-    """``_checked``'s columns from JSONL text ``fh``."""
-    lines: list[int] = []
-    ids: list[str] = []
-    stamps: list[date] = []
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    dim: int | None = None
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        missing = {"id", "timestamp", "label", "features"} - set(obj)
-        if missing:
-            raise DatasetFormatError(f"line {lineno}: missing keys {sorted(missing)}")
-        feats = obj["features"]
-        if not isinstance(feats, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
-        ):
-            raise DatasetFormatError(f"line {lineno}: features must be a numeric array")
-        if dim is None:
-            dim = len(feats)
-            if dim < 1:
-                raise DatasetFormatError(f"line {lineno}: empty feature array")
-        elif len(feats) != dim:
-            raise DatasetFormatError(
-                f"line {lineno}: feature dimensionality mismatch: expected "
-                f"{dim} features, got {len(feats)}"
-            )
-        t = _parse_date(str(obj["timestamp"]), lineno)
-        lines.append(lineno)
-        ids.append(str(obj["id"]))
-        stamps.append(t)
-        labels.append(_parse_label(obj["label"], lineno))
-        try:
-            rows.append([float(v) for v in feats])
-        except OverflowError:  # an integer beyond float range
+        except OverflowError:  # a JSON integer beyond float range
             raise DatasetFormatError(f"line {lineno}: non-finite feature value") from None
-    return lines, ids, stamps, labels, rows
+    return rows
 
 
 def iso_dates(times: np.ndarray) -> list[str]:

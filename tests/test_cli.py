@@ -93,6 +93,42 @@ def with_ratios(cfg: dict, **fields) -> dict:
     return {**cfg, "ratios": {**cfg["ratios"], **fields}}
 
 
+def run_argv(tmp: Path, blob: dict) -> list[str]:
+    """``run`` on config ``blob``, written under ``tmp``."""
+    (tmp / "cfg.json").write_text(json.dumps(blob))
+    return ["run", "--config", str(tmp / "cfg.json")]
+
+
+def file_run_argv(tmp: Path, name: str, data: bytes | None) -> list[str]:
+    """``run`` on the dataset file ``tmp/name`` holding ``data``, or on a directory there."""
+    path = tmp / name
+    path.mkdir() if data is None else path.write_bytes(data)
+    return run_argv(tmp, {**base_config(tmp / "out", seeds=(0,)), "dataset": {"path": str(path)}})
+
+
+def jsonl_run_argv(tmp: Path, line: str) -> list[str]:
+    good = '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1]}\n'
+    return file_run_argv(tmp, "d.jsonl", (good + line + "\n").encode())
+
+
+def config_run_argv(tmp: Path, edit) -> list[str]:
+    """``run`` on the base config after ``edit(blob)``."""
+    blob = base_config(tmp / "out", seeds=(0,))
+    edit(blob)
+    return run_argv(tmp, blob)
+
+
+def audit_argv(tmp: Path, edit) -> list[str]:
+    """``audit`` on a valid split manifest after ``edit(blob)``."""
+    blob = base_config(tmp / "out")
+    spec = splits.SplitSpec.from_dict(blob["split"])
+    d = generate(DriftSpec(**blob["dataset"]["synthetic"]), seed=0)
+    manifest = splits.split_to_manifest(time_aware_split(d, spec, RatioSpec(), seed=0))
+    edit(manifest)
+    (tmp / "manifest.json").write_text(json.dumps(manifest))
+    return ["audit", "--manifest", str(tmp / "manifest.json")]
+
+
 def dir_digest(path: Path) -> dict[str, str]:
     return {
         str(p.relative_to(path)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -1220,6 +1256,60 @@ class TestCliVerbs:
         if message.startswith("output path"):
             assert ran == []
             assert (tmp_path / "afile").read_text() == ""
+
+    # Every date read from outside is YYYY-MM-DD only, as on every Python (3.11's
+    # date.fromisoformat alone also takes the basic and week forms), and every
+    # label 0 or 1; a dataset file must be UTF-8 and readable.
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda tmp: file_run_argv(tmp, "d.csv",
+                                       b"id,timestamp,label,f0\n\xff,2014-01-01,0,1\n"),
+             "file is not UTF-8 text (invalid start byte)"),
+            (lambda tmp: jsonl_run_argv(tmp, "5"), "line 2: not a JSON object"),
+            (lambda tmp: jsonl_run_argv(tmp, "null"), "line 2: not a JSON object"),
+            (lambda tmp: jsonl_run_argv(tmp, "[1]"), "line 2: not a JSON object"),
+            (lambda tmp: jsonl_run_argv(tmp, '"x"'), "line 2: not a JSON object"),
+            (lambda tmp: file_run_argv(tmp, "d.csv", None),
+             "cannot read dataset file {tmp}/d.csv: Is a directory"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b["split"].update(origin="20140101")),
+             "bad split: '20140101' is not a YYYY-MM-DD date"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b["split"].update(origin="2014-W02-3")),
+             "bad split: '2014-W02-3' is not a YYYY-MM-DD date"),
+            (lambda tmp: config_run_argv(
+                tmp, lambda b: b["dataset"]["synthetic"].update(start="2014W023")),
+             "bad dataset.synthetic: start must be a YYYY-MM-DD date, got '2014W023'"),
+            (lambda tmp: ["generate", "--months", "2", "--samples-per-month", "5",
+                          "--start", "2014W023", "--out", str(tmp / "x.csv")],
+             "start must be a YYYY-MM-DD date, got '2014W023'"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["train"][0].update(label=1.7)),
+             "bad manifest: label must be 0 or 1, got 1.7"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["train"][0].update(label="01")),
+             "bad manifest: label must be 0 or 1, got '01'"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["test_slots"][0][0].update(
+                timestamp="20140705")),
+             "bad manifest: '20140705' is not a YYYY-MM-DD date"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["test_slots"][0][0].update(
+                timestamp="2014-W27-6")),
+             "bad manifest: '2014-W27-6' is not a YYYY-MM-DD date"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["spec"].update(origin="20140101")),
+             "bad manifest: '20140101' is not a YYYY-MM-DD date"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["spec"].update(origin="2014W013")),
+             "bad manifest: '2014W013' is not a YYYY-MM-DD date"),
+        ],
+        ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
+             "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
+             "synthetic_start_week", "generate_start_week", "manifest_label_float",
+             "manifest_label_01", "manifest_timestamp_basic", "manifest_timestamp_week",
+             "manifest_origin_basic", "manifest_origin_week"],
+    )
+    def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
+        assert main(make(tmp_path)) == 2
+        message = message.replace("{tmp}", str(tmp_path))
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "x.csv").exists()
+        assert not list(tmp_path.glob("*.driftlab-cache*"))
 
     def test_file_outputs_make_their_missing_directories(self, tmp_path):
         out = tmp_path / "out"

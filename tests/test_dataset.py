@@ -400,6 +400,27 @@ class TestLoading:
             load_dataset(str(p))
         assert os.listdir(tmp_path) == [name]
 
+    @pytest.mark.parametrize("line", ["5", "null", "[1]", '"x"', "true"])
+    def test_jsonl_line_must_be_an_object(self, tmp_path, line):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1]}\n'
+                     + line + "\n")
+        with pytest.raises(DatasetFormatError, match="^line 2: not a JSON object$"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [("d.csv", b"id,timestamp,label,f0\na,2014-01-01,0,1.0\nb\xff,2014-01-02,1,2.0\n"),
+         ("d.csv", b"id,timestamp,label,f\xe9\n"),
+         ("d.jsonl", b'{"id": "a\xc3", "timestamp": "2014-01-01", "label": 0, "features": [1]}\n')],
+    )
+    def test_file_that_is_not_utf8_is_malformed(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_bytes(text)
+        with pytest.raises(DatasetFormatError, match="^file is not UTF-8 text"):
+            load_dataset(str(p))
+        assert os.listdir(tmp_path) == [name]
+
     def test_csv_duplicate_id_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id,timestamp,label,f0\na,2014-01-01,0,1.0\na,2014-01-02,1,2.0\n")

@@ -1,5 +1,6 @@
 import calendar
 import json
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -707,6 +708,29 @@ class TestManifest:
         del blob["slot_width"]
         with pytest.raises(KeyError, match="slot_width"):
             SplitSpec.from_dict(blob)
+
+    # Python 3.11's date.fromisoformat takes the basic and week forms; 3.10's does not.
+    @pytest.mark.parametrize("origin", ["20140101", "2014-W01-3", "2014W013", 20140101])
+    def test_origin_is_an_iso_day(self, origin):
+        blob = self.manifest()["spec"]
+        assert SplitSpec.from_dict(blob).origin == date(2014, 1, 1)
+        blob["origin"] = origin
+        with pytest.raises(ValueError, match=f"^'{origin}' is not a YYYY-MM-DD date$"):
+            SplitSpec.from_dict(blob)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("timestamp", "20140105", "'20140105' is not a YYYY-MM-DD date"),
+         ("timestamp", "2014-W01-7", "'2014-W01-7' is not a YYYY-MM-DD date"),
+         ("label", 1.7, "label must be 0 or 1, got 1.7"),
+         ("label", "01", "label must be 0 or 1, got '01'"),
+         ("label", 2, "label must be 0 or 1, got 2")],
+    )
+    def test_manifest_record_follows_the_dataset_rules(self, key, value, message):
+        blob = self.manifest()
+        blob["train"][0][key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_from_manifest(blob)
 
     def test_manifest_missing_ratio_key_rejected(self):
         d = monthly_dataset(10, 60, 12, seed=12)

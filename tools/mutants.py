@@ -152,6 +152,19 @@ MUTANTS = [
      'if len(text) == 10 and text[4] == "-" == text[7]:',
      "if text:",
      "a timestamp is YYYY-MM-DD on every interpreter (test_timestamp_is_an_iso_day)"),
+    ("jsonl-line-any-json", "src/driftlab/dataset.py",
+     "if not isinstance(obj, dict):",
+     "if False:",
+     "a JSONL line must be a JSON object (test_jsonl_line_must_be_an_object)"),
+    ("manifest-label-int", "src/driftlab/splits.py",
+     '_parse_label(r["label"])',
+     'int(r["label"])',
+     "a manifest label is 0 or 1 by the dataset rule "
+     "(test_manifest_record_follows_the_dataset_rules)"),
+    ("origin-any-iso-form", "src/driftlab/splits.py",
+     'origin=_parse_date(str(blob["origin"])),',
+     'origin=date.fromisoformat(blob["origin"]),',
+     "a split origin is YYYY-MM-DD on every interpreter (test_origin_is_an_iso_day)"),
 ]
 
 # Left out of the copy: version control, caches and benchmark work files.
