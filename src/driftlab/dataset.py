@@ -493,7 +493,7 @@ _CACHE_SUFFIX = ".driftlab-cache"
 # A hit trusts that the parse would accept the file and return these columns,
 # so a change to the parse code or the layout bumps this version (a tier-1
 # test pins a digest of the parse code to it).
-_CACHE_VERSION = "driftlab-cache 2"
+_CACHE_VERSION = "driftlab-cache 3"
 _HASH_CHUNK = 1 << 20
 
 

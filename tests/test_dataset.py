@@ -620,15 +620,15 @@ AWKWARD_IDS = ["plain", "com,ma", 'quo"te', "new\nline", "na\u00efve \u2603 \u65
 # parse code (or to the sidecar layout) must bump dataset._CACHE_VERSION, which
 # is in every key; then re-pin the digest here. tools/mutants.py leaves this
 # test out, since it fails on every edit to the code it pins.
-PARSE_CODE_DIGEST = ("driftlab-cache 2",
-                     "a651eeca69f650f443bc4e5392cc04e980a69c77c0ab14f1fbeec12a1669e383")
+PARSE_CODE_DIGEST = ("driftlab-cache 3",
+                     "8fe98f076a5396c247796321f65f08894557d84c6c23cbc33441e426c75c176d")
 
 
 def test_parse_code_edits_bump_the_cache_version():
     code = [inspect.getsource(f) for f in (
         dataset.load_dataset, dataset._parse_date, dataset._parse_label, dataset._load_csv,
-        dataset._float_cells, dataset._per_cell_floats, dataset._load_jsonl,
-        dataset._write_cache, dataset._read_cache,
+        dataset._csv_records, dataset._load_jsonl, dataset._jsonl_record, dataset._columns,
+        dataset._float_cells, dataset._per_cell_floats, dataset._write_cache, dataset._read_cache,
     )]
     digest = hashlib.sha256("\0".join(code).encode()).hexdigest()
     assert (dataset._CACHE_VERSION, digest) == PARSE_CODE_DIGEST, (
