@@ -102,7 +102,10 @@ def run_argv(tmp: Path, blob: dict) -> list[str]:
 def file_run_argv(tmp: Path, name: str, data: bytes | None) -> list[str]:
     """``run`` on the dataset file ``tmp/name`` holding ``data``, or on a directory there."""
     path = tmp / name
-    path.mkdir() if data is None else path.write_bytes(data)
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
     return run_argv(tmp, {**base_config(tmp / "out", seeds=(0,)), "dataset": {"path": str(path)}})
 
 
