@@ -11,6 +11,7 @@ where a :class:`Period` width is either a number of calendar months
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import math
 import numbers
 import os
 import re
+import sys
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from typing import Iterable, NamedTuple, Sequence
@@ -408,8 +410,8 @@ def _parse_date(text: str) -> date:
 
 
 def _parse_label(value: object) -> int:
-    """The label ``value`` names, which must be 0 or 1 (or the text of one)."""
-    if value in ("0", "1", 0, 1):
+    """The label ``value`` names, which must be the int or the text 0 or 1."""
+    if value in ("0", "1") or (type(value) is int and value in (0, 1)):
         return int(value)
     raise ValueError(f"label must be 0 or 1, got {value!r}")
 
@@ -422,12 +424,11 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     naming the 1-based line number.
 
     A regular file's parsed columns are kept beside it in the sidecar
-    ``<path>.driftlab-cache``, keyed by the SHA-256 of the cache version, the
-    format and the file's bytes. A later load of the same bytes reads the
-    sidecar instead of parsing; it skips only the text-syntax checks, which the
-    key fixes, and runs every check on the data again. A missing, stale,
-    unreadable or corrupt sidecar means a parse, and a sidecar that cannot be
-    written is left out.
+    ``<path>.driftlab-cache``. A later load of the same bytes in the same format
+    by the same code, Python and numpy reads the sidecar instead of parsing; it
+    skips only the text-syntax checks, which the key fixes, and runs every check
+    on the data again. A missing, stale, unreadable or corrupt sidecar means a
+    parse, and a sidecar that cannot be written is left out.
     """
     if format is None:
         format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
@@ -441,10 +442,8 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     digest = _key_hash(format)
     # The key is hashed from the very bytes the parser reads.
     try:
-        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-            io.BufferedReader(_Hashing(raw, digest), _HASH_CHUNK),
-            encoding="utf-8", newline="" if format == "csv" else None,
-        ) as text:
+        with io.TextIOWrapper(io.BufferedReader(_Hashing(path, digest), _HASH_CHUNK),
+                              encoding="utf-8", newline="" if format == "csv" else None) as text:
             columns = _columns(*loader(text))
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"file is not UTF-8 text ({exc.reason})") from None
@@ -490,40 +489,33 @@ def _checked(lines, ids, stamps, labels, features) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 _CACHE_SUFFIX = ".driftlab-cache"
-# A hit trusts that the parse would accept the file and return these columns,
-# so a change to the parse code or the layout bumps this version (a tier-1
-# test pins a digest of the parse code to it).
-_CACHE_VERSION = "driftlab-cache 3"
 _HASH_CHUNK = 1 << 20
 
 
+@functools.cache
+def _code_digest() -> str:
+    with open(__file__, "rb") as fh:  # this module holds all parse and sidecar code
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _key_hash(format: str):
-    """A SHA-256 hash fed the cache version and ``format``; the file's bytes follow."""
-    return hashlib.sha256(f"{_CACHE_VERSION}\0{format}\0".encode())
+    """A SHA-256 hash fed what parses (this module's source, Python and numpy) and
+    ``format``; the file's bytes follow. A hit trusts that parser's columns."""
+    reader = (_code_digest(), sys.version_info[:2], np.__version__, format)
+    return hashlib.sha256("\0".join(map(str, reader)).encode() + b"\0")
 
 
-class _Hashing(io.RawIOBase):
-    """A raw binary reader that feeds every byte read from ``raw`` to ``digest``."""
+class _Hashing(io.FileIO):
+    """The file ``path``, opened for reading, feeding every byte read to ``digest``."""
 
-    def __init__(self, raw, digest) -> None:
-        self.raw, self.digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
+    def __init__(self, path: str, digest) -> None:
+        super().__init__(path)
+        self.digest = digest
 
     def readinto(self, buffer) -> int:
-        n = self.raw.readinto(buffer)
+        n = super().readinto(buffer)
         self.digest.update(memoryview(buffer)[:n])
         return n
-
-
-def _cache_key(path: str, format: str) -> bytes:
-    """The sidecar key of ``path``'s current bytes read as ``format``."""
-    digest = _key_hash(format)
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.digest()
 
 
 def _write_cache(side: str, key: bytes, lines: Sequence[int], d: LabeledDataset) -> None:
@@ -567,11 +559,14 @@ def _read_cache(path: str, side: str, format: str):
     try:
         with open(side, "rb") as fh:
             blob = fh.read()
-        key = _cache_key(path, format)
+        key = _key_hash(format)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_HASH_CHUNK):
+                key.update(chunk)
     except OSError:
         return None
     payload = memoryview(blob)[64:]
-    if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:
+    if blob[:32] != key.digest() or hashlib.sha256(payload).digest() != blob[32:64]:
         return None
     try:
         n, dim = np.frombuffer(payload, "<i8", 2).tolist()
@@ -603,6 +598,8 @@ def _load_csv(fh):
         header = next(reader)
     except StopIteration:
         raise DatasetFormatError("empty file: missing header") from None
+    except csv.Error as exc:  # as in _csv_records
+        raise DatasetFormatError(f"line 1: {exc}") from None
     if header[:3] != ["id", "timestamp", "label"]:
         raise DatasetFormatError(
             f"line 1: header must start with id,timestamp,label; got {header[:3]}"
@@ -617,11 +614,14 @@ def _load_csv(fh):
 
 def _csv_records(reader):
     next_line = reader.line_num + 1
-    for row in reader:
-        lineno, next_line = next_line, reader.line_num + 1
-        if row:
-            row += [""] * (3 - len(row))  # no label, so no features: the count check names it
-            yield lineno, row[0], row[1], row[2], row[3:]
+    try:
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if row:
+                row += [""] * (3 - len(row))  # no label, so no features: the count check names it
+                yield lineno, row[0], row[1], row[2], row[3:]
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise DatasetFormatError(f"line {next_line}: {exc}") from None
 
 
 def _load_jsonl(fh):
@@ -673,7 +673,7 @@ def _columns(dim: int | None, records):
             if len(cells) == _CSV_CHUNK_ROWS:
                 blocks.append(_float_cells(lines, cells))
                 cells = []
-    except (ValueError, csv.Error):
+    except ValueError:
         # A line's features are checked before its label and before any
         # later line, so a bad cell already read is reported first.
         _per_cell_floats(lines, cells)

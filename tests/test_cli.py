@@ -1262,7 +1262,8 @@ class TestCliVerbs:
 
     # Every date read from outside is YYYY-MM-DD only, as on every Python (3.11's
     # date.fromisoformat alone also takes the basic and week forms), and every
-    # label 0 or 1; a dataset file must be UTF-8 and readable.
+    # label the int or text 0 or 1, not a bool or float equal to one; a dataset
+    # file must be UTF-8, readable, and hold no field the csv module refuses.
     @pytest.mark.parametrize(
         "make,message",
         [
@@ -1299,12 +1300,29 @@ class TestCliVerbs:
              "bad manifest: '20140101' is not a YYYY-MM-DD date"),
             (lambda tmp: audit_argv(tmp, lambda m: m["spec"].update(origin="2014W013")),
              "bad manifest: '2014W013' is not a YYYY-MM-DD date"),
+            # After a quoted id over two lines, the long field's record starts on line 4.
+            (lambda tmp: file_run_argv(
+                tmp, "d.csv", b'id,timestamp,label,f0\n"a\nb",2014-01-01,0,1\n'
+                + b"x" * 200_000 + b",2014-01-02,1,1\n"),
+             "line 4: field larger than field limit (131072)"),
+            (lambda tmp: file_run_argv(tmp, "d.csv", b"id,timestamp,label,f0," + b"x" * 200_000),
+             "line 1: field larger than field limit (131072)"),
+            *[(lambda tmp, v=v: jsonl_run_argv(
+                  tmp, f'{{"id": "b", "timestamp": "2014-01-02", "label": {v}, "features": [1]}}'),
+               f"line 2: label must be 0 or 1, got {json.loads(v)!r}")
+              for v in ("true", "false", "1.0", "0.0")],
+            *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(label=v)),
+               f"bad manifest: label must be 0 or 1, got {v!r}")
+              for v in (True, False, 1.0, 0.0)],
         ],
         ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
              "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
              "synthetic_start_week", "generate_start_week", "manifest_label_float",
              "manifest_label_01", "manifest_timestamp_basic", "manifest_timestamp_week",
-             "manifest_origin_basic", "manifest_origin_week"],
+             "manifest_origin_basic", "manifest_origin_week", "csv_field_over_limit",
+             "csv_header_field_over_limit", "jsonl_label_true", "jsonl_label_false",
+             "jsonl_label_1.0", "jsonl_label_0.0", "manifest_label_true",
+             "manifest_label_false", "manifest_label_1.0", "manifest_label_0.0"],
     )
     def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
         assert main(make(tmp_path)) == 2

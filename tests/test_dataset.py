@@ -1,12 +1,13 @@
 import calendar
 import csv
 import hashlib
-import inspect
 import json
 import os
 import re
 import threading
 from datetime import date, timedelta
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -615,27 +616,6 @@ def parse_counter(monkeypatch):
 AWKWARD_IDS = ["plain", "com,ma", 'quo"te', "new\nline", "na\u00efve \u2603 \u65e5\u672c", " "]
 
 
-# A hit skips the text checks, trusting that the parse code which wrote the
-# sidecar would accept the file and return the same columns. So an edit to the
-# parse code (or to the sidecar layout) must bump dataset._CACHE_VERSION, which
-# is in every key; then re-pin the digest here. tools/mutants.py leaves this
-# test out, since it fails on every edit to the code it pins.
-PARSE_CODE_DIGEST = ("driftlab-cache 3",
-                     "8fe98f076a5396c247796321f65f08894557d84c6c23cbc33441e426c75c176d")
-
-
-def test_parse_code_edits_bump_the_cache_version():
-    code = [inspect.getsource(f) for f in (
-        dataset.load_dataset, dataset._parse_date, dataset._parse_label, dataset._load_csv,
-        dataset._csv_records, dataset._load_jsonl, dataset._jsonl_record, dataset._columns,
-        dataset._float_cells, dataset._per_cell_floats, dataset._write_cache, dataset._read_cache,
-    )]
-    digest = hashlib.sha256("\0".join(code).encode()).hexdigest()
-    assert (dataset._CACHE_VERSION, digest) == PARSE_CODE_DIGEST, (
-        "the parse code or the sidecar layout changed: bump dataset._CACHE_VERSION "
-        "and re-pin PARSE_CODE_DIGEST")
-
-
 class TestParseCache:
     """``load_dataset`` keeps a file's parsed columns in ``<path>.driftlab-cache``."""
 
@@ -679,6 +659,33 @@ class TestParseCache:
         assert len(parses) == 1
         assert self.sidecar(p).read_bytes() != old
         assert load_dataset(str(p)).features[0, 0] == 5.0
+        assert len(parses) == 1
+
+    def test_key_holds_this_modules_source(self):
+        source = Path(dataset.__file__).read_bytes()
+        assert dataset._code_digest() == hashlib.sha256(source).hexdigest()
+
+    # A hit skips the text checks, trusting that the code which wrote the sidecar
+    # would parse the file to the same columns. So another dataset.py, Python or
+    # numpy parses once and rewrites the sidecar with the same payload.
+    @pytest.mark.parametrize(
+        "other",
+        [lambda mp: mp.setattr(dataset, "_code_digest", lambda: "0" * 64),
+         lambda mp: mp.setattr(dataset, "sys", SimpleNamespace(version_info=(3, 99, 0))),
+         lambda mp: mp.setattr(np, "__version__", "0.0.0")],
+        ids=["parse-code", "python", "numpy"],
+    )
+    def test_another_parser_reparses_and_rewrites(self, tmp_path, monkeypatch, other):
+        made, p = self.written(tmp_path, "csv")
+        load_dataset(str(p))
+        old = self.sidecar(p).read_bytes()
+        other(monkeypatch)
+        parses = parse_counter(monkeypatch)
+        assert_same_dataset(load_dataset(str(p)), made)
+        assert len(parses) == 1
+        new = self.sidecar(p).read_bytes()
+        assert new[:32] != old[:32] and new[32:] == old[32:]
+        assert_same_dataset(load_dataset(str(p)), made)
         assert len(parses) == 1
 
     @pytest.mark.parametrize("first,then", [("csv", "jsonl"), ("jsonl", "csv")])
@@ -785,8 +792,9 @@ class TestParseCache:
         with pytest.raises(DatasetFormatError) as parsed:
             load_dataset(str(p))
         assert str(parsed.value).startswith("line 4: |feature| exceeds")
-        key = dataset._cache_key(str(p), "csv")
-        dataset._write_cache(str(self.sidecar(p)), key, [2, 3, 4], make_dataset(rows))
+        key = dataset._key_hash("csv")
+        key.update(p.read_bytes())
+        dataset._write_cache(str(self.sidecar(p)), key.digest(), [2, 3, 4], make_dataset(rows))
         with pytest.raises(DatasetFormatError) as hit:
             load_dataset(str(p))
         assert str(hit.value) == str(parsed.value)

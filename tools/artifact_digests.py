@@ -19,9 +19,10 @@ linear SGD active learning at two budgets each; and the ``tune``,
 through ``driftlab.cli.main`` from inside the work directory with relative
 paths, so no absolute path reaches an artifact. Each output line is
 ``<sha256>  <path>``, the path relative to the work directory, for every
-file in it (the configs written here too, and the parse-cache sidecar
-``input.csv.driftlab-cache`` that ``load_dataset`` writes beside each CSV
-input).
+file in it (the configs written here too) but the parse-cache sidecars
+``*.driftlab-cache`` that ``load_dataset`` writes beside each CSV input: a
+sidecar's key holds a digest of ``dataset.py``, so its bytes change with every
+edit there while no output does.
 
 ``--dir DIR`` works in DIR, which must not exist, and keeps it; by default a
 temporary directory is used and removed. Exits 1, naming the call, when a
@@ -142,9 +143,10 @@ def calls() -> list[list[str]]:
 
 
 def digests(root: Path) -> list[str]:
-    """``<sha256>  <relative path>`` of every file under ``root``, sorted by that path
-    as a posix string (so ``x-y/f`` comes before ``x/f``)."""
-    names = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    """``<sha256>  <relative path>`` of every file under ``root`` but the sidecars,
+    sorted by that path as a posix string (so ``x-y/f`` comes before ``x/f``)."""
+    names = sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                   if p.is_file() and not p.name.endswith(".driftlab-cache"))
     return [f"{hashlib.sha256((root / n).read_bytes()).hexdigest()}  {n}" for n in names]
 
 

@@ -8,11 +8,10 @@ checkout itself is never edited. ``python -m pytest -x -q`` then runs in the
 copy, against the copy's ``src``: first on the mutated module's own test
 file, ``tests/test_<stem>.py`` when there is one, and on the whole suite only
 if that file passes, so a mutant costs a whole suite run only when its own
-tests miss it. Both runs leave out ``SOURCE_PIN``. A mutant is KILLED when
-pytest reports a failing test and SURVIVED when every test of the whole suite
-passes; any other pytest exit is an ERROR. Prints one line per mutant and
-exits 1 unless every mutant is KILLED. Needs only the standard library
-besides what the tests need.
+tests miss it. A mutant is KILLED when pytest reports a failing test and
+SURVIVED when every test of the whole suite passes; any other pytest exit is
+an ERROR. Prints one line per mutant and exits 1 unless every mutant is
+KILLED. Needs only the standard library besides what the tests need.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# This test pins a digest of dataset.py's parse code, so it fails on any
-# edit there and says nothing about whether the tests catch a fault.
-SOURCE_PIN = "tests/test_dataset.py::test_parse_code_edits_bump_the_cache_version"
 
 # (name, file, old text, new text, the rule the mutant breaks)
 MUTANTS = [
@@ -139,13 +134,18 @@ MUTANTS = [
      "np.asarray(scores) > 0.5",
      "a score of exactly 0.5 predicts the positive class"),
     ("cache-key-ignores-format", "src/driftlab/dataset.py",
-     'f"{_CACHE_VERSION}\\0{format}\\0"',
-     'f"{_CACHE_VERSION}\\0"',
+     "np.__version__, format)",
+     "np.__version__)",
      "a file read as csv and as jsonl never shares a sidecar entry "
      "(test_formats_never_share_an_entry)"),
+    ("cache-key-ignores-parser", "src/driftlab/dataset.py",
+     "reader = (_code_digest(), sys.version_info[:2],",
+     "reader = (sys.version_info[:2],",
+     "a sidecar written by other parse code is parsed again and rewritten "
+     "(test_another_parser_reparses_and_rewrites)"),
     ("cache-hit-skips-payload-digest", "src/driftlab/dataset.py",
-     "if blob[:32] != key or hashlib.sha256(payload).digest() != blob[32:64]:",
-     "if blob[:32] != key:",
+     "if blob[:32] != key.digest() or hashlib.sha256(payload).digest() != blob[32:64]:",
+     "if blob[:32] != key.digest():",
      "a sidecar whose payload digest fails is parsed again and rewritten "
      "(test_damaged_sidecar_reparses_and_is_rewritten)"),
     ("date-any-iso-form", "src/driftlab/dataset.py",
@@ -156,6 +156,11 @@ MUTANTS = [
      "if not isinstance(obj, dict):",
      "if False:",
      "a JSONL line must be a JSON object (test_jsonl_line_must_be_an_object)"),
+    ("label-bool-accepted", "src/driftlab/dataset.py",
+     "(type(value) is int and value in (0, 1))",
+     "value in (0, 1)",
+     "a label is the int or text 0 or 1, not a bool or float equal to one "
+     "(test_ill_formed_outside_input_exit_2)"),
     ("manifest-label-int", "src/driftlab/splits.py",
      '_parse_label(r["label"])',
      'int(r["label"])',
@@ -193,8 +198,7 @@ def run_mutant(work: Path, file: str, old: str, new: str) -> str:
         # The module's own test file, then (if it passes) the whole suite.
         for tests in [[str(own)], []] if (copy / own).exists() else [[]]:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--deselect", SOURCE_PIN, *tests],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             if proc.returncode != 0:
