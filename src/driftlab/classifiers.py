@@ -19,7 +19,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .dataset import EmptySlotError, LabeledDataset, check_fields, rule
+from .dataset import ConfigError, EmptySlotError, LabeledDataset, check_fields, rule
 from .rng import derive_rng
 
 __all__ = [
@@ -44,7 +44,7 @@ class SingleClassTrainingError(EmptySlotError):
     """Training set contains only one class."""
 
 
-class TrainingSizeError(ValueError):
+class TrainingSizeError(ConfigError):
     """Training set has fewer rows than the classifier needs (kNN's k)."""
 
 

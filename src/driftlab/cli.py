@@ -5,11 +5,11 @@ three constraints on a saved split manifest), ``tune`` (training-ratio
 grid search only), ``generate`` (synthetic dataset to CSV/JSONL),
 ``plotdata`` (reshape run artifacts into tidy plotting CSVs).
 
-Exit codes: 0 ok, 2 config error (including a malformed dataset file, a
-split that runs past the data, a class too small for ``kfold_k`` folds or
-a training window too short for its validation tail), 3 constraint
-violation (including a time window that is empty or lacks a class), 4
-runtime failure.
+Exit codes, by kind: 0 ok; 2 bad input, any ``ConfigError`` (a config, a
+flag, a file that is missing, unreadable or malformed, data too short for
+its windows or folds); 3 a constraint the data cannot meet, any
+``ConstraintViolationError`` (C1-C3, a window empty or lacking a class);
+4 a model's output or any other runtime failure.
 
 Scenarios mirror the classic bias table, whose rows live in one table,
 ``BIAS_GRID_ROWS``: ``realistic`` (constraint-clean time split),
@@ -51,16 +51,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ModelOutputError, TrainingSizeError, fit_models
+from .classifiers import ModelOutputError, fit_models
 from .config import SCENARIOS, ConfigError, ExperimentConfig, _drift_spec, _section, parse_config
-from .dataset import DatasetFormatError, LabeledDataset, load_dataset, write_csv, write_jsonl
+from .dataset import LabeledDataset, load_dataset, write_csv, write_jsonl
 from .delay import ConstraintViolationError, DelayPolicy, DelayRunResult, initial_scores, run_policy
 from .metrics import (
     METRIC_NAMES,
     Confusion,
     MetricCurve,
     SlotSeries,
-    StratificationError,
     aut,
     confusion_counts,
     cumulative_estimates,
@@ -70,8 +69,6 @@ from .metrics import (
 )
 from .rng import derive_rng, derive_seed
 from .splits import (
-    EmptySlotError,
-    InsufficientSpanError,
     disjoint_class_pools,
     enforce_ratio,
     past_testing_pools,
@@ -81,7 +78,7 @@ from .splits import (
     time_aware_split,
 )
 from .synthgen import DriftSpec, generate
-from .tuning import TuningResult, ValidationWindowError, tune_phi
+from .tuning import TuningResult, tune_phi
 
 __all__ = ["run_experiment", "emit_plot_data", "main"]
 
@@ -110,12 +107,19 @@ def _dataset(synthetic: DriftSpec | None, path: str | None, fmt: str | None, see
     """Built once per key; cleared when a verb returns, so a rewritten file is read again."""
     if synthetic is not None:
         return generate(synthetic, seed=derive_seed(seed, "dataset"))
+    return _read("dataset file", path, lambda p: load_dataset(p, fmt))
+
+
+def _read(what: str, path: str, parse=lambda p: Path(p).read_text(encoding="utf-8")):
+    """``parse(path)``, by default its UTF-8 text; each file fault is a ConfigError naming it."""
     try:
-        return load_dataset(path, fmt)
+        return parse(path)
     except FileNotFoundError:
-        raise ConfigError(f"dataset file not found: {path}") from None
+        raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:  # a directory, or a file this process may not read
-        raise ConfigError(f"cannot read dataset file {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _tune(cfg: ExperimentConfig, d: LabeledDataset, seed: int) -> TuningResult:
@@ -591,10 +595,7 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
 
 def _load_config_file(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        blob = json.loads(_read("config file", path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(blob, dict):
@@ -612,18 +613,13 @@ def _load_config_file(path: str, overrides: argparse.Namespace) -> ExperimentCon
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, args)
-    return run_experiment(cfg)
+    return run_experiment(_load_config_file(args.config, args))
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     out = _output_path(args.out, directory=False) if args.out else None
-    try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            split = _section("manifest", lambda: split_from_manifest(json.load(fh)))
-    except FileNotFoundError:
-        raise ConfigError(f"manifest not found: {args.manifest}") from None
-    verdicts = split.verdicts
+    manifest = _read("manifest", args.manifest)
+    verdicts = _section("manifest", lambda: split_from_manifest(json.loads(manifest))).verdicts
     report = {k: v.as_dict() for k, v in verdicts.items()}
     text = json.dumps(report, sort_keys=True, indent=2)
     if out is not None:
@@ -732,11 +728,10 @@ def main(argv: list[str] | None = None) -> int:
         # A float fault ends the verb with exit 4 instead of a warning beside exit 0.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ConfigError, DatasetFormatError, InsufficientSpanError, StratificationError,
-            TrainingSizeError, ValidationWindowError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstraintViolationError, EmptySlotError) as exc:
+    except ConstraintViolationError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except ModelOutputError as exc:

@@ -3,7 +3,8 @@
 Each config field declares its rule once, as ``dataclasses.field``
 metadata (see :func:`driftlab.dataset.rule`); ``_SECTIONS`` maps each
 top-level key of a config file to the builder of its fields. Any schema
-violation raises :class:`ConfigError`, which the CLI maps to exit code 2.
+violation raises :class:`ConfigError` (defined in :mod:`driftlab.dataset`),
+which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
-from .dataset import _parse_date, check_fields, rule
+from .dataset import ConfigError, _parse_date, check_fields, rule
 from .delay import DelayPolicy
 from .splits import RatioSpec, SplitSpec
 from .synthgen import DriftSpec
@@ -20,10 +21,6 @@ from .tuning import TuningConfig
 __all__ = ["SCENARIOS", "ConfigError", "ExperimentConfig", "parse_config"]
 
 SCENARIOS = ("realistic", "kfold", "past_testing", "disjoint_class_windows", "bias_grid")
-
-
-class ConfigError(ValueError):
-    """Experiment configuration violates the documented schema."""
 
 
 @dataclass(frozen=True, kw_only=True)

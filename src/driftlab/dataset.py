@@ -30,6 +30,8 @@ __all__ = [
     "Period",
     "LabeledDataset",
     "DatasetSummary",
+    "ConfigError",
+    "ConstraintViolationError",
     "DatasetFormatError",
     "EmptySlotError",
     "add_months",
@@ -46,11 +48,19 @@ __all__ = [
 ]
 
 
-class DatasetFormatError(ValueError):
+class ConfigError(ValueError):
+    """Base of every error in outside input (config, flag, file); the CLI exits 2."""
+
+
+class ConstraintViolationError(ValueError):
+    """Base of every constraint the data cannot meet (C1-C3, a window's classes); exit 3."""
+
+
+class DatasetFormatError(ConfigError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-class EmptySlotError(ValueError):
+class EmptySlotError(ConstraintViolationError):
     """A time window holds no samples, or a train or test slot lacks one class."""
 
 

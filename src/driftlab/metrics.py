@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel, predict_dataset
-from .dataset import LabeledDataset
+from .dataset import ConfigError, LabeledDataset
 
 __all__ = [
     "Confusion",
@@ -197,7 +197,7 @@ def slot_series(
 # ---------------------------------------------------------------------------
 
 
-class StratificationError(ValueError):
+class StratificationError(ConfigError):
     """A class has fewer samples than there are folds."""
 
 

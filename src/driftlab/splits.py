@@ -26,6 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dataset import (
+    ConfigError,
+    ConstraintViolationError,
     EmptySlotError,
     LabeledDataset,
     Period,
@@ -67,16 +69,12 @@ __all__ = [
 ]
 
 
-class InsufficientSpanError(ValueError):
+class InsufficientSpanError(ConfigError):
     """Dataset does not cover origin + train_window + test_window."""
 
 
-class UpsamplingRequiredError(ValueError):
+class UpsamplingRequiredError(ConstraintViolationError):
     """Requested ratio is unreachable by downsampling alone."""
-
-
-class ConstraintViolationError(ValueError):
-    """A split that must satisfy C1/C2/C3 fails one of them."""
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifiers import Classifier, fit_models, score_rows
-from .dataset import EmptySlotError, LabeledDataset, check_fields, rule, slot_edges
+from .dataset import ConfigError, EmptySlotError, LabeledDataset, check_fields, rule, slot_edges
 from .metrics import aut, error_rate, point_estimates, slot_series
 from .rng import derive_seed
 from .splits import SplitSpec, enforce_ratio, require_c1, two_class_windows
@@ -46,7 +46,7 @@ __all__ = [
 DEFAULT_E_MAX = {"f1": 0.10, "recall": 0.05, "precision": 0.15}
 
 
-class ValidationWindowError(ValueError):
+class ValidationWindowError(ConfigError):
     """Training window cannot host a >= 2-slot validation tail."""
 
 

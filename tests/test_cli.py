@@ -109,6 +109,17 @@ def file_run_argv(tmp: Path, name: str, data: bytes | None) -> list[str]:
     return run_argv(tmp, {**base_config(tmp / "out", seeds=(0,)), "dataset": {"path": str(path)}})
 
 
+def input_argv(tmp: Path, verb: str, data: bytes | None) -> list[str]:
+    """``verb`` (a verb and its input flag) on the file ``tmp/in`` holding ``data``,
+    or on a directory there."""
+    path = tmp / "in"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    return [*verb.split(), str(path)]
+
+
 def jsonl_run_argv(tmp: Path, line: str) -> list[str]:
     good = '{"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [1]}\n'
     return file_run_argv(tmp, "d.jsonl", (good + line + "\n").encode())
@@ -1264,6 +1275,7 @@ class TestCliVerbs:
     # date.fromisoformat alone also takes the basic and week forms), and every
     # label the int or text 0 or 1, not a bool or float equal to one; a dataset
     # file must be UTF-8, readable, and hold no field the csv module refuses.
+    # Every file a verb reads (config, manifest, dataset) must be readable UTF-8.
     @pytest.mark.parametrize(
         "make,message",
         [
@@ -1314,6 +1326,16 @@ class TestCliVerbs:
             *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(label=v)),
                f"bad manifest: label must be 0 or 1, got {v!r}")
               for v in (True, False, 1.0, 0.0)],
+            (lambda tmp: input_argv(tmp, "run --config", None),
+             "cannot read config file {tmp}/in: Is a directory"),
+            (lambda tmp: input_argv(tmp, "tune --config", None),
+             "cannot read config file {tmp}/in: Is a directory"),
+            (lambda tmp: input_argv(tmp, "audit --manifest", None),
+             "cannot read manifest {tmp}/in: Is a directory"),
+            (lambda tmp: input_argv(tmp, "run --config", b'{"scenario": "\xff"}'),
+             "config file {tmp}/in is not UTF-8 text (invalid start byte)"),
+            (lambda tmp: input_argv(tmp, "audit --manifest", b'{"train": "\xff"}'),
+             "manifest {tmp}/in is not UTF-8 text (invalid start byte)"),
         ],
         ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
              "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
@@ -1322,7 +1344,9 @@ class TestCliVerbs:
              "manifest_origin_basic", "manifest_origin_week", "csv_field_over_limit",
              "csv_header_field_over_limit", "jsonl_label_true", "jsonl_label_false",
              "jsonl_label_1.0", "jsonl_label_0.0", "manifest_label_true",
-             "manifest_label_false", "manifest_label_1.0", "manifest_label_0.0"],
+             "manifest_label_false", "manifest_label_1.0", "manifest_label_0.0",
+             "run_config_is_a_dir", "tune_config_is_a_dir", "audit_manifest_is_a_dir",
+             "config_not_utf8", "manifest_not_utf8"],
     )
     def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
         assert main(make(tmp_path)) == 2

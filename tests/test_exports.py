@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import driftlab
+from driftlab.dataset import ConfigError, ConstraintViolationError
 
 MODULES = ["driftlab"] + [f"driftlab.{m.name}" for m in pkgutil.iter_modules(driftlab.__path__)]
 
@@ -14,3 +15,19 @@ MODULES = ["driftlab"] + [f"driftlab.{m.name}" for m in pkgutil.iter_modules(dri
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_error_has_an_exit_code_base():
+    """The CLI exits 2 on a ConfigError and 3 on a ConstraintViolationError, so every
+    driftlab exception is one of the two, except a model's bad output (exit 4)."""
+    errors = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(name)).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__.startswith("driftlab")
+    }
+    bases = (ConfigError, ConstraintViolationError)
+    assert sorted(e.__name__ for e in errors if not issubclass(e, bases)) == ["ModelOutputError"]
+    assert not issubclass(ConfigError, ConstraintViolationError)
+    assert not issubclass(ConstraintViolationError, ConfigError)

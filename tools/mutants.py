@@ -166,6 +166,11 @@ MUTANTS = [
      'int(r["label"])',
      "a manifest label is 0 or 1 by the dataset rule "
      "(test_manifest_record_follows_the_dataset_rules)"),
+    ("training-size-error-plain", "src/driftlab/classifiers.py",
+     "class TrainingSizeError(ConfigError):",
+     "class TrainingSizeError(ValueError):",
+     "every error but a model's output has an exit-code base "
+     "(test_every_error_has_an_exit_code_base)"),
     ("origin-any-iso-form", "src/driftlab/splits.py",
      'origin=_parse_date(str(blob["origin"])),',
      'origin=date.fromisoformat(blob["origin"]),',
