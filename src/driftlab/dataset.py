@@ -400,9 +400,9 @@ def _raise_duplicate(ids: Sequence[str]):
 # ---------------------------------------------------------------------------
 # Ingestion. CSV schema: header id,timestamp,label,f0,...,f{n-1}; dates are
 # YYYY-MM-DD; labels 0|1; features decimal numerals. JSONL: one object per
-# line with keys id, timestamp, label, features. Both UTF-8. The day and label
-# rules below are also the ones for every other date and label read from
-# outside: configs, generate --start and split manifests.
+# line with keys id, timestamp, label, features. Both UTF-8. The day, label and
+# id rules below are also the ones for every other date, label and id read
+# from outside: configs, generate --start and split manifests.
 # ---------------------------------------------------------------------------
 
 
@@ -424,6 +424,13 @@ def _parse_label(value: object) -> int:
     if value in ("0", "1") or (type(value) is int and value in (0, 1)):
         return int(value)
     raise ValueError(f"label must be 0 or 1, got {value!r}")
+
+
+def _parse_id(value: object) -> str:
+    """The id ``value`` names, which must be a string or an integer (not a bool)."""
+    if type(value) in (str, int):
+        return str(value)
+    raise ValueError(f"id must be a string or an integer, got {value!r}")
 
 
 def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
@@ -652,14 +659,14 @@ def _jsonl_record(lineno: int, line: str):
     feats = obj["features"]
     if not (isinstance(feats, list) and feats and all(type(v) in (int, float) for v in feats)):
         raise DatasetFormatError(f"line {lineno}: features must be a non-empty numeric array")
-    return lineno, str(obj["id"]), str(obj["timestamp"]), obj["label"], feats
+    return lineno, obj["id"], str(obj["timestamp"]), obj["label"], feats
 
 
 def _columns(dim: int | None, records):
     """``_checked``'s columns from ``records``, each ``(line, id, timestamp text,
     label, feature cells)``; ``dim`` is the declared feature count, or None to
     take the first record's. Within a line the feature count is checked first,
-    then the timestamp, the feature cells and the label."""
+    then the timestamp, the feature cells, the id and the label."""
     lines, ids, stamps, labels, blocks, cells = [], [], [], [], [], []
     try:
         for lineno, sid, ts, label, feats in records:
@@ -673,10 +680,10 @@ def _columns(dim: int | None, records):
             except ValueError:
                 raise DatasetFormatError(f"line {lineno}: unparseable timestamp {ts!r}") from None
             lines.append(lineno)
-            ids.append(sid)
             stamps.append(t)
             cells.append(feats)
             try:
+                ids.append(_parse_id(sid))
                 labels.append(_parse_label(label))
             except ValueError as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from None

@@ -32,6 +32,7 @@ from .dataset import (
     LabeledDataset,
     Period,
     _parse_date,
+    _parse_id,
     _parse_label,
     add_period,
     check_fields,
@@ -516,11 +517,11 @@ def split_from_manifest(blob: dict) -> TemporalSplit:
             raise ValueError(f"test slot {k - 1} is empty" if k else "train is empty")
     for r in (r for side in sides for r in side):
         record = (_parse_date(str(r["timestamp"])), _parse_label(r["label"]))
-        if records.setdefault(str(r["id"]), record) != record:
+        if records.setdefault(_parse_id(r["id"]), record) != record:
             raise ValueError(f"sample id {r['id']!r} has two different records")
     row = {sid: k for k, sid in enumerate(records)}
     times, labels = [t for t, _ in records.values()], [y for _, y in records.values()]
     d = LabeledDataset(list(records), times, labels, np.zeros((len(records), 0)))
-    rows = [np.array([row[str(r["id"])] for r in side], dtype=np.intp) for side in sides]
+    rows = [np.array([row[_parse_id(r["id"])] for r in side], dtype=np.intp) for side in sides]
     ratios = RatioSpec(**{f.name: blob["ratios"][f.name] for f in fields(RatioSpec)})
     return TemporalSplit(d, rows[0], tuple(rows[1:]), SplitSpec.from_dict(blob["spec"]), ratios)

@@ -1273,7 +1273,8 @@ class TestCliVerbs:
 
     # Every date read from outside is YYYY-MM-DD only, as on every Python (3.11's
     # date.fromisoformat alone also takes the basic and week forms), and every
-    # label the int or text 0 or 1, not a bool or float equal to one; a dataset
+    # label the int or text 0 or 1, not a bool or float equal to one, every id a
+    # string or an integer (so JSON null cannot load as "None"); a dataset
     # file must be UTF-8, readable, and hold no field the csv module refuses.
     # Every file a verb reads (config, manifest, dataset) must be readable UTF-8.
     @pytest.mark.parametrize(
@@ -1326,6 +1327,13 @@ class TestCliVerbs:
             *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(label=v)),
                f"bad manifest: label must be 0 or 1, got {v!r}")
               for v in (True, False, 1.0, 0.0)],
+            *[(lambda tmp, v=v: jsonl_run_argv(
+                  tmp, f'{{"id": {v}, "timestamp": "2014-01-02", "label": 1, "features": [1]}}'),
+               f"line 2: id must be a string or an integer, got {json.loads(v)!r}")
+              for v in ("null", "true", "[1]")],
+            *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(id=v)),
+               f"bad manifest: id must be a string or an integer, got {v!r}")
+              for v in (None, True)],
             (lambda tmp: input_argv(tmp, "run --config", None),
              "cannot read config file {tmp}/in: Is a directory"),
             (lambda tmp: input_argv(tmp, "tune --config", None),
@@ -1345,6 +1353,8 @@ class TestCliVerbs:
              "csv_header_field_over_limit", "jsonl_label_true", "jsonl_label_false",
              "jsonl_label_1.0", "jsonl_label_0.0", "manifest_label_true",
              "manifest_label_false", "manifest_label_1.0", "manifest_label_0.0",
+             "jsonl_id_null", "jsonl_id_true", "jsonl_id_list", "manifest_id_null",
+             "manifest_id_true",
              "run_config_is_a_dir", "tune_config_is_a_dir", "audit_manifest_is_a_dir",
              "config_not_utf8", "manifest_not_utf8"],
     )

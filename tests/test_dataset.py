@@ -409,6 +409,18 @@ class TestLoading:
         with pytest.raises(DatasetFormatError, match="^line 2: not a JSON object$"):
             load_dataset(str(p))
 
+    # An id is a JSON string or an integer by exact type, so null cannot pose as "None".
+    @pytest.mark.parametrize("sid", ["null", "true", "false", "[1]", "1.5", '{"a": 1}'])
+    def test_jsonl_id_is_a_string_or_an_integer(self, tmp_path, sid):
+        p = tmp_path / "d.jsonl"
+        line = '{{"id": {}, "timestamp": "2014-01-01", "label": 0, "features": [1]}}\n'
+        p.write_text(line.format('"None"') + line.format(sid))
+        message = f"line 2: id must be a string or an integer, got {json.loads(sid)!r}"
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            load_dataset(str(p))
+        p.write_text(line.format('"None"') + line.format("5") + line.format(2**70))
+        assert load_dataset(str(p)).ids == ("None", "5", str(2**70))
+
     @pytest.mark.parametrize(
         "name,text",
         [("d.csv", b"id,timestamp,label,f0\na,2014-01-01,0,1.0\nb\xff,2014-01-02,1,2.0\n"),

@@ -724,7 +724,11 @@ class TestManifest:
          ("timestamp", "2014-W01-7", "'2014-W01-7' is not a YYYY-MM-DD date"),
          ("label", 1.7, "label must be 0 or 1, got 1.7"),
          ("label", "01", "label must be 0 or 1, got '01'"),
-         ("label", 2, "label must be 0 or 1, got 2")],
+         ("label", 2, "label must be 0 or 1, got 2"),
+         ("id", None, "id must be a string or an integer, got None"),
+         ("id", True, "id must be a string or an integer, got True"),
+         ("id", [1], "id must be a string or an integer, got [1]"),
+         ("id", 1.0, "id must be a string or an integer, got 1.0")],
     )
     def test_manifest_record_follows_the_dataset_rules(self, key, value, message):
         blob = self.manifest()

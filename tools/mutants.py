@@ -161,6 +161,11 @@ MUTANTS = [
      "value in (0, 1)",
      "a label is the int or text 0 or 1, not a bool or float equal to one "
      "(test_ill_formed_outside_input_exit_2)"),
+    ("id-any-json", "src/driftlab/dataset.py",
+     "if type(value) in (str, int):",
+     "if True:",
+     "an id is a JSON string or an integer by exact type "
+     "(test_jsonl_id_is_a_string_or_an_integer)"),
     ("manifest-label-int", "src/driftlab/splits.py",
      '_parse_label(r["label"])',
      'int(r["label"])',
