@@ -570,22 +570,29 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
     if not src.is_dir():
         raise FileNotFoundError(f"run directory {run_dir} does not exist")
     dst = Path(out_dir) if out_dir else src
-    written: list[str] = []
+    tables = []
     for pattern, name, header, row_of in _PLOT_TABLES:
-        files = sorted(src.glob(pattern))
-        if not files:
-            continue
-        rows = []
-        for f in files:
-            with open(f, newline="", encoding="utf-8") as fh:
-                rows += [r for r in (row_of(f.stem, rec) for rec in csv.DictReader(fh)) if r]
-        # Made only now, so a run directory without artifacts leaves no output directory.
-        dst.mkdir(parents=True, exist_ok=True)
-        _write_rows(dst / name, header, rows)
-        written.append(str(dst / name))
-    if not written:
+        if files := sorted(src.glob(pattern)):
+            parse = partial(_plot_rows, row_of)
+            rows = [r for f in files for r in _read("run artifact", str(f), parse)]
+            tables.append((dst / name, header, rows))
+    if not tables:
         raise FileNotFoundError(f"no recognized run artifacts under {run_dir}")
-    return written
+    # Made only now, so a run directory without readable artifacts leaves no output.
+    dst.mkdir(parents=True, exist_ok=True)
+    for path, header, rows in tables:
+        _write_rows(path, header, rows)
+    return [str(path) for path, _, _ in tables]
+
+
+def _plot_rows(row_of, path: str) -> list[list]:
+    """The rows ``row_of`` makes of the records of the run artifact ``path``."""
+    stem = Path(path).stem
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return [r for r in (row_of(stem, rec) for rec in csv.DictReader(fh)) if r]
+        except KeyError as exc:
+            raise ConfigError(f"run artifact {path} has no column {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -99,25 +99,36 @@ def run_argv(tmp: Path, blob: dict) -> list[str]:
     return ["run", "--config", str(tmp / "cfg.json")]
 
 
-def file_run_argv(tmp: Path, name: str, data: bytes | None) -> list[str]:
-    """``run`` on the dataset file ``tmp/name`` holding ``data``, or on a directory there."""
-    path = tmp / name
+def put(path: Path, data: bytes | None) -> str:
+    """Write ``data`` to ``path``, or make a directory there when ``data`` is None."""
     if data is None:
         path.mkdir()
     else:
         path.write_bytes(data)
-    return run_argv(tmp, {**base_config(tmp / "out", seeds=(0,)), "dataset": {"path": str(path)}})
+    return str(path)
+
+
+def file_run_argv(tmp: Path, name: str, data: bytes | None) -> list[str]:
+    """``run`` on the dataset file ``tmp/name`` holding ``data``, or on a directory there."""
+    path = put(tmp / name, data)
+    return run_argv(tmp, {**base_config(tmp / "out", seeds=(0,)), "dataset": {"path": path}})
 
 
 def input_argv(tmp: Path, verb: str, data: bytes | None) -> list[str]:
-    """``verb`` (a verb and its input flag) on the file ``tmp/in`` holding ``data``,
-    or on a directory there."""
-    path = tmp / "in"
-    if data is None:
-        path.mkdir()
-    else:
-        path.write_bytes(data)
-    return [*verb.split(), str(path)]
+    """``verb`` (a verb and its input flag) on ``put(tmp / "in", data)``."""
+    return [*verb.split(), put(tmp / "in", data)]
+
+
+DECAY_CSV = b"slot,timestamp,metric,mode,value\n0,2014-07-01,f1,point,0.5\n"
+
+
+def plotdata_argv(tmp: Path, files: dict) -> list[str]:
+    """``plotdata`` into ``tmp/out`` from a run directory of ``files``, each name
+    mapped to its bytes, or to None for a directory of that name."""
+    run = put(tmp / "run", None)
+    for name, data in files.items():
+        put(Path(run) / name, data)
+    return ["plotdata", "--run-dir", run, "--out", str(tmp / "out")]
 
 
 def jsonl_run_argv(tmp: Path, line: str) -> list[str]:
@@ -1276,7 +1287,8 @@ class TestCliVerbs:
     # label the int or text 0 or 1, not a bool or float equal to one, every id a
     # string or an integer (so JSON null cannot load as "None"); a dataset
     # file must be UTF-8, readable, and hold no field the csv module refuses.
-    # Every file a verb reads (config, manifest, dataset) must be readable UTF-8.
+    # Every file a verb reads (config, manifest, dataset, run artifact) must be
+    # readable UTF-8, and a failed plotdata writes no table.
     @pytest.mark.parametrize(
         "make,message",
         [
@@ -1334,6 +1346,13 @@ class TestCliVerbs:
             *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(id=v)),
                f"bad manifest: id must be a string or an integer, got {v!r}")
               for v in (None, True)],
+            (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV.replace(b"slot", b"k")}),
+             "run artifact {tmp}/run/decay_seed0.csv has no column 'slot'"),
+            (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV,
+                                             "tuning_seed0.csv": b"phi,aut,error\n0.1,\xff,0\n"}),
+             "run artifact {tmp}/run/tuning_seed0.csv is not UTF-8 text (invalid start byte)"),
+            (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": None}),
+             "cannot read run artifact {tmp}/run/decay_seed0.csv: Is a directory"),
             (lambda tmp: input_argv(tmp, "run --config", None),
              "cannot read config file {tmp}/in: Is a directory"),
             (lambda tmp: input_argv(tmp, "tune --config", None),
@@ -1354,7 +1373,8 @@ class TestCliVerbs:
              "jsonl_label_1.0", "jsonl_label_0.0", "manifest_label_true",
              "manifest_label_false", "manifest_label_1.0", "manifest_label_0.0",
              "jsonl_id_null", "jsonl_id_true", "jsonl_id_list", "manifest_id_null",
-             "manifest_id_true",
+             "manifest_id_true", "plotdata_column_missing", "plotdata_not_utf8",
+             "plotdata_artifact_is_a_dir",
              "run_config_is_a_dir", "tune_config_is_a_dir", "audit_manifest_is_a_dir",
              "config_not_utf8", "manifest_not_utf8"],
     )
