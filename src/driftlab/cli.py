@@ -588,11 +588,20 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
 def _plot_rows(row_of, path: str) -> list[list]:
     """The rows ``row_of`` makes of the records of the run artifact ``path``."""
     stem = Path(path).stem
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return [r for r in (row_of(stem, rec) for rec in csv.DictReader(fh)) if r]
-        except KeyError as exc:
-            raise ConfigError(f"run artifact {path} has no column {exc}") from None
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            # DictReader files a long row's extras under None and fills a short one with None.
+            if None in rec or None in rec.values():
+                width = len(reader.fieldnames)
+                raise ConfigError(f"run artifact {path} line {reader.line_num}: the row's "
+                                  f"length differs from the header's {width} fields")
+            try:
+                rows.append(row_of(stem, rec))
+            except KeyError as exc:
+                raise ConfigError(f"run artifact {path} has no column {exc}") from None
+    return [r for r in rows if r]
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,11 @@ def _parse_label(value: object) -> int:
     raise ValueError(f"label must be 0 or 1, got {value!r}")
 
 
+def _json_text(value: object) -> str:
+    """A JSON value as the file spells it: a string as itself, any other value as JSON."""
+    return value if type(value) is str else json.dumps(value)
+
+
 def _parse_id(value: object) -> str:
     """The id ``value`` names, which must be a string or an integer (not a bool)."""
     if type(value) in (str, int):
@@ -659,7 +664,7 @@ def _jsonl_record(lineno: int, line: str):
     feats = obj["features"]
     if not (isinstance(feats, list) and feats and all(type(v) in (int, float) for v in feats)):
         raise DatasetFormatError(f"line {lineno}: features must be a non-empty numeric array")
-    return lineno, obj["id"], str(obj["timestamp"]), obj["label"], feats
+    return lineno, obj["id"], _json_text(obj["timestamp"]), obj["label"], feats
 
 
 def _columns(dim: int | None, records):

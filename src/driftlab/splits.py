@@ -31,6 +31,7 @@ from .dataset import (
     EmptySlotError,
     LabeledDataset,
     Period,
+    _json_text,
     _parse_date,
     _parse_id,
     _parse_label,
@@ -126,7 +127,7 @@ class SplitSpec:
             train_window=Period.parse(blob["train_window"]),
             test_window=Period.parse(blob["test_window"]),
             slot_width=Period.parse(blob["slot_width"]),
-            origin=_parse_date(str(blob["origin"])),
+            origin=_parse_date(_json_text(blob["origin"])),
         )
 
 
@@ -516,7 +517,7 @@ def split_from_manifest(blob: dict) -> TemporalSplit:
         if not side:
             raise ValueError(f"test slot {k - 1} is empty" if k else "train is empty")
     for r in (r for side in sides for r in side):
-        record = (_parse_date(str(r["timestamp"])), _parse_label(r["label"]))
+        record = (_parse_date(_json_text(r["timestamp"])), _parse_label(r["label"]))
         if records.setdefault(_parse_id(r["id"]), record) != record:
             raise ValueError(f"sample id {r['id']!r} has two different records")
     row = {sid: k for k, sid in enumerate(records)}

@@ -1363,6 +1363,20 @@ class TestCliVerbs:
              "config file {tmp}/in is not UTF-8 text (invalid start byte)"),
             (lambda tmp: input_argv(tmp, "audit --manifest", b'{"train": "\xff"}'),
              "manifest {tmp}/in is not UTF-8 text (invalid start byte)"),
+            (lambda tmp: jsonl_run_argv(
+                tmp, '{"id": "b", "timestamp": null, "label": 1, "features": [1]}'),
+             "line 2: unparseable timestamp 'null'"),
+            (lambda tmp: audit_argv(tmp, lambda m: m["test_slots"][0][0].update(timestamp=None)),
+             "bad manifest: 'null' is not a YYYY-MM-DD date"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b["split"].update(origin=None)),
+             "bad split: 'null' is not a YYYY-MM-DD date"),
+            (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV + b"1,2014-08-01\n"}),
+             "run artifact {tmp}/run/decay_seed0.csv line 3: "
+             "the row's length differs from the header's 5 fields"),
+            (lambda tmp: plotdata_argv(
+                tmp, {"decay_seed0.csv": DECAY_CSV + b"1,2014-08-01,f1,point,0.5,9\n"}),
+             "run artifact {tmp}/run/decay_seed0.csv line 3: "
+             "the row's length differs from the header's 5 fields"),
         ],
         ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
              "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
@@ -1376,7 +1390,9 @@ class TestCliVerbs:
              "manifest_id_true", "plotdata_column_missing", "plotdata_not_utf8",
              "plotdata_artifact_is_a_dir",
              "run_config_is_a_dir", "tune_config_is_a_dir", "audit_manifest_is_a_dir",
-             "config_not_utf8", "manifest_not_utf8"],
+             "config_not_utf8", "manifest_not_utf8", "jsonl_timestamp_null",
+             "manifest_timestamp_null", "split_origin_null", "plotdata_row_short",
+             "plotdata_row_long"],
     )
     def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
         assert main(make(tmp_path)) == 2

@@ -151,6 +151,30 @@ class TestRejectionThreshold:
         d, model = slot_of({"a": 0.9, "b": 0.1}, labels=[1, 0])
         assert rejection_threshold(model, d) is None
 
+    # The virtual index (n - 1) * 0.75 falls t = 0, 0.75, 0.5, 0.25 and 0 past
+    # an order statistic; dyadic values make every interpolation exact.
+    @pytest.mark.parametrize(
+        "wrong,q3",
+        [([0.75], 0.75), ([1.0, 0.5], 0.875), ([1.0, 0.5, 0.75], 0.875),
+         ([0.75, 1.0, 0.5, 0.625], 0.8125), ([0.875, 0.5, 1.0, 0.625, 0.75], 0.875)],
+        ids=["n1", "n2", "n3", "n4", "n5"],
+    )
+    def test_q3_of_a_few_mistakes(self, wrong, q3):
+        x = np.array(wrong)
+        assert _mistake_q3(x) == q3 == float(np.quantile(x, 0.75, method="linear"))
+        assert x.tolist() == wrong  # the input is left in its order
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(0.5, 1.0), min_size=1, max_size=300),
+        # Forced repeats: every value drawn from a pool of at most five.
+        st.lists(st.floats(0.5, 1.0), min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+    ))
+    def test_q3_is_numpys_linear_quantile(self, wrong):
+        x = np.array(wrong)
+        assert _mistake_q3(x) == float(np.quantile(x, 0.75, method="linear"))
+
 
 class TestRunPolicyNone:
     def test_stationary_flat_curve_zero_cost(self):

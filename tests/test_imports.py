@@ -1,5 +1,6 @@
 """A run loads no process pool, and no module that only another verb uses."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -48,9 +49,24 @@ def run_config(tmp_path: Path, **extra) -> str:
 
 
 def test_a_serial_run_skips_the_pool_and_masked_arrays(tmp_path):
-    run = run_config(tmp_path, tuning={"mu": 0.1, "validation_fraction": 0.5},
-                     delay={"kind": "active_learning", "al_budget": 0.1})
-    assert loaded_after(run, tmp_path, POOL + ("numpy.ma",)) == []
+    # Every classifier under every delay kind, tuned. Rejection takes the Q3 of
+    # its mistakes' probabilities, where np.quantile would import numpy.ma
+    # through np.unique. At spread 2 the classes overlap enough for both
+    # classifiers to make validation mistakes, so a threshold is taken.
+    synthetic = {"months": 8, "samples_per_month": 40, "drift_velocity": 0.25, "spread": 2.0}
+    classifiers = {"sgd": {"kind": "linear_sgd", "epochs": 3}, "knn": {"kind": "knn", "k": 3}}
+    delays = {"rejection": {"kind": "rejection"},
+              "rejection_refresh": {"kind": "rejection", "refresh_threshold": True},
+              "incremental": {"kind": "incremental"},
+              "active_learning": {"kind": "active_learning", "al_budget": 0.1}}
+    loaded = {}
+    for (c, classifier), (k, delay) in itertools.product(classifiers.items(), delays.items()):
+        case = tmp_path / f"{c}-{k}"
+        case.mkdir()
+        run = run_config(case, dataset={"synthetic": synthetic}, classifier=classifier,
+                         delay=delay, tuning={"mu": 0.1, "validation_fraction": 0.5})
+        loaded[case.name] = loaded_after(run, case, POOL + ("numpy.ma",))
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 def test_neither_the_cli_nor_an_active_learning_run_loads_fractions(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from driftlab.classifiers import LinearSGDClassifier, TrainedModel
 from driftlab.cli import _write_tuning
-from driftlab.dataset import Period
+from driftlab.dataset import LabeledDataset, Period
 from driftlab.metrics import Confusion, aut, confusion_counts, error_rate, point_estimates, slot_series
 from driftlab.rng import derive_rng
 from driftlab import tuning
@@ -228,6 +228,39 @@ class TestTunePhi:
         assert len({g.aut for g in result.grid}) == 1
         assert result.phi_star == cfg.sigma_hat
         assert [g.selected for g in result.grid] == [True] + [False] * (len(result.grid) - 1)
+
+    def test_a_point_at_the_error_ceiling_is_selectable(self):
+        # Ten samples a month, the first one positive, so the validation slots
+        # keep all ten at sigma_hat. Feature 0 is the label and feature 1 marks
+        # the second sample. A model fit on a pool at least 15% positive scores
+        # the label but flips the marked negative, so each of the four
+        # validation slots holds one false positive: 4 wrong of 40, exactly
+        # f1's default ceiling. The sigma_hat start, a 10% positive pool,
+        # gives a model that never predicts positive (AUT 0).
+        days = [(date(2014, m, k), int(k == 1), int(k == 2)) for m in range(1, 13)
+                for k in range(1, 11)]
+        train = LabeledDataset([f"s{i}" for i in range(len(days))], [t for t, _, _ in days],
+                               [y for _, y, _ in days],
+                               np.array([[y, mark] for _, y, mark in days], dtype=float))
+
+        class FlipsMarked:
+            class Model(TrainedModel):
+                def __init__(self, finds_positives):
+                    self.finds_positives = finds_positives
+
+                def scores(self, features):
+                    hits = np.abs(features[:, 0] - features[:, 1])
+                    return hits if self.finds_positives else np.zeros(len(features))
+
+            def fit(self, pool, seed):
+                return self.Model(pool.labels.mean() > 0.125)
+
+        cfg = TuningConfig(target="f1")
+        result = tune_phi(train, FlipsMarked(), cfg, spec_for(), seed=0)
+        assert cfg.e_max == 0.10 and result.grid[0].aut == 0.0
+        assert result.phi_star == result.grid[1].phi > cfg.sigma_hat
+        assert result.achieved_error == 4 / 40 == cfg.e_max
+        assert result.constraint_met
 
     def test_fits_check_c1_against_the_validation_start(self, monkeypatch):
         # A proper-training pool that reaches into the validation tail is refused

@@ -31,6 +31,15 @@ MUTANTS = [
      "pool = np.concatenate([pool, picks])",
      "pool = np.concatenate([pool, picks[::-1]])",
      "active learning adds its picks most uncertain first"),
+    ("reject-q3-median", "src/driftlab/delay.py",
+     "at = (n - 1) * 0.75",
+     "at = (n - 1) * 0.5",
+     "the rejection threshold is the mistakes' third quartile (test_q3_of_a_few_mistakes)"),
+    ("reject-q3-no-lerp", "src/driftlab/delay.py",
+     "return b - d * (1 - t) if t >= 0.5 else a + d * t",
+     "return a",
+     "the third quartile interpolates between its order statistics as numpy does "
+     "(test_q3_is_numpys_linear_quantile)"),
     ("incremental-slot-reversed", "src/driftlab/delay.py",
      "pool = np.concatenate([pool, split.slot_rows[i]])",
      "pool = np.concatenate([pool, split.slot_rows[i][::-1]])",
@@ -107,6 +116,16 @@ MUTANTS = [
      "if area > evaluations[best_j][1] and err <= cfg.e_max:",
      "if area >= evaluations[best_j][1] and err <= cfg.e_max:",
      "an equal validation area keeps the smaller phi"),
+    ("select-ceiling-strict", "src/driftlab/tuning.py",
+     "if area > evaluations[best_j][1] and err <= cfg.e_max:",
+     "if area > evaluations[best_j][1] and err < cfg.e_max:",
+     "a grid point whose error equals e_max is selectable "
+     "(test_a_point_at_the_error_ceiling_is_selectable)"),
+    ("constraint-met-strict", "src/driftlab/tuning.py",
+     "constraint_met=achieved_err <= cfg.e_max,",
+     "constraint_met=achieved_err < cfg.e_max,",
+     "an error equal to e_max meets the constraint "
+     "(test_a_point_at_the_error_ceiling_is_selectable)"),
     ("kfold-scenario-bias-folds", "src/driftlab/cli.py",
      '_kfold_row("kfold", "kfold", downsample=False)',
      '_kfold_row("bias_kfold", "kfold", downsample=False)',
@@ -177,7 +196,7 @@ MUTANTS = [
      "every error but a model's output has an exit-code base "
      "(test_every_error_has_an_exit_code_base)"),
     ("origin-any-iso-form", "src/driftlab/splits.py",
-     'origin=_parse_date(str(blob["origin"])),',
+     'origin=_parse_date(_json_text(blob["origin"])),',
      'origin=date.fromisoformat(blob["origin"]),',
      "a split origin is YYYY-MM-DD on every interpreter (test_origin_is_an_iso_day)"),
 ]
