@@ -110,7 +110,7 @@ def _dataset(synthetic: DriftSpec | None, path: str | None, fmt: str | None, see
     return _read("dataset file", path, lambda p: load_dataset(p, fmt))
 
 
-def _read(what: str, path: str, parse=lambda p: Path(p).read_text(encoding="utf-8")):
+def _read(what: str, path: str | Path, parse=lambda p: Path(p).read_text(encoding="utf-8")):
     """``parse(path)``, by default its UTF-8 text; each file fault is a ConfigError naming it."""
     try:
         return parse(path)
@@ -344,6 +344,32 @@ def _collect(p: int, pid: int, read: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+# Every file the verbs write into a directory: its name, with {seed} and {tag} (a
+# delay policy's label, ":" as "_") to fill, and a CSV's header line (None for
+# JSON). Writers take both from here; plotdata reads only files with this header.
+ARTIFACTS = {
+    "config_echo": ("config_echo.json", None),
+    "audit": ("audit_seed{seed}.json", None),
+    "split_manifest": ("split_manifest_seed{seed}.json", None),
+    "tuning_result": ("tuning_seed{seed}.json", None),
+    "decay": ("decay_seed{seed}.csv", "slot,timestamp,metric,mode,value"),
+    "tuning": ("tuning_seed{seed}.csv", "phi,aut,error,selected"),
+    "delay_summary": ("delay_summary_seed{seed}.csv", "policy,phi_mode,L,Q,AUT_F1"),
+    "delay_slots": ("delay_{tag}_slots_seed{seed}.csv",
+                    "slot,timestamp,labeled,rejected,f1,precision,recall"),
+    "aggregate": ("aggregate.csv", "metric,mode,aut_mean,aut_std,n_seeds"),
+    "kfold": ("kfold.csv", "seed,mean_f1"),
+    "past_testing": ("past_testing.csv", "seed,pooled_f1"),
+    "disjoint_class_windows": ("disjoint_class_windows.csv", "seed,pooled_f1"),
+    "scalar_aggregate": ("aggregate.csv", "scenario,metric,mean,std,n_seeds"),
+    "bias_grid": ("bias_grid.csv", "scenario,phi,delta,seed,f1"),
+    "bias_grid_summary": ("bias_grid_summary.csv", "scenario,phi,delta,mean_f1,std_f1,n_seeds"),
+    "plot_decay": ("plot_decay_curves.csv", "slot,metric,value,series"),
+    "plot_tuning": ("plot_tuning_grid.csv", "phi,aut,error,series"),
+    "plot_delay": ("plot_delay_curves.csv", "slot,metric,value,series"),
+}
+
+
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -351,9 +377,15 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: Path, obj, indent: int | None = None) -> None:
-    """``obj`` as JSON with sorted keys and no trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_csv(out: Path, key: str, rows: list[list], **fill) -> None:
+    """Artifact ``key``'s header, then ``rows``, in ``out`` under its name filled from ``fill``."""
+    name, header = ARTIFACTS[key]
+    _write_rows(out / name.format(**fill), header.split(","), rows)
+
+
+def _write_json(out: Path, key: str, obj, indent: int | None = None, **fill) -> None:
+    """Artifact ``key``: ``obj`` as JSON with sorted keys and no trailing newline."""
+    with open(out / ARTIFACTS[key][0].format(**fill), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=indent))
 
 
@@ -370,80 +402,64 @@ def _write_realistic_artifacts(cfg: ExperimentConfig, out: Path, results: dict) 
         for metric in METRIC_NAMES:
             curves.append(point_estimates(baseline.series, metric))
             curves.append(cumulative_estimates(baseline.series, metric))
-        _write_curves(out / f"decay_seed{seed}.csv", baseline.series, curves)
+        _write_curves(out, seed, baseline.series, curves)
         for curve in curves:
             agg.setdefault((curve.metric, curve.mode), []).append(aut(curve))
-        _write_json(out / f"audit_seed{seed}.json", res["audit"], indent=2)
-        _write_json(out / f"split_manifest_seed{seed}.json", res["split_manifest"])
+        _write_json(out, "audit", res["audit"], indent=2, seed=seed)
+        _write_json(out, "split_manifest", res["split_manifest"], seed=seed)
         if res["tuning"] is not None:
             _write_tuning(out, seed, res["tuning"])
         if res["delay_runs"]:
             phi_mode = "phi_star" if cfg.tuning is not None else "sigma_hat"
-            runs = [baseline] + res["delay_runs"]
-            _write_delay_summary(out / f"delay_summary_seed{seed}.csv", phi_mode, runs)
+            _write_delay_summary(out, seed, phi_mode, [baseline] + res["delay_runs"])
             for run in res["delay_runs"]:
-                tag = run.policy.label.replace(":", "_")
-                _write_delay_slots(out / f"delay_{tag}_slots_seed{seed}.csv", run)
-    _write_summary(out / "aggregate.csv", ["metric", "mode", "aut_mean", "aut_std", "n_seeds"], agg)
+                _write_delay_slots(out, seed, run)
+    _write_summary(out, "aggregate", agg)
 
 
-def _write_summary(path: Path, header: list[str], groups: dict[tuple, list[float]]) -> None:
-    """One row per group in key order: its key (floats formatted), then mean, std and count."""
-    _write_rows(path, header, [
-        [*(_fmt(k) if isinstance(k, float) else k for k in key),
+def _write_summary(out: Path, key: str, groups: dict[tuple, list[float]]) -> None:
+    """One row per group in sorted order: the group (floats formatted), then mean, std and count."""
+    _write_csv(out, key, [
+        [*(_fmt(k) if isinstance(k, float) else k for k in group),
          _fmt(np.mean(vals)), _fmt(np.std(vals)), len(vals)]
-        for key, vals in sorted(groups.items())
+        for group, vals in sorted(groups.items())
     ])
 
 
-def _write_curves(path: Path, series: SlotSeries, curves: list[MetricCurve]) -> None:
+def _write_curves(out: Path, seed: int, series: SlotSeries, curves: list[MetricCurve]) -> None:
     """Each curve's per-slot values, then one AUT row per curve."""
-    starts = [t.isoformat() for t in series.slot_starts]
-    _write_rows(
-        path,
-        ["slot", "timestamp", "metric", "mode", "value"],
-        [[k, starts[k], c.metric, c.mode, _fmt(v)] for c in curves for k, v in enumerate(c.values)]
-        + [[c.area_label, "", c.metric, c.mode, _fmt(aut(c))] for c in curves],
-    )
+    days = [t.isoformat() for t in series.slot_starts]
+    rows = [[k, days[k], c.metric, c.mode, _fmt(v)] for c in curves for k, v in enumerate(c.values)]
+    rows += [[c.area_label, "", c.metric, c.mode, _fmt(aut(c))] for c in curves]
+    _write_csv(out, "decay", rows, seed=seed)
 
 
-def _write_delay_summary(path: Path, phi_mode: str, runs: list[DelayRunResult]) -> None:
+def _write_delay_summary(out: Path, seed: int, phi_mode: str, runs: list[DelayRunResult]) -> None:
     """One row per run: its policy, how phi was set, and the run's L, Q and AUT(F1)."""
-    _write_rows(
-        path,
-        ["policy", "phi_mode", "L", "Q", "AUT_F1"],
-        [[r.policy.label, phi_mode, r.labeled, r.quarantined, _fmt(r.aut_f1)] for r in runs],
-    )
+    rows = [[r.policy.label, phi_mode, r.labeled, r.quarantined, _fmt(r.aut_f1)] for r in runs]
+    _write_csv(out, "delay_summary", rows, seed=seed)
 
 
-def _write_delay_slots(path: Path, run: DelayRunResult) -> None:
+def _write_delay_slots(out: Path, seed: int, run: DelayRunResult) -> None:
     f1, precision, recall = (point_estimates(run.series, m).values for m in METRIC_NAMES)
-    _write_rows(
-        path,
-        ["slot", "timestamp", "labeled", "rejected", "f1", "precision", "recall"],
-        [
-            [k, t.isoformat(), run.per_slot_labeled[k], run.per_slot_rejected[k],
+    rows = [[k, t.isoformat(), run.per_slot_labeled[k], run.per_slot_rejected[k],
              _fmt(f1[k]), _fmt(precision[k]), _fmt(recall[k])]
-            for k, t in enumerate(run.series.slot_starts)
-        ],
-    )
+            for k, t in enumerate(run.series.slot_starts)]
+    _write_csv(out, "delay_slots", rows, seed=seed, tag=run.policy.label.replace(":", "_"))
 
 
 def _write_tuning(out: Path, seed: int, result: TuningResult) -> None:
-    _write_rows(
-        out / f"tuning_seed{seed}.csv",
-        ["phi", "aut", "error", "selected"],
-        [[_fmt(g.phi), _fmt(g.aut), _fmt(g.error), int(g.selected)] for g in result.grid],
-    )
-    _write_json(out / f"tuning_seed{seed}.json", result.as_dict())
+    rows = [[_fmt(g.phi), _fmt(g.aut), _fmt(g.error), int(g.selected)] for g in result.grid]
+    _write_csv(out, "tuning", rows, seed=seed)
+    _write_json(out, "tuning_result", result.as_dict(), seed=seed)
 
 
-def _write_scalar(key: str, cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
-    """A scenario whose task gives one float per seed, reported as ``key``."""
+def _write_scalar(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
+    """A scenario whose task gives one float per seed, reported under its file's second column."""
     by_seed = sorted((seed, v) for (seed, _), v in gathered.items())
-    _write_rows(out / f"{cfg.scenario}.csv", ["seed", key], [[s, _fmt(v)] for s, v in by_seed])
-    header = ["scenario", "metric", "mean", "std", "n_seeds"]
-    _write_summary(out / "aggregate.csv", header, {(cfg.scenario, key): [v for _, v in by_seed]})
+    _write_csv(out, cfg.scenario, [[s, _fmt(v)] for s, v in by_seed])
+    key = ARTIFACTS[cfg.scenario][1].split(",")[1]
+    _write_summary(out, "scalar_aggregate", {(cfg.scenario, key): [v for _, v in by_seed]})
 
 
 def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
@@ -457,9 +473,8 @@ def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
     for (row, phi, delta, seed), f1 in sorted(cells.items()):
         rows.append([row, _fmt(phi), _fmt(delta), seed, _fmt(f1)])
         summary.setdefault((row, phi, delta), []).append(f1)
-    _write_rows(out / "bias_grid.csv", ["scenario", "phi", "delta", "seed", "f1"], rows)
-    header = ["scenario", "phi", "delta", "mean_f1", "std_f1", "n_seeds"]
-    _write_summary(out / "bias_grid_summary.csv", header, summary)
+    _write_csv(out, "bias_grid", rows)
+    _write_summary(out, "bias_grid_summary", summary)
 
 
 # Each scenario's rows, its task ``(cfg, seed, rows) -> result`` and its writer
@@ -467,11 +482,9 @@ def _write_bias_grid(cfg: ExperimentConfig, out: Path, gathered: dict) -> None:
 # when called, so a wrapper set on the module (bench/tracing.py) is the one run.
 _SCENARIOS = {
     "realistic": (("realistic",), _task_realistic, lambda *a: _write_realistic_artifacts(*a)),
-    "kfold": (("kfold_natural",), _task_bias_cell, partial(_write_scalar, "mean_f1")),
-    "past_testing": (("past_testing",), _task_bias_cell, partial(_write_scalar, "pooled_f1")),
-    "disjoint_class_windows": (
-        ("disjoint_class_windows",), _task_bias_cell, partial(_write_scalar, "pooled_f1")
-    ),
+    "kfold": (("kfold_natural",), _task_bias_cell, _write_scalar),
+    "past_testing": (("past_testing",), _task_bias_cell, _write_scalar),
+    "disjoint_class_windows": (("disjoint_class_windows",), _task_bias_cell, _write_scalar),
     "bias_grid": (
         tuple(BIAS_GRID_ROWS),
         partial(_bias_f1s, phis=BIAS_GRID_RATIOS, deltas=BIAS_GRID_RATIOS),
@@ -505,7 +518,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     # Made only now, so a run that fails in a task leaves no directory.
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config_echo.json", _config_echo(cfg), indent=2)
+    _write_json(out, "config_echo", _config_echo(cfg), indent=2)
     write(cfg, out, gathered)
     return EXIT_OK
 
@@ -551,15 +564,15 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# (input glob, output file, header, row of (file stem, record) or None to skip the record)
+# (artifact read, artifact written, row of (file stem, record) or None to skip the record)
 _PLOT_TABLES = (
-    ("decay_seed*.csv", "plot_decay_curves.csv", ["slot", "metric", "value", "series"],
+    ("decay", "plot_decay",
      lambda stem, r: None if r["slot"].startswith("AUT") else [
          r["slot"], r["metric"], r["value"],
          f"seed{stem.replace('decay_seed', '')}/{r['metric']}/{r['mode']}"]),
-    ("tuning_seed*.csv", "plot_tuning_grid.csv", ["phi", "aut", "error", "series"],
+    ("tuning", "plot_tuning",
      lambda stem, r: [r["phi"], r["aut"], r["error"], f"seed{stem.replace('tuning_seed', '')}"]),
-    ("delay_*_slots_seed*.csv", "plot_delay_curves.csv", ["slot", "metric", "value", "series"],
+    ("delay_slots", "plot_delay",
      lambda stem, r: [
          r["slot"], "f1", r["f1"], stem.replace("delay_", "").replace("_slots_seed", "/seed")]),
 )
@@ -571,36 +584,33 @@ def emit_plot_data(run_dir: str, out_dir: str | None = None) -> list[str]:
         raise FileNotFoundError(f"run directory {run_dir} does not exist")
     dst = Path(out_dir) if out_dir else src
     tables = []
-    for pattern, name, header, row_of in _PLOT_TABLES:
-        if files := sorted(src.glob(pattern)):
-            parse = partial(_plot_rows, row_of)
-            rows = [r for f in files for r in _read("run artifact", str(f), parse)]
-            tables.append((dst / name, header, rows))
+    for source, target, row_of in _PLOT_TABLES:
+        name, header = ARTIFACTS[source]
+        if files := sorted(src.glob(name.format(seed="*", tag="*"))):
+            parse = partial(_plot_rows, header.split(","), row_of)
+            tables.append((target, [r for f in files for r in _read("run artifact", f, parse)]))
     if not tables:
         raise FileNotFoundError(f"no recognized run artifacts under {run_dir}")
     # Made only now, so a run directory without readable artifacts leaves no output.
     dst.mkdir(parents=True, exist_ok=True)
-    for path, header, rows in tables:
-        _write_rows(path, header, rows)
-    return [str(path) for path, _, _ in tables]
+    for target, rows in tables:
+        _write_csv(dst, target, rows)
+    return [str(dst / ARTIFACTS[target][0]) for target, _ in tables]
 
 
-def _plot_rows(row_of, path: str) -> list[list]:
-    """The rows ``row_of`` makes of the records of the run artifact ``path``."""
+def _plot_rows(columns: list[str], row_of, path: Path) -> list[list]:
+    """The rows ``row_of`` makes of the records of run artifact ``path``, headed by ``columns``."""
     stem = Path(path).stem
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            # DictReader files a long row's extras under None and fills a short one with None.
-            if None in rec or None in rec.values():
-                width = len(reader.fieldnames)
+        reader = csv.reader(fh)
+        if (header := next(reader, [])) != columns:
+            raise ConfigError(f"run artifact {path} has header {header}, not {columns}")
+        for cells in reader:
+            if len(cells) != len(columns):
                 raise ConfigError(f"run artifact {path} line {reader.line_num}: the row's "
-                                  f"length differs from the header's {width} fields")
-            try:
-                rows.append(row_of(stem, rec))
-            except KeyError as exc:
-                raise ConfigError(f"run artifact {path} has no column {exc}") from None
+                                  f"length differs from the header's {len(columns)} fields")
+            rows.append(row_of(stem, dict(zip(columns, cells))))
     return [r for r in rows if r]
 
 

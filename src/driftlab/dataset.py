@@ -182,7 +182,7 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         r = f.metadata.get("rule")
         if r is not None and not r.accepts(value := getattr(obj, f.name)):
-            raise ValueError(f"{f.name} must be {r}, got {value!r}")
+            raise ValueError(f"{f.name} must be {r}, got {_shown(value)}")
 
 
 def _month_days(y: int, m: int) -> int:
@@ -423,7 +423,7 @@ def _parse_label(value: object) -> int:
     """The label ``value`` names, which must be the int or the text 0 or 1."""
     if value in ("0", "1") or (type(value) is int and value in (0, 1)):
         return int(value)
-    raise ValueError(f"label must be 0 or 1, got {value!r}")
+    raise ValueError(f"label must be 0 or 1, got {_shown(value)}")
 
 
 def _json_text(value: object) -> str:
@@ -431,11 +431,16 @@ def _json_text(value: object) -> str:
     return value if type(value) is str else json.dumps(value)
 
 
+def _shown(value: object) -> str:
+    """A value for a message: ``None``, ``True`` and ``False`` as JSON spells them, else repr."""
+    return json.dumps(value) if value is None or type(value) is bool else repr(value)
+
+
 def _parse_id(value: object) -> str:
     """The id ``value`` names, which must be a string or an integer (not a bool)."""
     if type(value) in (str, int):
         return str(value)
-    raise ValueError(f"id must be a string or an integer, got {value!r}")
+    raise ValueError(f"id must be a string or an integer, got {_shown(value)}")
 
 
 def load_dataset(path: str, format: str | None = None) -> LabeledDataset:

@@ -6,7 +6,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
+
+import pytest
+
+from driftlab.cli import ARTIFACTS
 
 ROOT = Path(__file__).resolve().parent.parent
 # Every output is pinned to the bytes in artifact_digests.txt, linear SGD's
@@ -17,8 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # another libm, a non-x86 CPU.
 
 
-def test_lists_every_file_it_wrote(tmp_path):
-    work = tmp_path / "work"
+@pytest.fixture(scope="module")
+def tool_run(tmp_path_factory):
+    """The tool's work directory, kept, and its finished process."""
+    work = tmp_path_factory.mktemp("digests") / "work"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "artifact_digests.py"), "--dir", str(work)],
@@ -27,6 +34,11 @@ def test_lists_every_file_it_wrote(tmp_path):
         text=True,
         timeout=300,
     )
+    return work, proc
+
+
+def test_lists_every_file_it_wrote(tool_run):
+    work, proc = tool_run
     assert proc.returncode == 0, proc.stderr
     listed = dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines())
     written = sorted(p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file())
@@ -35,6 +47,25 @@ def test_lists_every_file_it_wrote(tmp_path):
         assert digest == hashlib.sha256((work / name).read_bytes()).hexdigest()
     pinned = (ROOT / "tests" / "artifact_digests.txt").read_text(encoding="utf-8")
     assert listed == dict(line.split("  ", 1)[::-1] for line in pinned.splitlines())
+
+
+def test_every_output_is_in_the_artifact_table(tool_run):
+    # Every file run, tune and plotdata write has one name in the table (aggregate.csv
+    # has one name and two headers), a CSV's first line is its entry's header, and
+    # every entry is written by some call.
+    work, proc = tool_run
+    assert proc.returncode == 0, proc.stderr
+    outputs = [*work.glob("*/out"), work / "verbs" / "tune", work / "verbs" / "plotdata"]
+    seen = set()
+    for f in (f for out in outputs for f in out.iterdir()):
+        named = [entry for entry in ARTIFACTS.values()
+                 if fnmatchcase(f.name, entry[0].format(seed="*", tag="*"))]
+        assert len({name for name, _ in named}) == 1, f
+        first = f.read_text(encoding="utf-8").split("\n", 1)[0] if f.suffix == ".csv" else None
+        headed = [entry for entry in named if entry[1] == first]
+        assert len(headed) == 1, (f, first)
+        seen.add(headed[0])
+    assert seen == set(ARTIFACTS.values())
 
 
 def test_listing_sorts_by_posix_path(tmp_path):

@@ -1334,20 +1334,22 @@ class TestCliVerbs:
              "line 1: field larger than field limit (131072)"),
             *[(lambda tmp, v=v: jsonl_run_argv(
                   tmp, f'{{"id": "b", "timestamp": "2014-01-02", "label": {v}, "features": [1]}}'),
-               f"line 2: label must be 0 or 1, got {json.loads(v)!r}")
+               f"line 2: label must be 0 or 1, got {v}")
               for v in ("true", "false", "1.0", "0.0")],
             *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(label=v)),
-               f"bad manifest: label must be 0 or 1, got {v!r}")
+               f"bad manifest: label must be 0 or 1, got {json.dumps(v)}")
               for v in (True, False, 1.0, 0.0)],
             *[(lambda tmp, v=v: jsonl_run_argv(
                   tmp, f'{{"id": {v}, "timestamp": "2014-01-02", "label": 1, "features": [1]}}'),
-               f"line 2: id must be a string or an integer, got {json.loads(v)!r}")
+               f"line 2: id must be a string or an integer, got {v}")
               for v in ("null", "true", "[1]")],
             *[(lambda tmp, v=v: audit_argv(tmp, lambda m: m["train"][0].update(id=v)),
-               f"bad manifest: id must be a string or an integer, got {v!r}")
+               f"bad manifest: id must be a string or an integer, got {json.dumps(v)}")
               for v in (None, True)],
             (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV.replace(b"slot", b"k")}),
-             "run artifact {tmp}/run/decay_seed0.csv has no column 'slot'"),
+             "run artifact {tmp}/run/decay_seed0.csv has header "
+             "['k', 'timestamp', 'metric', 'mode', 'value'], "
+             "not ['slot', 'timestamp', 'metric', 'mode', 'value']"),
             (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV,
                                              "tuning_seed0.csv": b"phi,aut,error\n0.1,\xff,0\n"}),
              "run artifact {tmp}/run/tuning_seed0.csv is not UTF-8 text (invalid start byte)"),
@@ -1377,6 +1379,27 @@ class TestCliVerbs:
                 tmp, {"decay_seed0.csv": DECAY_CSV + b"1,2014-08-01,f1,point,0.5,9\n"}),
              "run artifact {tmp}/run/decay_seed0.csv line 3: "
              "the row's length differs from the header's 5 fields"),
+            # plotdata reads only the header a run writes, in its order.
+            (lambda tmp: plotdata_argv(tmp, {"decay_seed0.csv": DECAY_CSV.replace(
+                b"slot,timestamp", b"timestamp,slot")}),
+             "run artifact {tmp}/run/decay_seed0.csv has header "
+             "['timestamp', 'slot', 'metric', 'mode', 'value'], "
+             "not ['slot', 'timestamp', 'metric', 'mode', 'value']"),
+            (lambda tmp: plotdata_argv(tmp, {"tuning_seed0.csv": b"phi,aut,error\n0.1,0.5,0.0\n"}),
+             "run artifact {tmp}/run/tuning_seed0.csv has header "
+             "['phi', 'aut', 'error'], not ['phi', 'aut', 'error', 'selected']"),
+            # A JSON null, true or false in a config is reported as the file spells it.
+            (lambda tmp: config_run_argv(tmp, lambda b: b["dataset"]["synthetic"].update(
+                start=None)),
+             "bad dataset.synthetic: start must be a YYYY-MM-DD date, got null"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b["dataset"]["synthetic"].update(
+                dim=None)),
+             "bad dataset.synthetic: dim must be a positive integer at most 1000, got null"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b["classifier"].update(epochs=True)),
+             "bad classifier: epochs must be a positive integer at most 10000, got true"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b.update(
+                delay={"kind": "incremental", "retune_each_step": None})),
+             "bad delay: retune_each_step must be a boolean, got null"),
         ],
         ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
              "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
@@ -1392,7 +1415,9 @@ class TestCliVerbs:
              "run_config_is_a_dir", "tune_config_is_a_dir", "audit_manifest_is_a_dir",
              "config_not_utf8", "manifest_not_utf8", "jsonl_timestamp_null",
              "manifest_timestamp_null", "split_origin_null", "plotdata_row_short",
-             "plotdata_row_long"],
+             "plotdata_row_long", "plotdata_header_permuted", "plotdata_column_absent",
+             "synthetic_start_null", "synthetic_dim_null", "classifier_epochs_true",
+             "delay_retune_each_step_null"],
     )
     def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
         assert main(make(tmp_path)) == 2

@@ -415,7 +415,8 @@ class TestLoading:
         p = tmp_path / "d.jsonl"
         line = '{{"id": {}, "timestamp": "2014-01-01", "label": 0, "features": [1]}}\n'
         p.write_text(line.format('"None"') + line.format(sid))
-        message = f"line 2: id must be a string or an integer, got {json.loads(sid)!r}"
+        shown = sid if sid in ("null", "true", "false") else repr(json.loads(sid))
+        message = f"line 2: id must be a string or an integer, got {shown}"
         with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
             load_dataset(str(p))
         p.write_text(line.format('"None"') + line.format("5") + line.format(2**70))

@@ -525,13 +525,13 @@ class TestCsvOutputs:
             DelayPolicy("active_learning", al_budget=0.1),
             seed=12,
         )
-        ps = tmp_path / "summary.csv"
-        _write_delay_summary(ps, "sigma_hat", [res])
+        _write_delay_summary(tmp_path, 0, "sigma_hat", [res])
+        ps = tmp_path / "delay_summary_seed0.csv"
         lines = ps.read_text().strip().splitlines()
         assert lines[0] == "policy,phi_mode,L,Q,AUT_F1"
         assert lines[1].startswith("active_learning:0.1,sigma_hat,")
-        pd = tmp_path / "slots.csv"
-        _write_delay_slots(pd, res)
+        _write_delay_slots(tmp_path, 0, res)
+        pd = tmp_path / "delay_active_learning_0.1_slots_seed0.csv"
         rows = pd.read_text().strip().splitlines()
         assert rows[0] == "slot,timestamp,labeled,rejected,f1,precision,recall"
         assert len(rows) == 1 + len(split.test_slots)

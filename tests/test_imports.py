@@ -1,8 +1,10 @@
-"""A run loads no process pool, and no module that only another verb uses."""
+"""The package loads a module only when one of its names is used, and a run loads no
+process pool, nor a module that only another verb uses."""
 
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,14 @@ def loaded_after(code: str, cwd: Path, watched: tuple[str, ...]) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_module_of_it_nor_numpy(tmp_path):
+    # Each public name is imported from its module on first use.
+    modules = pkgutil.iter_modules([str(ROOT / "src" / "driftlab")])
+    watched = tuple(f"driftlab.{m.name}" for m in modules) + ("numpy",)
+    assert loaded_after("import driftlab", tmp_path, watched) == []
+    assert "driftlab.metrics" in loaded_after("from driftlab import aut", tmp_path, watched)
 
 
 def test_importing_the_cli_skips_the_pool_calendar_and_masked_arrays(tmp_path):

@@ -260,8 +260,8 @@ class TestCsv:
     def test_curves_csv_layout(self, tmp_path):
         s = series_from([Confusion(tp=1), Confusion(fn=1)])
         curves = [point_estimates(s, "f1"), cumulative_estimates(s, "f1")]
-        p = tmp_path / "curves.csv"
-        _write_curves(p, s, curves)
+        _write_curves(tmp_path, 0, s, curves)
+        p = tmp_path / "decay_seed0.csv"
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "slot,timestamp,metric,mode,value"
         assert lines[1].startswith("0,2015-01-01,f1,point,")

@@ -725,8 +725,8 @@ class TestManifest:
          ("label", 1.7, "label must be 0 or 1, got 1.7"),
          ("label", "01", "label must be 0 or 1, got '01'"),
          ("label", 2, "label must be 0 or 1, got 2"),
-         ("id", None, "id must be a string or an integer, got None"),
-         ("id", True, "id must be a string or an integer, got True"),
+         ("id", None, "id must be a string or an integer, got null"),
+         ("id", True, "id must be a string or an integer, got true"),
          ("id", [1], "id must be a string or an integer, got [1]"),
          ("id", 1.0, "id must be a string or an integer, got 1.0")],
     )

@@ -195,6 +195,24 @@ MUTANTS = [
      "class TrainingSizeError(ValueError):",
      "every error but a model's output has an exit-code base "
      "(test_every_error_has_an_exit_code_base)"),
+    ("aut-plain-mean", "src/driftlab/metrics.py",
+     "return float(np.mean((v[1:] + v[:-1]) / 2.0))",
+     "return float(np.mean(v))",
+     "AUT is the normalized trapezoid area (test_matches_trapezoid_oracle_and_range)"),
+    ("cml-equals-point", "src/driftlab/metrics.py",
+     "running = running + c",
+     "running = c",
+     "a cumulative estimate pools every slot up to its own (test_cumulative_recall_example)"),
+    ("plot-header-any", "src/driftlab/cli.py",
+     "if (header := next(reader, [])) != columns:",
+     "if (header := next(reader, [])) is None:",
+     "plotdata reads a run artifact only under its exact header "
+     "(test_ill_formed_outside_input_exit_2[plotdata_header_permuted])"),
+    ("plot-width-any", "src/driftlab/cli.py",
+     "if len(cells) != len(columns):",
+     "if False:",
+     "plotdata reads a run artifact row only as long as its header "
+     "(test_ill_formed_outside_input_exit_2[plotdata_row_short])"),
     ("origin-any-iso-form", "src/driftlab/splits.py",
      'origin=_parse_date(_json_text(blob["origin"])),',
      'origin=date.fromisoformat(blob["origin"]),',
