@@ -327,9 +327,15 @@ def fit_models(
 # ---------------------------------------------------------------------------
 
 
-# Rows per query block: each block holds at most this many expanded distances
-# (128 KB of float64), whatever the training size.
-_KNN_BLOCK_DISTANCES = 2**14
+# Rows per query block: each block holds at most this many estimates (128 KB
+# of float32, twice that in float64), whatever the training size.
+_KNN_BLOCK_DISTANCES = 2**15
+# The candidate margin's constants for each estimate dtype.
+_EPS_TINY = {np.dtype(t): (float(np.finfo(t).eps), float(np.finfo(t).tiny)) for t in (np.float32, float)}
+# The S range of a float32 estimate: at its low end the margin's absolute term
+# equals its relative one, and at its high end S * (d + 4) still fits.
+_F32_LOW = float(np.finfo(np.float32).tiny / np.finfo(np.float32).eps)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class KNNModel(TrainedModel):
@@ -347,8 +353,27 @@ class KNNModel(TrainedModel):
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[order] = np.arange(len(ids))
         self._sq_norms = np.einsum("ij,ij->i", self._X, self._X)
-        self._max_norm = float(np.sqrt(self._sq_norms.max(initial=0.0)))
+        max_sq = self._sq_norms.max(initial=0.0)
+        self._max_norm = float(np.sqrt(max_sq))
         self.k = k
+        # Made now for the smallest S, max|t|^2; float64 may follow later.
+        self._by_dtype: dict[np.dtype, np.ndarray] = {}
+        self._expanded(max_sq, max_sq)
+
+    def _expanded(self, S_min, S_max) -> np.ndarray:
+        """C-ordered ``[X^T; |t|^2]``, float32 if every S is in its range, else float64.
+
+        The top is tested as a quotient: ``S_max * (d + 4)`` can overflow.
+        Made on first need; threads that race there only build equal copies.
+        """
+        f32 = _F32_LOW <= S_min and S_max <= _F32_MAX / (self._X.shape[1] + 4)
+        dtype = np.dtype(np.float32 if f32 else float)
+        M = self._by_dtype.get(dtype)
+        if M is None:
+            M = np.empty((self._X.shape[1] + 1, len(self._X)), dtype)
+            M[:-1], M[-1] = self._X.T, self._sq_norms
+            self._by_dtype[dtype] = M
+        return M
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Positive fraction among each row's k nearest training points.
@@ -356,9 +381,9 @@ class KNNModel(TrainedModel):
         Neighbours are the k smallest exact squared distances
         ``(t - q)·(t - q)``, ties broken by ascending id. A block of query
         rows first gets every distance less the row's ``q·q`` from one
-        matrix product; that estimate only picks candidates, and the exact
-        form ranks them where a row has more than k, so a row's score does
-        not depend on the block it was scored in.
+        matrix product, float32 where the values allow; that estimate only
+        picks candidates, and the exact form ranks them where a row has more
+        than k, so a row's score does not depend on the block it was scored in.
         """
         Q = np.atleast_2d(np.asarray(features, dtype=float))
         rows = max(1, _KNN_BLOCK_DISTANCES // len(self._X))
@@ -370,33 +395,37 @@ class KNNModel(TrainedModel):
     def _block_scores(self, Q: np.ndarray) -> np.ndarray:
         n_train, dim = self._X.shape
         k = min(self.k, n_train)
-        # |t|^2 - 2q.t, in the product's buffer. It differs from the squared
-        # distance by |q|^2, the same for the whole row, so it ranks the
-        # training rows alike. Doubling q is exact.
-        approx = (-2.0 * Q) @ self._X.T
-        approx += self._sq_norms
+        S = (np.sqrt(np.einsum("ij,ij->i", Q, Q)) + self._max_norm) ** 2
+        M = self._expanded(S.min(), S.max())
+        # |t|^2 - 2q.t as the one product [-2q, 1] . [t; |t|^2]. It differs
+        # from the squared distance by |q|^2, the same for the whole row, so
+        # it ranks the training rows alike. Doubling q is exact.
+        A = np.empty((len(Q), dim + 1), M.dtype)
+        np.multiply(Q, -2.0, out=A[:, :-1])
+        A[:, -1] = 1.0
+        approx = A @ M
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-        # Candidate margin. With u = eps/2 and gamma_n = n*u / (1 - n*u),
-        # S = (|q| + max|t|)^2 bounds |q|^2 + 2|q.t| + |t|^2. The product
-        # carries at most gamma_d * 2|q||t| error (|q.t| <= |q||t|) and the
-        # squared norm gamma_d * |t|^2; the one addition adds u, so the
-        # estimate is within gamma_(d+1) * S of |q - t|^2 - |q|^2. The exact
-        # form rounds each difference and square once and adds d terms, so
-        # it is within gamma_(d+2) * S of |q - t|^2. So every estimate is
-        # within delta = (gamma_(d+1) + gamma_(d+2)) * S of the exact value
-        # it stands for, less the row's |q|^2. A true neighbour's exact value
-        # is <= the exact k-th value, which is <= kth + |q|^2 + delta, so its
-        # estimate is <= kth + 2 * delta, about (2d+3) * eps * S. Adding
-        # |q|^2 as well, as the full expansion does, would need
-        # 2 * (d+2) * eps * S, so dropping it loosens nothing. The margin
-        # takes over four times the bound, covering the rounding of S, of the
-        # norms and of kth + margin (|kth| is about S at most), plus an
-        # absolute term for gradual underflow. Under overflow the bound is
-        # inf or nan, and "not above the bound" keeps every training row.
-        q_sq = np.einsum("ij,ij->i", Q, Q)
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        margin = 8.0 * (dim + 4) * (eps * (np.sqrt(q_sq) + self._max_norm) ** 2 + tiny)
-        far = np.greater(approx, (kth + margin)[:, None])
+        # Candidate margin. Let u be the estimate dtype's unit roundoff (eps/2;
+        # float64's is no larger) and gamma_n = n*u / (1 - n*u). S bounds
+        # |q|^2 + 2|q.t| + |t|^2. Rounding -2q and t to the dtype moves each
+        # product by gamma_2 relative at most, and |t|^2 (float64, then rounded)
+        # by gamma_(d+1), so the d + 1 terms hold at most (1 + gamma_(d+1)) * S
+        # and the product, in any order, adds gamma_(d+1) times that: each
+        # estimate is within gamma_(2d+2) * S of |q - t|^2 - |q|^2. The exact
+        # float64 form is within gamma_(d+2) * S of |q - t|^2. With delta the
+        # sum of the two, a true neighbour's exact value is <= the exact k-th
+        # <= kth + |q|^2 + delta, so its estimate is <= kth + 2*delta, about
+        # (3d + 4) * eps * S. The margin is over 2.6 times that, covering S,
+        # the margin and kth + margin formed in float64; the bound is then
+        # rounded up to the dtype. Underflow adds at most u * tiny per product
+        # and per cast, times an operand of at most 2 * sqrt(S) for a cast
+        # input: within the absolute term while S <= 1/u^2, far under eps * S
+        # past it. Under float64 overflow the bound is inf or nan, and "not
+        # above the bound" keeps every training row.
+        eps, tiny = _EPS_TINY[M.dtype]
+        margin = 8.0 * (dim + 4) * (eps * S + tiny)
+        bound = np.nextafter((kth + margin).astype(M.dtype, copy=False), np.inf)
+        far = np.greater(approx, bound[:, None])
         row, col = np.divmod(np.flatnonzero(np.logical_not(far, out=far)), n_train)
         # A row's candidates hold every training row whose exact distance is
         # at most its k-th, ties included, so a row with exactly k candidates

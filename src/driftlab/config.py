@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .classifiers import Classifier, KNNClassifier, LinearSGDClassifier
-from .dataset import ConfigError, _parse_date, check_fields, rule
+from .dataset import ConfigError, _parse_date, _shown, check_fields, rule
 from .delay import DelayPolicy
 from .splits import RatioSpec, SplitSpec
 from .synthgen import DriftSpec
@@ -47,7 +47,8 @@ class ExperimentConfig:
         # ``type(s) is int`` rather than isinstance: a JSON bool is an int subclass.
         if not self.seeds or any(type(s) is not int or not 0 <= s < 2**63 for s in self.seeds):
             raise ValueError(
-                f"seeds must be a non-empty list of integers in [0, 2**63), got {list(self.seeds)}"
+                "seeds must be a non-empty list of integers in [0, 2**63), "
+                f"got [{', '.join(map(_shown, self.seeds))}]"
             )
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be unique")
@@ -115,7 +116,8 @@ def _classifier_fields(blob: dict) -> dict:
     params = dict(blob)
     kind = params.pop("kind", None)
     if kind not in ("linear_sgd", "knn"):
-        raise ValueError(f"kind must be 'linear_sgd' or 'knn', got {kind!r}")
+        got = f"got {_shown(kind)}" if "kind" in blob else "but it is missing"
+        raise ValueError(f"kind must be 'linear_sgd' or 'knn', {got}")
     make = LinearSGDClassifier if kind == "linear_sgd" else KNNClassifier
     return {"classifier": make(**params), "classifier_echo": dict(blob)}
 

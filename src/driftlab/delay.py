@@ -69,7 +69,9 @@ class DelayPolicy:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if (self.kind == "active_learning") != (self.al_budget is not None):
+        if self.kind == "active_learning" and self.al_budget is None:
+            raise ValueError("active_learning needs an al_budget, and it is missing or null")
+        if self.kind != "active_learning" and self.al_budget is not None:
             raise ValueError("al_budget is set for active_learning and for no other kind")
         if self.refresh_threshold and self.kind != "rejection":
             raise ValueError("refresh_threshold only applies to rejection")

@@ -444,17 +444,27 @@ def knn_cases(draw):
     where squared norms overflow and every training row stays a
     candidate. ``subnormal`` features sit near 1e-310, where every product
     underflows, and ``gradual`` near 1e-160, where products are subnormal
-    and carry absolute error. Training rows are duplicated, k may equal
-    the training size, and query counts are 1 or span blocks.
+    and carry absolute error. Two kinds sit at the ends of the float32
+    estimate's range, each from its band's inner end to a drawn magnitude:
+    ``f32_overflow`` from 1e18 to 1e40, finite in float64 but past
+    float32's range in the cast or the product, and ``f32_underflow`` from
+    1e-18 down to 1e-45, normal in float64 but subnormal or zero in
+    float32. Training rows are duplicated, k may equal the training size,
+    and query counts are 1 or span blocks.
     """
     dim = draw(st.integers(1, 4))
     kind = draw(
         st.sampled_from(
             ["grid", "offset_grid", "offset_normal", "far_offset", "normal", "overflow",
-             "subnormal", "gradual"]
+             "subnormal", "gradual", "f32_overflow", "f32_underflow"]
         )
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # The f32 kinds' decimal exponents, from the band's inner end to a drawn reach.
+    if kind == "f32_overflow":
+        low, high = 18.0, draw(st.floats(18, 40))
+    else:
+        low, high = draw(st.floats(-45, -18)), -18.0
 
     def rows(m):
         if kind == "normal":
@@ -470,6 +480,9 @@ def knn_cases(draw):
             return 1e-310 * rng.normal(size=(m, dim))
         if kind == "gradual":
             return 1e-160 * rng.normal(size=(m, dim))
+        if kind.startswith("f32"):
+            sign = rng.choice([-1.0, 1.0], size=(m, dim))
+            return sign * 10.0 ** rng.uniform(low, high, size=(m, dim))
         grid = rng.integers(-2, 3, size=(m, dim)).astype(float)
         return grid + 1e4 if kind == "offset_grid" else grid
 
@@ -490,7 +503,7 @@ def knn_cases(draw):
 
 
 class TestKNNExactness:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=75, deadline=None)
     @given(knn_cases())
     def test_equals_per_row_oracle(self, case):
         X, y, ids, k, Q, overflow = case
@@ -520,15 +533,22 @@ def count_lexsorts(monkeypatch):
 
 
 class TestKNNPaths:
-    def test_exactly_k_candidates_skip_the_rerank(self, monkeypatch):
-        X = np.arange(10.0)[:, None]
+    def test_exactly_k_candidates_skip_the_rerank(self, monkeypatch, scale=1.0):
+        X = np.arange(10.0)[:, None] * scale
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0])
         ids = tuple(f"s{i}" for i in range(10))
-        Q = np.array([[0.1], [4.3], [9.2]])
+        Q = np.array([[0.1], [4.3], [9.2]]) * scale
         calls = count_lexsorts(monkeypatch)
         got = KNNModel(X, y, ids, 3).scores(Q)
         assert calls == []
         assert got.tolist() == [knn_oracle(X, y, ids, 3, q) for q in Q] == [2 / 3, 1 / 3, 1 / 3]
+
+    # At 2**66 the squared norms pass float32's range, and at 2**-70 the
+    # distances sit far below its subnormal steps: the float64 estimate there
+    # keeps as few candidates as float32's does at unit scale.
+    @pytest.mark.parametrize("scale", [2.0**66, 2.0**-70], ids=["2**66", "2**-70"])
+    def test_float32_range_ends_keep_exactly_k_candidates(self, monkeypatch, scale):
+        self.test_exactly_k_candidates_skip_the_rerank(monkeypatch, scale)
 
     def test_duplicates_at_the_kth_distance_rerank_by_id(self, monkeypatch):
         # Rows 1-3 repeat one point at distance 1; k=3 keeps two, the smaller
@@ -540,6 +560,16 @@ class TestKNNPaths:
         got = KNNModel(X, y, ids, 3).scores(np.array([[0.0]]))
         assert calls == [4]
         assert got.tolist() == [knn_oracle(X, y, ids, 3, np.array([0.0]))] == [2 / 3]
+
+    def test_float32_cancellation_keeps_the_exact_nearest(self):
+        # Near 1e4 the float32 estimate |t|^2 - 2q.t is off by units, more
+        # than the gaps between these distances; a margin sized by float64's
+        # eps would drop the nearest row, b.
+        X = 1e4 + np.array([[-4.0], [0.0], [2.0]])
+        y = np.array([0, 1, 0])
+        q = np.array([1e4 + 0.25])
+        got = KNNModel(X, y, ("a", "b", "c"), 1).scores(q[None, :])
+        assert got.tolist() == [knn_oracle(X, y, ("a", "b", "c"), 1, q)] == [1.0]
 
     def test_gradual_underflow_keeps_the_exact_nearest(self):
         # At this scale every product rounds to a whole subnormal step. The

@@ -818,6 +818,30 @@ class TestDeterminism:
         assert dir_digest(tmp_path / "cold") == dir_digest(tmp_path / "warm")
         assert (data.parent / "d.csv.driftlab-cache").read_bytes() == sidecar
 
+    def test_knn_run_does_not_depend_on_feature_scale(self, tmp_path):
+        # Power-of-two scaling is exact, so exact distances, their ties and
+        # the id order stay put. At 2**66 squared norms pass float32's range,
+        # and at 2**-70 they fall below its subnormal steps.
+        d = generate(DriftSpec(months=12, samples_per_month=40), seed=0)
+        digests = []
+        for i, scale in enumerate([1.0, 2.0**66, 2.0**-70]):
+            run = tmp_path / f"scale{i}"
+            run.mkdir()
+            scaled = LabeledDataset(d.ids, d.timestamps, d.labels, d.features * scale)
+            write_csv(scaled, str(run / "d.csv"))
+            blob = {**base_config(run / "out", seeds=(0,)), "dataset": {"path": str(run / "d.csv")},
+                    "classifier": {"kind": "knn", "k": 3}, "tuning": {"mu": 0.1},
+                    "delay": {"kind": "rejection"}}
+            # As outside the test suite, a float fault exits 4 rather than warning.
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                assert main(run_argv(run, blob)) == 0
+            digest = dir_digest(run / "out")
+            assert digest.pop("config_echo.json")
+            digests.append(digest)
+        assert digests[0] == digests[1] == digests[2]
+        assert {"tuning_seed0.csv", "delay_rejection_slots_seed0.csv"} <= digests[0].keys()
+
 
 def staged_tasks(outcomes: dict):
     """A stand-in ``_execute_task`` for a ``kfold`` run, whose task i is seed i.
@@ -1400,6 +1424,17 @@ class TestCliVerbs:
             (lambda tmp: config_run_argv(tmp, lambda b: b.update(
                 delay={"kind": "incremental", "retune_each_step": None})),
              "bad delay: retune_each_step must be a boolean, got null"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b.update(seeds=[None])),
+             "seeds must be a non-empty list of integers in [0, 2**63), got [null]"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b.update(classifier={"kind": None})),
+             "bad classifier: kind must be 'linear_sgd' or 'knn', got null"),
+            (lambda tmp: config_run_argv(tmp, lambda b: b.update(classifier={"k": 3})),
+             "bad classifier: kind must be 'linear_sgd' or 'knn', but it is missing"),
+            # The budget rule names the missing budget, not the one-kind rule it keeps.
+            *[(lambda tmp, d=d: config_run_argv(tmp, lambda b: b.update(
+                  delay={"kind": "active_learning", **d})),
+               "bad delay: active_learning needs an al_budget, and it is missing or null")
+              for d in ({"al_budget": [None]}, {"al_budget": None}, {})],
         ],
         ids=["csv_not_utf8", "jsonl_number", "jsonl_null", "jsonl_list", "jsonl_string",
              "dataset_path_is_a_dir", "split_origin_basic", "split_origin_week",
@@ -1417,7 +1452,9 @@ class TestCliVerbs:
              "manifest_timestamp_null", "split_origin_null", "plotdata_row_short",
              "plotdata_row_long", "plotdata_header_permuted", "plotdata_column_absent",
              "synthetic_start_null", "synthetic_dim_null", "classifier_epochs_true",
-             "delay_retune_each_step_null"],
+             "delay_retune_each_step_null", "seeds_null", "classifier_kind_null",
+             "classifier_kind_missing", "al_budget_list_null", "al_budget_null",
+             "al_budget_absent"],
     )
     def test_ill_formed_outside_input_exit_2(self, tmp_path, capsys, make, message):
         assert main(make(tmp_path)) == 2

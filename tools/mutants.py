@@ -100,6 +100,21 @@ MUTANTS = [
      "order = np.lexsort((self._id_rank[col], exact, row))",
      "order = np.lexsort((-self._id_rank[col], exact, row))",
      "a kNN distance tie goes to the smaller id"),
+    ("knn-margin-eps64", "src/driftlab/classifiers.py",
+     "eps, tiny = _EPS_TINY[M.dtype]",
+     "eps, tiny = _EPS_TINY[np.dtype(float)][0], _EPS_TINY[M.dtype][1]",
+     "the kNN candidate margin is sized by the estimate dtype's own eps "
+     "(test_float32_cancellation_keeps_the_exact_nearest)"),
+    ("knn-f32-always", "src/driftlab/classifiers.py",
+     "f32 = _F32_LOW <= S_min and S_max <= _F32_MAX / (self._X.shape[1] + 4)",
+     "f32 = True",
+     "the kNN estimate is float64 where float32 cannot hold its values "
+     "(test_knn_run_does_not_depend_on_feature_scale)"),
+    ("knn-f32-no-low-end", "src/driftlab/classifiers.py",
+     "f32 = _F32_LOW <= S_min and S_max",
+     "f32 = S_max",
+     "the kNN estimate is float64 where float32's subnormal steps would swamp "
+     "the distances (test_float32_range_ends_keep_exactly_k_candidates[2**-70])"),
     ("subset-negative", "src/driftlab/dataset.py",
      "if idx.min() < 0 or idx.max() >= len(ids):",
      "if idx.max() >= len(ids):",
