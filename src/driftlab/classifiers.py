@@ -168,8 +168,9 @@ class LinearSGDClassifier:
     """Logistic regression fit by seeded mini-batch SGD.
 
     The seed drives only the per-epoch shuffle; weights start at zero, so
-    fit is a pure function of (train, seed). batch_size is an internal
-    vectorization knob, not a modelling choice.
+    fit is a pure function of (train, seed). batch_size is the number of
+    rows per mini-batch step, so it is part of the model: the same train
+    and seed fit at another batch size give other weights.
 
     Bit-identity contract: ``w`` and ``b`` equal, bit for bit, those of the
     plain loop that gathers ``X[batch]`` and ``y[batch]`` for every

@@ -52,9 +52,17 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ModelOutputError, fit_models
-from .config import SCENARIOS, ConfigError, ExperimentConfig, _drift_spec, _section, parse_config
-from .dataset import LabeledDataset, load_dataset, write_csv, write_jsonl
-from .delay import ConstraintViolationError, DelayPolicy, DelayRunResult, initial_scores, run_policy
+from .config import SCENARIOS, ExperimentConfig, _drift_spec, _section, parse_config
+from .dataset import (
+    ConfigError,
+    ConstraintViolationError,
+    LabeledDataset,
+    _format_of,
+    load_dataset,
+    write_csv,
+    write_jsonl,
+)
+from .delay import DelayPolicy, DelayRunResult, initial_scores, run_policy
 from .metrics import (
     METRIC_NAMES,
     Confusion,
@@ -684,10 +692,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = _output_path(args.out, directory=False)
     d = generate(spec, seed=args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.out.endswith((".jsonl", ".ndjson")):
-        write_jsonl(d, args.out)
-    else:
-        write_csv(d, args.out)
+    (write_jsonl if _format_of(args.out) == "jsonl" else write_csv)(d, args.out)
     print(f"wrote {len(d)} samples to {args.out}")
     return EXIT_OK
 

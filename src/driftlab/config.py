@@ -18,7 +18,7 @@ from .splits import RatioSpec, SplitSpec
 from .synthgen import DriftSpec
 from .tuning import TuningConfig
 
-__all__ = ["SCENARIOS", "ConfigError", "ExperimentConfig", "parse_config"]
+__all__ = ["SCENARIOS", "ExperimentConfig", "parse_config"]
 
 SCENARIOS = ("realistic", "kfold", "past_testing", "disjoint_class_windows", "bias_grid")
 

@@ -458,7 +458,7 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     parse, and a sidecar that cannot be written is left out.
     """
     if format is None:
-        format = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
+        format = _format_of(path)
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")
     side = f"{path}{_CACHE_SUFFIX}"
@@ -478,6 +478,11 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     if regular:
         _write_cache(side, digest.digest(), columns[0], d)
     return d
+
+
+def _format_of(path: str) -> str:
+    """The format a file's suffix names: ``jsonl`` for .jsonl and .ndjson, else ``csv``."""
+    return "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
 
 
 def _checked(lines, ids, stamps, labels, features) -> LabeledDataset:
@@ -612,8 +617,8 @@ def _read_cache(path: str, side: str, format: str):
     return lines.tolist(), ids, days.view("<M8[D]"), labels, features
 
 
-# Feature cells are converted this many rows at a time, so the cells held at
-# once stay few however long the file is.
+# Parsed features go into float64 blocks of this many rows, so no array is
+# regrown however long the file is.
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -677,60 +682,35 @@ def _columns(dim: int | None, records):
     label, feature cells)``; ``dim`` is the declared feature count, or None to
     take the first record's. Within a line the feature count is checked first,
     then the timestamp, the feature cells, the id and the label."""
-    lines, ids, stamps, labels, blocks, cells = [], [], [], [], [], []
-    try:
-        for lineno, sid, ts, label, feats in records:
-            if dim is None:
-                dim = len(feats)
-            if len(feats) != dim:
-                raise DatasetFormatError(f"line {lineno}: feature dimensionality mismatch: "
-                                         f"expected {dim} features, got {len(feats)}")
-            try:
-                t = _parse_date(ts)
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: unparseable timestamp {ts!r}") from None
-            lines.append(lineno)
-            stamps.append(t)
-            cells.append(feats)
-            try:
-                ids.append(_parse_id(sid))
-                labels.append(_parse_label(label))
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from None
-            if len(cells) == _CSV_CHUNK_ROWS:
-                blocks.append(_float_cells(lines, cells))
-                cells = []
-    except ValueError:
-        # A line's features are checked before its label and before any
-        # later line, so a bad cell already read is reported first.
-        _per_cell_floats(lines, cells)
-        raise
-    if not lines:
-        raise DatasetFormatError("dataset file contains no samples")
-    blocks.append(_float_cells(lines, cells).reshape(-1, dim))
-    return lines, ids, stamps, labels, np.concatenate(blocks)
-
-
-def _float_cells(lines: list[int], cells: list[list]) -> np.ndarray:
-    """The feature cells as float64, each parsed as ``float()`` parses it; ``cells``
-    holds the rows on the last ``len(cells)`` of ``lines``. Only when the one numpy
-    conversion fails does the per-cell loop run, to name the first bad line."""
-    try:
-        return np.array(cells, dtype=np.float64)
-    except (ValueError, OverflowError):
-        return np.array(_per_cell_floats(lines, cells), dtype=np.float64)
-
-
-def _per_cell_floats(lines: list[int], cells: list[list]) -> list[list[float]]:
-    rows = []
-    for lineno, row in zip(lines[len(lines) - len(cells) :], cells):
+    lines, ids, stamps, labels, blocks = [], [], [], [], []
+    for lineno, sid, ts, label, feats in records:
+        if dim is None:
+            dim = len(feats)
+        if len(feats) != dim:
+            raise DatasetFormatError(f"line {lineno}: feature dimensionality mismatch: "
+                                     f"expected {dim} features, got {len(feats)}")
         try:
-            rows.append([float(v) for v in row])
+            stamps.append(_parse_date(ts))
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: unparseable timestamp {ts!r}") from None
+        if (j := len(lines) % _CSV_CHUNK_ROWS) == 0:
+            blocks.append(block := np.empty((_CSV_CHUNK_ROWS, dim)))
+        try:
+            block[j] = feats  # each cell parsed as float() parses it
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric feature value") from None
         except OverflowError:  # a JSON integer beyond float range
             raise DatasetFormatError(f"line {lineno}: non-finite feature value") from None
-    return rows
+        try:
+            ids.append(_parse_id(sid))
+            labels.append(_parse_label(label))
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {exc}") from None
+        lines.append(lineno)
+    if not lines:
+        raise DatasetFormatError("dataset file contains no samples")
+    blocks[-1] = block[: j + 1]
+    return lines, ids, stamps, labels, np.concatenate(blocks)
 
 
 def iso_dates(times: np.ndarray) -> list[str]:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifiers import Classifier, TrainedModel, predicted_labels, score_dataset
-from .dataset import LabeledDataset, check_fields, concat, rule
+from .dataset import ConstraintViolationError, LabeledDataset, check_fields, concat, rule
 from .metrics import (
     Confusion,
     SlotSeries,
@@ -39,7 +39,6 @@ from .metrics import (
 )
 from .rng import derive_seed
 from .splits import (
-    ConstraintViolationError,
     TemporalSplit,
     enforce_ratio,
     least_confident_first,
@@ -50,7 +49,6 @@ from .tuning import TuningConfig, proper_validation_cut, tune_phi
 __all__ = [
     "DelayPolicy",
     "DelayRunResult",
-    "ConstraintViolationError",
     "initial_scores",
     "run_policy",
 ]

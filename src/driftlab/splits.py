@@ -49,8 +49,6 @@ __all__ = [
     "TemporalSplit",
     "ConstraintVerdict",
     "InsufficientSpanError",
-    "EmptySlotError",
-    "ConstraintViolationError",
     "UpsamplingRequiredError",
     "Side",
     "Pools",

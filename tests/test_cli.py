@@ -25,8 +25,14 @@ from driftlab.cli import (
     run_experiment,
 )
 from driftlab.classifiers import KNNClassifier, LinearSGDClassifier
-from driftlab.dataset import LabeledDataset, load_dataset, write_csv
-from driftlab.delay import ConstraintViolationError, DelayPolicy
+from driftlab.dataset import (
+    ConstraintViolationError,
+    LabeledDataset,
+    load_dataset,
+    write_csv,
+    write_jsonl,
+)
+from driftlab.delay import DelayPolicy
 from driftlab.metrics import Confusion, confusion_counts, prf1, stratified_folds
 from driftlab.rng import derive_rng, derive_seed
 from driftlab.splits import (
@@ -1550,6 +1556,14 @@ class TestCliVerbs:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--months", "2", "--out", str(tmp_path / "f.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name,writer",
+                             [("d.csv", write_csv), ("d.jsonl", write_jsonl), ("d.ndjson", write_jsonl)])
+    def test_generate_writes_the_format_its_suffix_names(self, tmp_path, name, writer):
+        assert main(["generate", "--months", "2", "--samples-per-month", "9",
+                     "--out", str(tmp_path / name)]) == 0
+        writer(generate(DriftSpec(months=2, samples_per_month=9), seed=0), str(tmp_path / "lib"))
+        assert (tmp_path / name).read_bytes() == (tmp_path / "lib").read_bytes()
 
     def test_tune_verb(self, tmp_path):
         out = tmp_path / "out"

@@ -543,14 +543,21 @@ class TestLoading:
             # A line's features are checked before its label and later lines.
             (["a,2014-01-01,0,1.0", "b,2014-01-02,7,one"], 3),
             (["a,2014-01-01,0,one", "b,2014-13-02,1,2.0"], 2),
+            (["a,2014-01-01,0,one", "b,2014-01-02,1,2.0,3.0"], 2),
+            # JSONL, whose bad cell is an integer beyond float range.
+            ([json.dumps({"id": "a", "timestamp": "2014-01-01", "label": 0, "features": [10**400]}),
+              json.dumps({"id": "b", "timestamp": "2014-01-02", "label": 7, "features": [1.0]})], 1),
         ],
     )
     @pytest.mark.parametrize("chunk_rows", [1, 2, dataset._CSV_CHUNK_ROWS])
     def test_csv_non_numeric_names_line(self, tmp_path, monkeypatch, lines, lineno, chunk_rows):
         monkeypatch.setattr(dataset, "_CSV_CHUNK_ROWS", chunk_rows)
-        p = tmp_path / "d.csv"
-        p.write_text("id,timestamp,label,f0\n" + "".join(line + "\n" for line in lines))
-        with pytest.raises(DatasetFormatError, match=f"^line {lineno}: non-numeric feature value$"):
+        if lines[0].startswith("{"):
+            p, header, error = tmp_path / "d.jsonl", "", "non-finite"
+        else:
+            p, header, error = tmp_path / "d.csv", "id,timestamp,label,f0\n", "non-numeric"
+        p.write_text(header + "".join(line + "\n" for line in lines))
+        with pytest.raises(DatasetFormatError, match=f"^line {lineno}: {error} feature value$"):
             load_dataset(str(p))
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every name an ``__all__`` exports resolves, so a deleted name cannot linger."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,6 +16,17 @@ MODULES = ["driftlab"] + [f"driftlab.{m.name}" for m in pkgutil.iter_modules(dri
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_each_export_has_one_home(name):
+    """A submodule exports only the classes and functions it defines."""
+    module = importlib.import_module(name)
+    exported = [getattr(module, n) for n in module.__all__]
+    assert [
+        obj.__name__ for obj in exported
+        if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ != name
+    ] == []
 
 
 def test_every_error_has_an_exit_code_base():

@@ -7,11 +7,11 @@ import pytest
 
 from driftlab.classifiers import LinearSGDClassifier, TrainedModel
 from driftlab.cli import _write_tuning
-from driftlab.dataset import LabeledDataset, Period
+from driftlab.dataset import ConstraintViolationError, LabeledDataset, Period
 from driftlab.metrics import Confusion, aut, confusion_counts, error_rate, point_estimates, slot_series
 from driftlab.rng import derive_rng
 from driftlab import tuning
-from driftlab.splits import ConstraintViolationError, SplitSpec, enforce_ratio
+from driftlab.splits import SplitSpec, enforce_ratio
 from driftlab.synthgen import DriftSpec, generate
 from driftlab.tuning import (
     TuningConfig,

@@ -1,11 +1,12 @@
-"""Apply each of a fixed list of one-line mutants and check that the tests kill it.
+"""Apply each of a fixed list of small mutants and check that the tests kill it.
 
     python3 tools/mutants.py
 
 Each mutant replaces one piece of text, which must occur exactly once, in one
 file of a copy of this checkout made under a temporary directory; the
 checkout itself is never edited. ``python -m pytest -x -q`` then runs in the
-copy, against the copy's ``src``: first on the mutated module's own test
+copy, against the copy's ``src`` and with one fixed Hypothesis seed, so that a
+rerun repeats each verdict: first on the mutated module's own test
 file, ``tests/test_<stem>.py`` when there is one, and on the whole suite only
 if that file passes, so a mutant costs a whole suite run only when its own
 tests miss it. A mutant is KILLED when pytest reports a failing test and
@@ -200,6 +201,14 @@ MUTANTS = [
      "if True:",
      "an id is a JSON string or an integer by exact type "
      "(test_jsonl_id_is_a_string_or_an_integer)"),
+    ("label-before-cells", "src/driftlab/dataset.py",
+     "        try:\n            block[j] = feats",
+     "        try:\n            _parse_id(sid), _parse_label(label)\n"
+     "        except ValueError as exc:\n"
+     '            raise DatasetFormatError(f"line {lineno}: {exc}") from None\n'
+     "        try:\n            block[j] = feats",
+     "a line's feature cells are checked before its id and label "
+     "(test_csv_non_numeric_names_line[1-lines4-3])"),
     ("manifest-label-int", "src/driftlab/splits.py",
      '_parse_label(r["label"])',
      'int(r["label"])',
@@ -260,7 +269,8 @@ def run_mutant(work: Path, file: str, old: str, new: str) -> str:
         # The module's own test file, then (if it passes) the whole suite.
         for tests in [[str(own)], []] if (copy / own).exists() else [[]]:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--hypothesis-seed=0", *tests],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             if proc.returncode != 0:
